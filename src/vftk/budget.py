@@ -6,6 +6,7 @@ BudgetExceeded when past due, so callers can distinguish "ran out of time"
 from a genuine negative result.
 """
 
+import math
 import os
 import time
 
@@ -26,11 +27,20 @@ def deadline_in(seconds):
 
 
 def deadline_from_env():
-    """Deadline from the VFTK_BUDGET_SECONDS env var (None if unset)."""
+    """Deadline from the VFTK_BUDGET_SECONDS env var (None if unset).
+
+    Raises ValueError unless the value is a finite number of seconds.
+    """
     raw = os.environ.get(ENV_VAR)
     if raw is None or not raw.strip():
         return None
-    return deadline_in(float(raw))
+    try:
+        seconds = float(raw)
+    except ValueError:
+        seconds = math.nan
+    if not math.isfinite(seconds):
+        raise ValueError(f"{ENV_VAR} must be a finite number of seconds, not {raw!r}")
+    return deadline_in(seconds)
 
 
 def check(deadline):

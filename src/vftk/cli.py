@@ -102,7 +102,7 @@ def _report(command, inputs, results, checks):
 
 
 def _cmd_e8_frames(args, deadline):
-    lattice_reps = e8_frame_representatives()
+    lattice_reps = e8_frame_representatives(deadline)
     census = classify_e8_frames(deadline=deadline) if args.census else None
     by_k = {c.four_rank: c for c in census.classes} if census else {}
     rows = []
@@ -399,7 +399,7 @@ def _cmd_unimodularize(args, deadline):
     ]
     if lattice.rank and lattice.is_definite and args.mode != "hyperbolic":
         checks.append(_check("definiteness preserved", True, result.is_definite, COMPUTED))
-    if result.rank == 8 and result.is_definite:
+    if result.rank == 8 and result.is_definite and abs(result.determinant()) == 1:
         checks.append(
             _check("norm-2 vector count", 240, len(short_vectors(result, 2)), COMPUTED)
         )
@@ -586,9 +586,8 @@ def run(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return None, (exc.code if isinstance(exc.code, int) else 2)
-    deadline = deadline_from_env()
     try:
-        report = args.func(args, deadline)
+        report = args.func(args, deadline_from_env())
     except BudgetExceeded as exc:
         return {"schema": 1, "command": args.command, "error": str(exc)}, 4
     except (ParseError, OSError, ValueError) as exc:

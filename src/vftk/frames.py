@@ -10,10 +10,12 @@ subgroup, pointwise stabilizer, torus-intersection types, wreath-product
 order formulas) is bookkeeping on top of that search.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import factorial, prod
+from operator import mul
 
 from . import budget
 from .abelian import group_order, quotient_divisors, type_string
@@ -155,76 +157,113 @@ def frame_from_marking(lattice, marking):
 # --- frame enumeration ----------------------------------------------------
 
 
-def _norm4_sign_reps(lattice, deadline=None):
-    """One representative per sign-pair of norm-4 vectors, sorted."""
-    reps = set()
-    for v in short_vectors(lattice, 4, deadline=deadline):
-        neg = tuple(-c for c in v)
-        reps.add(max(v, neg))
-    return sorted(reps)
+@dataclass(frozen=True)
+class _Norm4Graph:
+    """Orthogonality graph on the sign-pairs of norm-4 vectors.
+
+    reps holds one vector per sign-pair in descending order; vertex i is
+    reps[i] and bit i of the bitsets, so a walk that takes the highest bit
+    first meets the reps in ascending order.  adj[i] has bit j set when
+    reps i and j are orthogonal; bit j of masks[i] is (e_j, reps[i]) mod 2.
+    """
+
+    lattice: IntegralLattice
+    reps: tuple
+    adj: tuple
+    masks: tuple
+
+    def frame(self, clique):
+        return LatticeFrame(self.lattice, [self.reps[i] for i in clique], validate=False)
 
 
-def _orthogonality_masks(lattice, reps):
-    adj = []
-    for i, v in enumerate(reps):
-        mask = 0
-        for j, w in enumerate(reps):
-            if j != i and lattice.inner(v, w) == 0:
-                mask |= 1 << j
-        adj.append(mask)
-    return adj
+def _norm4_graph(lattice, deadline=None):
+    """Build the _Norm4Graph of a definite lattice from its Gram rows."""
+    reps = sorted(
+        {max(v, tuple(-c for c in v)) for v in short_vectors(lattice, 4, deadline=deadline)},
+        reverse=True,
+    )
+    rows = [lattice.gram_row(v) for v in reps]
+    adj = [0] * len(reps)
+    for i, row in enumerate(rows):
+        budget.check(deadline)
+        for j in range(i):
+            if not sum(map(mul, row, reps[j])):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    # row[j] = 2 (e_j, v)
+    masks = tuple(sum(((c >> 1) & 1) << j for j, c in enumerate(row)) for row in rows)
+    return _Norm4Graph(lattice, tuple(reps), tuple(adj), masks)
 
 
-def _enumerate_cliques(adj, size, deadline, on_enter, on_leave, on_leaf):
-    """All size-cliques in increasing vertex order, with DFS hooks."""
-    n = len(adj)
+def _walk_frames(graph, deadline=None, stats=None):
+    """Yield (clique, k) for every frame of the graph's lattice.
+
+    A clique is rank-many pairwise orthogonal vertices in descending order,
+    so the walk meets frames in ascending order of their sign-pair reps;
+    k is the F2-rank of their pair masks.  Each depth keeps the candidates
+    it has not tried, all below the vertex chosen last, and the reduced
+    basis of the masks chosen above it, so backtracking restores nothing.
+    A candidate is skipped unless enough of the candidates after it are
+    orthogonal to it to finish the clique.  At the last depth each
+    candidate is reduced and yielded directly; in a definite lattice there
+    is at most one, since rank - 1 orthogonal pairs fix the last up to
+    sign.  A completed walk stores the number of cliques it entered,
+    leaves included, in stats["nodes"].
+    """
+    size = graph.lattice.rank
+    if not size:  # the zero lattice has one frame, the empty one
+        yield (), 0
+        return
+    adj, masks = graph.adj, graph.masks
+    rest = [0] * size
+    chosen = [0] * size
+    bases = [()] * size
+    rest[0] = (1 << len(adj)) - 1
     nodes = 0
-
-    def rec(cands, depth):
-        nonlocal nodes
-        if depth == size:
-            on_leaf()
-            return
-        need = size - depth
-        while cands:
-            nodes += 1
-            if nodes % 4096 == 0:
-                budget.check(deadline)
-            if cands.bit_count() < need:
-                return
-            bit = cands & -cands
-            cands ^= bit
-            v = bit.bit_length() - 1
-            on_enter(v)
-            rec(cands & adj[v], depth + 1)
-            on_leave(v)
-
-    rec((1 << n) - 1, 0)
+    depth = 0
+    while depth >= 0:
+        cands = rest[depth]
+        need = size - depth - 1  # vertices still to choose below this depth's
+        left = cands.bit_count()
+        while left > need:
+            v = cands.bit_length() - 1
+            cands ^= 1 << v
+            left -= 1
+            below = cands & adj[v]
+            if below.bit_count() >= need:
+                break
+        else:
+            depth -= 1
+            continue
+        rest[depth] = cands
+        chosen[depth] = v
+        nodes += 1
+        if not nodes & 4095:
+            budget.check(deadline)
+        basis = bases[depth]
+        m = masks[v]
+        for b in basis:  # descending leading bits: Gaussian elimination over F2
+            m = min(m, m ^ b)
+        if not need:
+            yield tuple(chosen), len(basis) + (m > 0)
+            continue
+        depth += 1
+        rest[depth] = below
+        bases[depth] = tuple(sorted(basis + (m,), reverse=True)) if m else basis
+    if stats is not None:
+        stats["nodes"] = nodes
 
 
 def find_frames(lattice, deadline=None):
     """All frames of a definite even lattice (small lattices only).
 
-    Backtracks over the orthogonality graph of norm-4 sign-pairs; returns
-    every maximal-rank configuration as a LatticeFrame.  The list can be
-    huge (E8 has 382185 frames): for censuses use classify_e8_frames or
-    the clique hooks directly.
+    Walks the orthogonality graph of norm-4 sign-pairs and returns every
+    maximal-rank configuration as a LatticeFrame.  The list can be huge
+    (E8 has 382185 frames): classify_e8_frames counts them instead of
+    keeping them.
     """
-    reps = _norm4_sign_reps(lattice, deadline=deadline)
-    if len(reps) < lattice.rank:
-        return []
-    adj = _orthogonality_masks(lattice, reps)
-    chosen = []
-    out = []
-    _enumerate_cliques(
-        adj,
-        lattice.rank,
-        deadline,
-        chosen.append,
-        lambda v: chosen.pop(),
-        lambda: out.append(LatticeFrame(lattice, [reps[i] for i in chosen], validate=False)),
-    )
-    return out
+    graph = _norm4_graph(lattice, deadline)
+    return [graph.frame(clique) for clique, _ in _walk_frames(graph, deadline)]
 
 
 # --- glue code and invariants ---------------------------------------------
@@ -232,12 +271,10 @@ def find_frames(lattice, deadline=None):
 
 def glue_code(lattice, frame):
     """Image of L in (Z/4)^n via v -> ((v, x_i) mod 4) over the frame."""
-    n = lattice.rank
-    gens = []
-    for j in range(n):
-        e = tuple(int(i == j) for i in range(n))
-        row = tuple(int(lattice.inner(e, x)) % 4 for x in frame.vectors)
-        gens.append(row)
+    cols = [lattice.gram_row(x) for x in frame.vectors]  # cols[i][j] = 2 (e_j, x_i)
+    if any(c % 2 for col in cols for c in col):
+        raise ValueError("a glue code needs integral inner products with the frame")
+    gens = [tuple(col[j] // 2 % 4 for col in cols) for j in range(lattice.rank)]
     return Z4Code.from_generators(frame.pair_count, gens)
 
 
@@ -338,12 +375,12 @@ def monomial_to_isometry(lattice, frame, sigma, signs):
     """
     n = lattice.rank
     vecs = frame.vectors
+    cols = [lattice.gram_row(x) for x in vecs]  # cols[p][j] = 2 (e_j, x_p)
     rows = []
     for j in range(n):
-        e = tuple(int(t == j) for t in range(n))
         acc = [Fraction(0)] * n
         for p in range(n):
-            c = Fraction(int(lattice.inner(e, vecs[p])) * signs[p], 4)
+            c = Fraction(cols[p][j] * signs[p], 8)
             if c:
                 tgt = vecs[sigma[p]]
                 for t in range(n):
@@ -363,32 +400,52 @@ def monomial_to_isometry(lattice, frame, sigma, signs):
 
 # --- the E8 table and census ----------------------------------------------
 
-
-def _e8_pair_masks(lattice, reps):
-    """8-bit mask per rep vector: bit j = (e_j, x) mod 2."""
-    n = lattice.rank
-    masks = []
-    for v in reps:
-        m = 0
-        for j in range(n):
-            e = tuple(int(i == j) for i in range(n))
-            if int(lattice.inner(e, v)) & 1:
-                m |= 1 << j
-        masks.append(m)
-    return masks
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-@lru_cache(maxsize=None)
-def e8_frame_representatives():
+def _cache_completed(build):
+    """Keep build(deadline)'s result for the process once a call completes.
+
+    The deadline is not part of the key: a build that runs out of budget
+    caches nothing, and the next call starts afresh.  cache_info() reads
+    like functools.lru_cache's.
+    """
+    done = []
+    hits = misses = 0
+
+    @wraps(build)
+    def cached(deadline=None):
+        nonlocal hits, misses
+        if done:
+            hits += 1
+        else:
+            misses += 1
+            done.append(build(deadline))
+        return done[0]
+
+    cached.cache_info = lambda: _CacheInfo(hits, misses, 1, len(done))
+    return cached
+
+
+@_cache_completed
+def _e8_graph(deadline=None):
+    """The norm-4 graph of E8, shared by the representatives and the census."""
+    return _norm4_graph(e8_lattice(), deadline)
+
+
+@_cache_completed
+def e8_frame_representatives(deadline=None):
     """One E8 frame per glue-code class, keyed by four_rank k in 1..4.
 
     k = 1, 2, 3 come from the three marking classes of the [8,4] Hamming
-    code; k = 4 is found by a short orthogonality-graph search (it is not
-    realized by any marking).
+    code; k = 4 is the first frame of the walk with pair-mask rank 4 (it
+    is not realized by any marking).  The deadline bounds the marking
+    classification, the graph build and that search; the first call that
+    completes is kept for the process.
     """
     e8 = e8_lattice()
     out = {}
-    orbits, _ = classify_markings(hamming_code(8))
+    orbits, _ = classify_markings(hamming_code(8), deadline=deadline)
     for rep, _size in orbits:
         frame = frame_from_marking(e8, rep)
         _, k = abelian_type(glue_code(e8, frame))
@@ -396,60 +453,12 @@ def e8_frame_representatives():
     missing = {1, 2, 3, 4} - set(out)
     if missing != {4}:
         raise AssertionError(f"marking classes gave unexpected ranks {sorted(out)}")
-    reps = _norm4_sign_reps(e8)
-    adj = _orthogonality_masks(e8, reps)
-    masks = _e8_pair_masks(e8, reps)
-    found = _search_frame_of_rank(e8, reps, adj, masks, 4)
+    graph = _e8_graph(deadline)
+    found = next((c for c, k in _walk_frames(graph, deadline) if k == 4), None)
     if found is None:
         raise AssertionError("no rank-4 glue class found in E8")
-    out[4] = found
+    out[4] = graph.frame(found)
     return out
-
-
-class _Found(Exception):
-    pass
-
-
-def _search_frame_of_rank(lattice, reps, adj, masks, want):
-    """First frame whose pair-mask matrix has F2-rank `want` (early exit)."""
-    basis = [0] * 8
-    rank = 0
-    chosen = []
-    pushed = []
-    hit = []
-
-    def enter(v):
-        nonlocal rank
-        chosen.append(v)
-        cur = masks[v]
-        while cur:
-            lb = cur.bit_length() - 1
-            if not basis[lb]:
-                basis[lb] = cur
-                rank += 1
-                pushed.append(lb)
-                return
-            cur ^= basis[lb]
-        pushed.append(-1)
-
-    def leave(v):
-        nonlocal rank
-        chosen.pop()
-        lb = pushed.pop()
-        if lb >= 0:
-            basis[lb] = 0
-            rank -= 1
-
-    def leaf():
-        if rank == want and not hit:
-            hit.append(LatticeFrame(lattice, [reps[i] for i in chosen], validate=False))
-            raise _Found
-
-    try:
-        _enumerate_cliques(adj, lattice.rank, None, enter, leave, leaf)
-    except _Found:
-        pass
-    return hit[0] if hit else None
 
 
 @dataclass(frozen=True)
@@ -467,9 +476,12 @@ class FrameClass:
 
 @dataclass(frozen=True)
 class FrameCensus:
+    """Census classes, the frame total, and the walk's node count."""
+
     classes: tuple
     total: int
     note: str
+    nodes: int
 
 
 def classify_e8_frames(deadline=None):
@@ -482,49 +494,18 @@ def classify_e8_frames(deadline=None):
     isometry group order.
     """
     e8 = e8_lattice()
-    reps = _norm4_sign_reps(e8, deadline=deadline)
-    adj = _orthogonality_masks(e8, reps)
-    masks = _e8_pair_masks(e8, reps)
-
+    graph = _e8_graph(deadline)
     counts = {}
     first = {}
-    basis = [0] * 8
-    rank = 0
-    chosen = []
-    pushed = []
-
-    def enter(v):
-        nonlocal rank
-        chosen.append(v)
-        cur = masks[v]
-        while cur:
-            lb = cur.bit_length() - 1
-            if not basis[lb]:
-                basis[lb] = cur
-                rank += 1
-                pushed.append(lb)
-                return
-            cur ^= basis[lb]
-        pushed.append(-1)
-
-    def leave(v):
-        nonlocal rank
-        chosen.pop()
-        lb = pushed.pop()
-        if lb >= 0:
-            basis[lb] = 0
-            rank -= 1
-
-    def leaf():
-        counts[rank] = counts.get(rank, 0) + 1
-        if rank not in first:
-            first[rank] = list(chosen)
-
-    _enumerate_cliques(adj, 8, deadline, enter, leave, leaf)
+    stats = {}
+    for clique, k in _walk_frames(graph, deadline, stats):
+        counts[k] = counts.get(k, 0) + 1
+        if k not in first:
+            first[k] = clique
 
     classes = []
     for k in sorted(counts):
-        frame = LatticeFrame(e8, [reps[i] for i in first[k]], validate=False)
+        frame = graph.frame(first[k])
         code = glue_code(e8, frame)
         two_rank, four_rank = abelian_type(code)
         if four_rank != k:
@@ -547,7 +528,9 @@ def classify_e8_frames(deadline=None):
         "inequivalent framings, so the frame classification above has four "
         "rows while the full framed-symmetry classification has five."
     )
-    return FrameCensus(classes=tuple(classes), total=sum(counts.values()), note=note)
+    return FrameCensus(
+        classes=tuple(classes), total=sum(counts.values()), note=note, nodes=stats["nodes"]
+    )
 
 
 # --- order formulas ---------------------------------------------------------

@@ -253,7 +253,7 @@ def torus_action_on_frame(lattice, h, frame):
     h = tuple(Fraction(c) for c in h)
     phases = []
     for x in frame.vectors:
-        val = sum(hc * Fraction(g) for hc, g in zip(h, _gram_column(lattice, x)))
+        val = Fraction(sum(hc * g for hc, g in zip(h, lattice.gram_row(x))), 2)
         phases.append(val % 1)
     phases = tuple(phases)
     half = Fraction(1, 2)
@@ -263,16 +263,6 @@ def torus_action_on_frame(lattice, h, frame):
         stabilizes_frame=all(p == 0 or p == half for p in phases),
         swaps=tuple(p == half for p in phases),
     )
-
-
-def _gram_column(lattice, x):
-    """(e_j, x) for all j, i.e. the row x of gram2 halved, as Fractions."""
-    n = lattice.rank
-    out = []
-    for j in range(n):
-        tot = sum(lattice.gram2[j][t] * x[t] for t in range(n))
-        out.append(Fraction(tot, 2))
-    return out
 
 
 def frame_symbol_action(lattice, frame, lift):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, prod
+from operator import mul
 
 from . import budget
 from .abelian import quotient_divisors, rational_row_basis
@@ -95,6 +96,15 @@ class IntegralLattice:
 
     def norm(self, v):
         return self.inner(v, v)
+
+    def gram_row(self, v):
+        """v . gram2 as a tuple: (v, w) is the dot product with w, halved.
+
+        Entry j is 2 (e_j, v), so an integer vector gives an int tuple and
+        a vector paired with many others costs one row, not one Gram pass
+        per pair.
+        """
+        return tuple(sum(map(mul, row, v)) for row in self.gram2)
 
     def gram(self):
         return tuple(tuple(Fraction(x, 2) for x in row) for row in self.gram2)

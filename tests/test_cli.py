@@ -1,6 +1,10 @@
 """Driver-level tests: report shape, check outcomes, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -21,7 +25,15 @@ def gram_files(tmp_path_factory):
     frame.write_text(format_frame(e8_frame_representatives()[2]))
     odd = d / "odd.gram"
     odd.write_text(format_gram(IntegralLattice.from_gram([[1]])))
-    return {"e8": str(e8), "a2": str(a2), "frame": str(frame), "odd": str(odd)}
+    a4 = d / "a4.gram"
+    a4.write_text(
+        format_gram(
+            IntegralLattice.from_gram(
+                [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+            )
+        )
+    )
+    return {"e8": str(e8), "a2": str(a2), "frame": str(frame), "odd": str(odd), "a4": str(a4)}
 
 
 def _passing(argv):
@@ -123,6 +135,14 @@ def test_unimodularize_modes(gram_files):
     assert int(twist["inputs"]["twist_prime"]) >= 7
 
 
+def test_prime_power_rank8_result_skips_norm2_check(gram_files):
+    # A4 twists to a rank-8 definite lattice of determinant s^4: not E8, so
+    # the "240 norm-2 vectors" check does not apply
+    report = _passing(["unimodularize", "--gram", gram_files["a4"], "--mode", "prime-power"])
+    assert report["results"]["result"]["rank"] == 8
+    assert all(c["name"] != "norm-2 vector count" for c in report["checks"])
+
+
 def test_hat_verify(gram_files):
     report = _passing(["hat-verify", "--gram", gram_files["a2"]])
     assert report["results"]["rank"] == 2
@@ -149,6 +169,33 @@ def test_exit_code_budget(monkeypatch):
     monkeypatch.setenv("VFTK_BUDGET_SECONDS", "0.01")
     report, code = cli.run(["e8-frames"])
     assert code == 4 and "error" in report
+
+
+@pytest.mark.parametrize("value", ["abc", "nan"])
+def test_exit_code_bad_budget_value(monkeypatch, value):
+    monkeypatch.setenv("VFTK_BUDGET_SECONDS", value)
+    report, code = cli.run(["markings"])
+    assert code == 3
+    assert report["command"] == "markings" and "VFTK_BUDGET_SECONDS" in report["error"]
+
+
+def test_budget_binds_on_cold_frame_caches():
+    # a fresh interpreter has to build the norm-4 graph under the budget
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, VFTK_BUDGET_SECONDS="0.5", PYTHONPATH=src)
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "vftk.cli", "e8-frames", "--census"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 4, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["command"] == "e8-frames" and "error" in report
+    assert elapsed < 1.5
 
 
 def test_exit_code_failed_check(monkeypatch):

@@ -1,6 +1,7 @@
 """Frame engine: markings to frames, glue codes, stabilizers, order formulas."""
 
 import random
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from vftk.f2codes import Marking, classify_markings, hamming_code
 from vftk.frames import (
     LatticeFrame,
+    _e8_graph,
     Z4Code,
     abelian_type,
     agl2_order,
@@ -23,11 +25,14 @@ from vftk.frames import (
     monomial_to_isometry,
     order_sym_wr_agl,
 )
-from vftk.lattices import IntegralLattice, e8_lattice
+from vftk.lattices import IntegralLattice, e8_lattice, short_vectors, short_vectors_box
 from vftk.stabsearch import brute_force_monomials
 
 D4 = IntegralLattice.from_gram(
     [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+)
+D5 = IntegralLattice.from_gram(
+    [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1], [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]]
 )
 
 
@@ -155,6 +160,8 @@ def test_reorientation_invariance():
 
 
 def test_find_frames_small():
+    (empty,) = find_frames(IntegralLattice([]))
+    assert empty.pair_count == 0
     assert find_frames(IntegralLattice.from_gram([[2]])) == []  # no norm-4 vectors at all
     assert find_frames(IntegralLattice.from_gram([[8]])) == []
     (one,) = find_frames(IntegralLattice.from_gram([[4]]))
@@ -176,6 +183,49 @@ def test_find_frames_d4():
         assert stab.order == len(brute)
         ident = tuple(range(4))
         assert stab.sign_order == sum(1 for sigma, _ in brute if sigma == ident)
+
+
+@pytest.mark.parametrize(
+    "lattice, count",
+    [(D4, 3), (IntegralLattice.from_gram([[4, 0], [0, 4]]), 1), (D5, 11)],
+    ids=["D4", "4I2", "D5"],
+)
+def test_find_frames_matches_brute_force(lattice, count):
+    reps = sorted({max(v, tuple(-c for c in v)) for v in short_vectors_box(lattice, 4)})
+    orthogonal = {(x, y) for x, y in combinations(reps, 2) if lattice.inner(x, y) == 0}
+    brute = {
+        frozenset(c)
+        for c in combinations(reps, lattice.rank)
+        if all(pair in orthogonal for pair in combinations(c, 2))
+    }
+    frames = find_frames(lattice)
+    assert len(frames) == len(brute) == count
+    assert {frozenset(f.vectors) for f in frames} == brute
+
+
+def test_e8_graph_matches_inner():
+    e8 = e8_lattice()
+    graph = _e8_graph()
+    reps = sorted({max(v, tuple(-c for c in v)) for v in short_vectors(e8, 4)}, reverse=True)
+    assert graph.reps == tuple(reps)
+    adj = [0] * len(reps)
+    for i, x in enumerate(reps):
+        for j in range(i):
+            if e8.inner(x, reps[j]) == 0:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    assert graph.adj == tuple(adj)
+    units = [tuple(int(i == j) for i in range(8)) for j in range(8)]
+    masks = tuple(
+        sum((int(e8.inner(e, x)) % 2) << j for j, e in enumerate(units)) for x in reps
+    )
+    assert graph.masks == masks
+
+
+def test_rank4_search_finds_a_4_to_the_4_frame():
+    e8 = e8_lattice()
+    frame = e8_frame_representatives()[4]
+    assert abelian_type(glue_code(e8, frame)) == (0, 4)
 
 
 def test_zero_glue_stabilizer_is_full_monomial_group():

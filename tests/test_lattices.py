@@ -190,6 +190,32 @@ def test_short_vectors_match_box_oracle():
                 assert tuple(-x for x in v) in set(fast)
 
 
+def test_gram_row_matches_inner():
+    # random symmetric gram2, so indefinite forms and half-integral inner
+    # products (odd gram2 entries) both occur
+    rng = random.Random(11)
+    definite = set()
+    denominators = set()
+    for _ in range(20):
+        n = rng.randrange(1, 6)
+        g2 = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                g2[i][j] = g2[j][i] = rng.randrange(-5, 6)
+        lat = IntegralLattice(g2)
+        definite.add(lat.is_definite)
+        for _ in range(10):
+            v = tuple(rng.randrange(-3, 4) for _ in range(n))
+            w = tuple(rng.randrange(-3, 4) for _ in range(n))
+            row = lat.gram_row(v)
+            assert all(type(c) is int for c in row)
+            inner = lat.inner(v, w)
+            assert Fraction(sum(a * b for a, b in zip(row, w)), 2) == inner
+            denominators.add(Fraction(inner).denominator)
+    assert definite == {True, False}
+    assert denominators == {1, 2}
+
+
 def test_short_vectors_requires_definite():
     indef = IntegralLattice.from_gram([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
