@@ -22,6 +22,7 @@ from vftk import (
     frame_invariants,
     type_string,
 )
+from vftk.frames import frame_stabilizer
 
 e8 = e8_lattice()
 reps = e8_frame_representatives()
@@ -58,6 +59,6 @@ if "--census" in sys.argv[1:]:
     print("counting all frames ...")
     census = classify_e8_frames()
     for cls in census.classes:
-        assert cls.count * cls.monomial_order == W_E8_ORDER
+        assert cls.count * frame_stabilizer(e8, cls.representative).order == W_E8_ORDER
         print(f"  k={cls.four_rank}: {cls.count:>7} frames  (glue shape {cls.delta_type})")
     print(f"  total: {census.total} frames")

@@ -23,7 +23,6 @@ from .f2codes import (
 )
 from .f2quad import (
     enumerate_odd_lagrangians,
-    hyperbolic_space,
     left_overlap,
     orbit_census,
     same_orbit_witness,
@@ -87,7 +86,6 @@ __all__ = [
     "hamming_code",
     "rm1_subcode",
     "enumerate_odd_lagrangians",
-    "hyperbolic_space",
     "left_overlap",
     "orbit_census",
     "same_orbit_witness",

@@ -16,7 +16,6 @@ __all__ = [
     "group_order",
     "type_counts",
     "type_string",
-    "divisors_from_counts",
 ]
 
 
@@ -61,13 +60,11 @@ def _square_coords(basis):
     """Pick a set of coordinate positions making the basis matrix square."""
     # basis rows are echelon (from HNF) so leading columns are independent
     cols = []
-    seen = 0
     for r in basis:
         for j, x in enumerate(r):
             if x != 0 and j not in cols:
                 cols.append(j)
                 break
-        seen += 1
     if len(cols) != len(basis):
         raise ValueError("basis rows are not independent")
     cols = sorted(cols)
@@ -101,11 +98,3 @@ def type_string(divisors):
         m = counts[order]
         parts.append(f"{order}^{m}" if m > 1 else f"{order}")
     return " x ".join(parts)
-
-
-def divisors_from_counts(counts):
-    """Inverse of type_counts: {2: 1, 4: 2} -> (2, 4, 4)."""
-    out = []
-    for order in sorted(counts):
-        out.extend([order] * counts[order])
-    return tuple(out)

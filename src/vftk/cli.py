@@ -422,7 +422,7 @@ def _cmd_f2quad(args, deadline):
     if n < 1:
         raise ValueError("n must be positive")
     budget_check(deadline)
-    census = orbit_census(n, exhaustive=True if args.exhaustive else None)
+    census = orbit_census(n, exhaustive=True if args.exhaustive else None, deadline=deadline)
     orbits = [
         {
             "j": row.overlap,

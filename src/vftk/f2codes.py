@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .bits import f2_in_span, f2_kernel, f2_rref, f2_span, f2_transpose
-from .stabsearch import stabilizer
+from .stabsearch import orbit, stabilizer
 
 __all__ = [
     "BinaryCode",
@@ -86,18 +86,10 @@ def hamming_code(length):
     if length == 8:
         return BinaryCode.from_rows(8, _rm1_rows(8))
     if length == 16:
-        return _load_h16()
+        from .fileio import parse_code
+
+        return parse_code(resources.files("vftk").joinpath("data/h16.txt").read_text())
     raise ValueError("supported lengths are 8 and 16")
-
-
-def _load_h16():
-    text = resources.files("vftk").joinpath("data/h16.txt").read_text()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    length, dim = map(int, lines[0].split())
-    rows = []
-    for ln in lines[1 : 1 + dim]:
-        rows.append(sum(1 << i for i, ch in enumerate(ln) if ch == "1"))
-    return BinaryCode.from_rows(length, rows)
 
 
 def dual_code(c):
@@ -180,16 +172,8 @@ def classify_markings(c, deadline=None):
     orbits = []
     while todo:
         rep = min(todo, key=lambda m: m.pairs)
-        orbit = {rep}
-        frontier = [rep]
-        while frontier:
-            m = frontier.pop()
-            for sigma in gens:
-                m2 = m.permuted(sigma)
-                if m2 not in orbit:
-                    orbit.add(m2)
-                    frontier.append(m2)
-        todo -= orbit
-        orbits.append((rep, len(orbit)))
+        members = orbit({rep}, lambda m: (m.permuted(sigma) for sigma in gens))
+        todo -= members
+        orbits.append((rep, len(members)))
     orbits.sort(key=lambda t: t[1])
     return orbits, order

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from math import prod
 
+from . import budget
 from .bits import (
     f2_echelon,
     f2_identity,
@@ -34,13 +35,12 @@ from .bits import (
     f2_vec_mat,
 )
 from .frames import gl2_order
+from .stabsearch import CHECK_EVERY, orbit
 
 __all__ = [
-    "QuadSpace",
     "OrbitWitness",
     "OrbitClass",
     "StabilizerInfo",
-    "hyperbolic_space",
     "quad_value",
     "pairing",
     "nonsingular_vectors",
@@ -83,32 +83,6 @@ def _swap_halves(n, v):
 
 def nonsingular_vectors(n):
     return [v for v in range(1, 1 << (2 * n)) if quad_value(n, v)]
-
-
-@dataclass(frozen=True)
-class QuadSpace:
-    """Dimension-2n hyperbolic quadratic space with its marked halves."""
-
-    n: int
-
-    @property
-    def dim(self):
-        return 2 * self.n
-
-    def quad(self, v):
-        return quad_value(self.n, v)
-
-    def pairing(self, u, v):
-        return pairing(self.n, u, v)
-
-    def nonsingular_vectors(self):
-        return nonsingular_vectors(self.n)
-
-
-def hyperbolic_space(n):
-    if n < 1:
-        raise ValueError("n must be positive")
-    return QuadSpace(n)
 
 
 # --- members ---------------------------------------------------------------
@@ -158,19 +132,25 @@ def standard_odd_lagrangian(n, overlap):
     return _canonical(rows)
 
 
-def enumerate_odd_lagrangians(n):
+def enumerate_odd_lagrangians(n, deadline=None):
     """Every odd Lagrangian, exhaustively (cost ~ number of Lagrangians).
 
     Enumerates RREF bases of totally isotropic n-subspaces directly:
     pivots descend, earlier rows are required to vanish at later pivots,
     and each new row is solved for inside the perp of the chosen rows.
+    The deadline is polled every CHECK_EVERY recursive calls.
     """
     if not 1 <= n <= 5:
         raise ValueError("exhaustive enumeration is limited to 1 <= n <= 5")
     out = []
     rows = []
+    calls = 0
 
     def rec(max_pivot):
+        nonlocal calls
+        calls += 1
+        if calls % CHECK_EVERY == 0:
+            budget.check(deadline)
         need = n - len(rows)
         if need == 0:
             if any(quad_value(n, r) for r in rows):
@@ -291,25 +271,14 @@ def random_isometry(n, rng, length=None):
 
 
 def orbit_partition(n, members):
-    """Orbits of the left-half stabilizer on the given members (BFS)."""
+    """Orbits of the left-half stabilizer on the given members."""
     gens = left_stabilizer_generators(n)
     todo = set(members)
     orbits = []
     while todo:
-        seed_member = todo.pop()
-        orbit = {seed_member}
-        frontier = [seed_member]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    image = transform_member(n, g, m)
-                    if image not in orbit:
-                        orbit.add(image)
-                        nxt.append(image)
-            frontier = nxt
-        todo -= orbit
-        orbits.append(frozenset(orbit))
+        orb = orbit({todo.pop()}, lambda m: (transform_member(n, g, m) for g in gens))
+        todo -= orb
+        orbits.append(frozenset(orb))
     return orbits
 
 
@@ -520,17 +489,18 @@ def stabilizer_structure(n, member):
     return StabilizerInfo(j, order, u_order, levi)
 
 
-def orbit_census(n, exhaustive=None):
+def orbit_census(n, exhaustive=None, deadline=None):
     """One row per orbit of the left-half stabilizer on odd Lagrangians.
 
     exhaustive=None enumerates and partitions for n <= 3 and uses the
     closed-form sizes otherwise; the two routes are asserted against each
-    other whenever enumeration runs.
+    other whenever enumeration runs.  The deadline bounds the enumeration
+    and the certification of its members.
     """
     if exhaustive is None:
         exhaustive = n <= 3
     if exhaustive:
-        members = enumerate_odd_lagrangians(n)
+        members = enumerate_odd_lagrangians(n, deadline)
         assert len(members) == total_odd_count(n)
         if n <= 3:
             orbits = orbit_partition(n, members)
@@ -547,6 +517,7 @@ def orbit_census(n, exhaustive=None):
             sizes = {j: 0 for j in range(n)}
             reps = {j: standard_odd_lagrangian(n, j) for j in range(n)}
             for member in members:
+                budget.check(deadline)
                 j = left_overlap(n, member)
                 g = _canonicalizer(n, member)
                 assert fixes_left_half(n, g) and is_isometry(n, g)

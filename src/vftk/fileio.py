@@ -28,7 +28,6 @@ __all__ = [
     "parse_vectors",
     "format_vectors",
     "load_gram",
-    "load_code",
     "load_frame",
 ]
 
@@ -183,11 +182,6 @@ def format_frame(frame):
 def load_gram(path):
     with open(path, encoding="utf-8") as fh:
         return parse_gram(fh.read())
-
-
-def load_code(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_code(fh.read())
 
 
 def load_frame(path, lattice):

@@ -388,14 +388,10 @@ def monomial_to_isometry(lattice, frame, sigma, signs):
         if any(f.denominator != 1 for f in acc):
             raise ValueError("monomial map does not preserve the lattice")
         rows.append(tuple(int(f) for f in acc))
-    # exact isometry check: W G W^T == G
-    g = lattice.gram2
-    for i in range(n):
-        for j in range(i + 1):
-            lhs = 2 * lattice.inner(rows[i], rows[j])
-            if lhs != g[i][j]:
-                raise AssertionError("constructed map is not an isometry")
-    return tuple(rows)
+    rows = tuple(rows)
+    if not lattice.is_isometry(rows):
+        raise AssertionError("constructed map is not an isometry")
+    return rows
 
 
 # --- the E8 table and census ----------------------------------------------
@@ -463,14 +459,12 @@ def e8_frame_representatives(deadline=None):
 
 @dataclass(frozen=True)
 class FrameClass:
-    """One census class: glue-code shape, count, and stabilizer orders."""
+    """One census class: glue-code shape, count, and its first frame."""
 
     four_rank: int
     two_rank: int
     delta_type: str
     count: int
-    monomial_order: int
-    sign_order: int
     representative: LatticeFrame
 
 
@@ -489,9 +483,10 @@ def classify_e8_frames(deadline=None):
 
     Every frame is visited (symmetry is not quotiented) and classified by
     the F2-rank k of its pair-mask matrix, which determines the glue type
-    2^(8-2k) x 4^k here.  Each class then gets a stabilizer search on one
-    representative, so class size x |W_X| can be checked against the E8
-    isometry group order.
+    2^(8-2k) x 4^k here, which the glue code of each class's first frame
+    cross-checks.  The census runs no stabilizer search: callers check
+    class size x |W_X| against the E8 isometry group order with
+    frame_stabilizer on the representative.
     """
     e8 = e8_lattice()
     graph = _e8_graph(deadline)
@@ -510,15 +505,12 @@ def classify_e8_frames(deadline=None):
         two_rank, four_rank = abelian_type(code)
         if four_rank != k:
             raise AssertionError("leaf rank disagrees with glue-code type")
-        stab = frame_stabilizer(e8, frame, deadline=deadline)
         classes.append(
             FrameClass(
                 four_rank=k,
                 two_rank=two_rank,
                 delta_type=type_string((2,) * two_rank + (4,) * four_rank),
                 count=counts[k],
-                monomial_order=stab.order,
-                sign_order=stab.sign_order,
                 representative=frame,
             )
         )

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .f2codes import rm1_subcode
-from .intmat import identity, mat_mul, transpose
+from .intmat import identity, inverse, mat_mul, transpose, vec_mat
 
 __all__ = [
     "EpsilonCocycle",
@@ -155,68 +155,35 @@ class LiftedAutomorphism:
         return -1 if self.mu_exponent(x) else 1
 
     def apply(self, h):
-        w = self.matrix
-        n = len(w)
-        img = tuple(sum(h.vec[j] * w[j][t] for j in range(n)) for t in range(n))
-        return HatElement(h.sign * self.mu(h.vec), img)
+        return HatElement(h.sign * self.mu(h.vec), vec_mat(h.vec, self.matrix))
 
     def compose(self, other):
         """This lift followed by `other` (a lift of matrix * other.matrix)."""
-        w = mat_mul(self.matrix, other.matrix)
-        n = len(w)
-        bits = []
-        for i in range(n):
-            e = tuple(int(t == i) for t in range(n))
-            s = self.mu_exponent(e) + other.mu_exponent(self._row_image(e))
-            bits.append(s % 2)
-        return lift_automorphism(self.cocycle, w, tuple(bits))
+        # e_i maps to row i of the matrix, and mu_exponent(e_i) = mu_bits[i]
+        bits = tuple(
+            (b + other.mu_exponent(row)) % 2 for b, row in zip(self.mu_bits, self.matrix)
+        )
+        return lift_automorphism(self.cocycle, mat_mul(self.matrix, other.matrix), bits)
 
     def inverse(self):
-        winv = _int_matrix_inverse(self.matrix)
-        n = len(winv)
-        bits = []
-        for i in range(n):
-            e = tuple(int(t == i) for t in range(n))
-            bits.append(self.mu_exponent(_vec_mat_int(e, winv)))
-        return lift_automorphism(self.cocycle, winv, tuple(bits))
+        winv = inverse(self.matrix)
+        if any(f.denominator != 1 for row in winv for f in row):
+            raise ValueError("matrix is not invertible over the integers")
+        winv = tuple(tuple(int(f) for f in row) for row in winv)
+        bits = tuple(self.mu_exponent(row) for row in winv)
+        return lift_automorphism(self.cocycle, winv, bits)
 
     def is_kernel_element(self):
         n = len(self.matrix)
         return self.matrix == identity(n)
 
-    def _row_image(self, x):
-        w = self.matrix
-        n = len(w)
-        return tuple(sum(x[j] * w[j][t] for j in range(n)) for t in range(n))
-
-
-def _vec_mat_int(v, m):
-    n = len(m)
-    return tuple(sum(v[j] * m[j][t] for j in range(n)) for t in range(n))
-
-
-def _int_matrix_inverse(w):
-    from .intmat import inverse, mat_frac
-
-    inv = inverse(mat_frac(w))
-    out = []
-    for row in inv:
-        if any(f.denominator != 1 for f in row):
-            raise ValueError("matrix is not invertible over the integers")
-        out.append(tuple(int(f) for f in row))
-    return tuple(out)
-
 
 def lift_automorphism(cocycle, w, mu_bits=None):
     """Lift of the isometry w with the given free sign bits (default all 0)."""
-    lattice = cocycle.lattice
     n = cocycle.rank
     w = tuple(tuple(int(x) for x in row) for row in w)
-    g = lattice.gram2
-    for i in range(n):
-        for j in range(i + 1):
-            if 2 * lattice.inner(w[i], w[j]) != g[i][j]:
-                raise ValueError("matrix does not preserve the bilinear form")
+    if not cocycle.lattice.is_isometry(w):
+        raise ValueError("matrix does not preserve the bilinear form")
     if mu_bits is None:
         mu_bits = (0,) * n
     mu_bits = tuple(int(b) % 2 for b in mu_bits)
@@ -281,7 +248,7 @@ def frame_symbol_action(lattice, frame, lift):
     sigma = []
     flips = []
     for p, x in enumerate(vecs):
-        img = lift._row_image(x)
+        img = vec_mat(x, lift.matrix)
         if img not in index:
             raise ValueError("lift is not monomial on the frame")
         sigma.append(index[img])

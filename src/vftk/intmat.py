@@ -12,14 +12,10 @@ __all__ = [
     "identity",
     "mat_mul",
     "vec_mat",
-    "mat_vec",
     "transpose",
-    "mat_add",
-    "mat_scale",
     "mat_frac",
     "det",
     "inverse",
-    "solve_left",
     "hnf",
     "hnf_basis",
     "snf",
@@ -45,18 +41,6 @@ def mat_mul(a, b):
 def vec_mat(v, m):
     cols = list(zip(*m))
     return tuple(sum(x * y for x, y in zip(v, col)) for col in cols)
-
-
-def mat_vec(m, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a, s):
-    return tuple(tuple(x * s for x in row) for row in a)
 
 
 def mat_frac(a):
@@ -139,11 +123,6 @@ def inverse(a):
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return tuple(tuple(row[n:]) for row in m)
-
-
-def solve_left(v, m):
-    """x with x @ m == v (m square invertible); exact Fractions."""
-    return vec_mat(v, inverse(m))
 
 
 def hnf(rows):

@@ -109,6 +109,14 @@ class IntegralLattice:
     def gram(self):
         return tuple(tuple(Fraction(x, 2) for x in row) for row in self.gram2)
 
+    def is_isometry(self, w):
+        """True if the square matrix w (rows = basis images) keeps the form:
+        W gram2 W^T == gram2."""
+        n = self.rank
+        if len(w) != n or any(len(row) != n for row in w):
+            return False
+        return mat_mul(mat_mul(w, self.gram2), transpose(w)) == self.gram2
+
     def determinant(self):
         """det of the Gram matrix (int for integral lattices)."""
         d = Fraction(det(self.gram2), 2**self.rank)

@@ -28,8 +28,7 @@ from .bits import f2_echelon
 __all__ = [
     "StabilizerResult",
     "stabilizer",
-    "perm_compose",
-    "perm_inverse",
+    "orbit",
     "brute_force_monomials",
     "brute_force_perms",
 ]
@@ -54,16 +53,21 @@ class StabilizerResult:
     sign_basis: tuple
 
 
-def perm_compose(a, b):
-    """Permutation doing a first, then b."""
-    return tuple(b[a[p]] for p in range(len(a)))
+def orbit(seeds, images):
+    """Closure of the points in `seeds` under `images(point)`.
 
-
-def perm_inverse(a):
-    out = [0] * len(a)
-    for p, q in enumerate(a):
-        out[q] = p
-    return tuple(out)
+    images yields the neighbours of a point, typically its images under
+    each group generator.  For a finite group forward images already give
+    the whole orbit, since every inverse is a positive power.
+    """
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        for q in images(frontier.pop()):
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return seen
 
 
 class _Search:
@@ -196,35 +200,21 @@ def stabilizer(words, n, modulus, signed=True, deadline=None):
     orbit_sizes = []
     generators = []
     for level in range(n):
-        orbit = {level}
-        level_gens = []
-
-        def close(orbit, gens):
-            frontier = list(orbit)
-            while frontier:
-                pt = frontier.pop()
-                for sigma, _ in gens:
-                    q = sigma[pt]
-                    if q not in orbit:
-                        orbit.add(q)
-                        frontier.append(q)
-                    q = perm_inverse(sigma)[pt]
-                    if q not in orbit:
-                        orbit.add(q)
-                        frontier.append(q)
-
+        level_orbit = {level}
+        level_perms = []
         for target in range(level + 1, n):
-            if target in orbit:
+            if target in level_orbit:
                 continue
             witness = search.exists(level, target)
             if witness is not None:
                 tpos, signs = witness
                 sigma = tuple(tpos)
-                level_gens.append((sigma, signs))
+                level_perms.append(sigma)
                 generators.append((sigma, signs))
-                orbit.add(target)
-                close(orbit, level_gens)
-        orbit_sizes.append(len(orbit))
+                level_orbit = orbit(
+                    level_orbit | {target}, lambda pt: (s[pt] for s in level_perms)
+                )
+        orbit_sizes.append(len(level_orbit))
 
     order = sign_order
     for size in orbit_sizes:

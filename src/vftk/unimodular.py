@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .abelian import rational_row_basis
-from .intmat import det, inverse, mat_mul, transpose
+from .intmat import det, inverse, mat_mul
 from .lattices import (
     DiscriminantGroup,
     IntegralLattice,
@@ -22,6 +22,7 @@ from .lattices import (
     discriminant_group,
     short_vectors,
 )
+from .stabsearch import orbit
 
 __all__ = [
     "IsotropicSubgroup",
@@ -127,18 +128,10 @@ class IsotropicSubgroup:
     def closure(self):
         """All subgroup elements as rows with coordinates reduced mod 1."""
         zero = tuple(Fraction(0) for _ in range(self.ambient.lattice.rank))
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for g in self.generators:
-                    w = _reduced(tuple(x + y for x, y in zip(u, g)))
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return seen
+        return orbit(
+            {zero},
+            lambda u: (_reduced(tuple(x + y for x, y in zip(u, g))) for g in self.generators),
+        )
 
     def order(self):
         return len(self.closure())
@@ -347,10 +340,6 @@ def dirichlet_prime(l, lower):
     return s
 
 
-def _is_isometry(lattice, w):
-    return mat_mul(mat_mul(w, lattice.gram2), transpose(w)) == lattice.gram2
-
-
 def _block_diagonal(w, copies, tail_rank):
     n = len(w)
     total = copies * n + tail_rank
@@ -390,13 +379,13 @@ def strong_extension_check(l, over, gens):
     verdicts = []
     for w in gens:
         w = tuple(tuple(int(x) for x in row) for row in w)
-        if len(w) != l.rank or not _is_isometry(l, w):
+        if not l.is_isometry(w):
             raise ValueError("generator is not an isometry of l")
         amb = _block_diagonal(w, over.diagonal_copies, over.tail_rank)
         x = mat_mul(mat_mul(b, amb), b_inv)
         if all(v.denominator == 1 for row in x for v in row):
             mat = tuple(tuple(int(v) for v in row) for row in x)
-            assert _is_isometry(over.result, mat)
+            assert over.result.is_isometry(mat)
             verdicts.append(ExtensionVerdict(True, mat))
         else:
             verdicts.append(ExtensionVerdict(False, None))

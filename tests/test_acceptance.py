@@ -36,6 +36,7 @@ from vftk.frames import (
     e8_frame_representatives,
     frame_group_order,
     frame_invariants,
+    frame_stabilizer,
     frame_torus_divisors,
     gl2_order,
     order_sym_wr_agl,
@@ -126,7 +127,8 @@ def test_criterion_03_frame_census(e8_census):
     assert len(census.classes) == 4
     for cls in census.classes:
         assert cls.count == CENSUS_SIZES[cls.four_rank]
-        assert cls.count * cls.monomial_order == W_E8_ORDER
+        stab = frame_stabilizer(e8_lattice(), cls.representative)
+        assert cls.count * stab.order == W_E8_ORDER
     assert census.total == 382185 == sum(CENSUS_SIZES.values())
     assert elapsed < 600.0
 

@@ -179,13 +179,13 @@ def test_exit_code_bad_budget_value(monkeypatch, value):
     assert report["command"] == "markings" and "VFTK_BUDGET_SECONDS" in report["error"]
 
 
-def test_budget_binds_on_cold_frame_caches():
-    # a fresh interpreter has to build the norm-4 graph under the budget
+def _assert_budget_binds(argv):
+    """A 0.5 s budget stops argv in a fresh interpreter with exit 4 in < 1.5 s."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, VFTK_BUDGET_SECONDS="0.5", PYTHONPATH=src)
     start = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-m", "vftk.cli", "e8-frames", "--census"],
+        [sys.executable, "-m", "vftk.cli", *argv],
         env=env,
         capture_output=True,
         text=True,
@@ -194,8 +194,18 @@ def test_budget_binds_on_cold_frame_caches():
     elapsed = time.monotonic() - start
     assert proc.returncode == 4, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["command"] == "e8-frames" and "error" in report
+    assert report["command"] == argv[0] and "error" in report
     assert elapsed < 1.5
+
+
+def test_budget_binds_on_cold_frame_caches():
+    # a fresh interpreter has to build the norm-4 graph under the budget
+    _assert_budget_binds(["e8-frames", "--census"])
+
+
+def test_budget_binds_on_f2quad_exhaustive():
+    # the odd-Lagrangian enumeration and its certification poll the deadline
+    _assert_budget_binds(["f2quad", "--n", "5", "--exhaustive"])
 
 
 def test_exit_code_failed_check(monkeypatch):

@@ -9,7 +9,6 @@ from vftk.f2quad import (
     enumerate_odd_lagrangians,
     fixes_left_half,
     gaussian_binomial,
-    hyperbolic_space,
     is_isometry,
     is_odd_lagrangian,
     left_overlap,
@@ -54,16 +53,6 @@ def test_quad_and_pairing_basics():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_nonsingular_counts(n):
     assert len(nonsingular_vectors(n)) == 2 ** (2 * n - 1) - 2 ** (n - 1)
-
-
-def test_hyperbolic_space_wrapper():
-    sp = hyperbolic_space(2)
-    assert sp.dim == 4
-    assert sp.quad(0b0101) == 1
-    assert sp.pairing(0b0001, 0b0100) == 1
-    assert len(sp.nonsingular_vectors()) == 6
-    with pytest.raises(ValueError):
-        hyperbolic_space(0)
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 9), (3, 105)])

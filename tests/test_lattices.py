@@ -18,6 +18,7 @@ from vftk.lattices import (
     short_vectors_box,
     sublattice_quotient,
 )
+from vftk.unimodular import definite_automorphisms
 
 A1 = IntegralLattice.from_gram([[2]])
 A2 = IntegralLattice.from_gram([[2, -1], [-1, 2]])
@@ -30,6 +31,15 @@ def test_gram_basics():
     assert A2.inner((1, 0), (0, 1)) == -1
     odd = IntegralLattice.from_gram([[1]])
     assert odd.is_integral and not odd.is_even
+
+
+def test_is_isometry():
+    auts = definite_automorphisms(A2)
+    assert len(auts) == 12
+    assert all(A2.is_isometry(w) for w in auts)
+    assert not A2.is_isometry(((1, 1), (0, 1)))  # a shear
+    assert not A2.is_isometry(((1, 0),))
+    assert not A2.is_isometry(((1, 0, 0), (0, 1, 0)))
 
 
 def test_gram_validation():
