@@ -14,7 +14,7 @@ __all__ = [
     "f2_reduce",
     "f2_in_span",
     "f2_span",
-    "f2_kernel",
+    "f2_orth",
     "f2_mat_mul",
     "f2_vec_mat",
     "f2_mat_inverse",
@@ -74,28 +74,23 @@ def f2_span(rows):
     return out
 
 
-def f2_kernel(rows, width):
-    """Basis of {v in F2^width : sum over set bits i of v of rows[i] = 0}.
+def f2_orth(basis, rows):
+    """Echelon basis of the vectors in span(basis) with even overlap with every row.
 
-    I.e. the left kernel of the matrix whose i-th row is rows[i].
+    `basis` must be echelon (distinct leading bits, descending), and so is
+    the result.  Each row cuts the span by at most one dimension: the
+    odd-overlap vector with the lowest leading bit is folded into the
+    other odd-overlap vectors, whose leading bits it cannot touch, and
+    dropped.
     """
-    rows = list(rows)
-    n = len(rows)
-    # track combinations: augment each row with an identity tag
-    tagged = [(rows[i], 1 << i) for i in range(n)]
-    basis = []  # echelon over the row part
-    kernel = []
-    for r, tag in tagged:
-        for br, btag in basis:
-            if min(r, r ^ br) != r:
-                r ^= br
-                tag ^= btag
-        if r:
-            basis.append((r, tag))
-            basis.sort(key=lambda p: -p[0])
-        else:
-            kernel.append(tag)
-    return kernel
+    basis = list(basis)
+    for r in rows:
+        odd = [i for i, b in enumerate(basis) if (b & r).bit_count() & 1]
+        if odd:
+            low = basis.pop(odd.pop())
+            for i in odd:
+                basis[i] ^= low
+    return basis
 
 
 def f2_identity(n):

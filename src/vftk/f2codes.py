@@ -8,7 +8,7 @@ reduced row-echelon basis, so equal codes compare equal.
 from dataclasses import dataclass
 from importlib import resources
 
-from .bits import f2_in_span, f2_kernel, f2_rref, f2_span, f2_transpose
+from .bits import f2_identity, f2_in_span, f2_orth, f2_rref, f2_span
 from .stabsearch import orbit, stabilizer
 
 __all__ = [
@@ -94,11 +94,7 @@ def hamming_code(length):
 
 def dual_code(c):
     """Orthogonal complement under the standard F2 dot product."""
-    if not c.rows:
-        return BinaryCode.from_rows(c.length, [1 << i for i in range(c.length)])
-    cols = f2_transpose(c.rows, c.length)
-    basis = f2_kernel(cols, c.length)
-    return BinaryCode.from_rows(c.length, basis)
+    return BinaryCode.from_rows(c.length, f2_orth(f2_identity(c.length)[::-1], c.rows))
 
 
 def rm1_subcode(k):

@@ -24,9 +24,9 @@ from . import budget
 from .bits import (
     f2_echelon,
     f2_identity,
-    f2_kernel,
     f2_mat_inverse,
     f2_mat_mul,
+    f2_orth,
     f2_rank,
     f2_reduce,
     f2_rref,
@@ -109,9 +109,9 @@ def odd_lagrangian_through(n, v):
     """
     if not quad_value(n, v):
         raise ValueError("v must be nonsingular")
-    # left vectors orthogonal to v: kernel of the right half of v as a functional
-    perp = f2_kernel(f2_transpose([v >> n], n), n)
-    member = _canonical(list(perp) + [v])
+    # left vectors orthogonal to v: even overlap with the right half of v
+    perp = f2_orth(f2_identity(n)[::-1], [v >> n])
+    member = _canonical(perp + [v])
     assert is_odd_lagrangian(n, member)
     return member
 
@@ -136,8 +136,10 @@ def enumerate_odd_lagrangians(n, deadline=None):
     """Every odd Lagrangian, exhaustively (cost ~ number of Lagrangians).
 
     Enumerates RREF bases of totally isotropic n-subspaces directly:
-    pivots descend, earlier rows are required to vanish at later pivots,
-    and each new row is solved for inside the perp of the chosen rows.
+    pivots descend and earlier rows are required to vanish at later
+    pivots.  Each depth carries the echelon perp of the chosen rows and
+    their OR, so a new row with pivot p is a perp basis vector led by an
+    unused bit p plus any combination of the perp basis vectors below it.
     The deadline is polled every CHECK_EVERY recursive calls.
     """
     if not 1 <= n <= 5:
@@ -146,7 +148,7 @@ def enumerate_odd_lagrangians(n, deadline=None):
     rows = []
     calls = 0
 
-    def rec(max_pivot):
+    def rec(perp, used, max_pivot):
         nonlocal calls
         calls += 1
         if calls % CHECK_EVERY == 0:
@@ -156,21 +158,19 @@ def enumerate_odd_lagrangians(n, deadline=None):
             if any(quad_value(n, r) for r in rows):
                 out.append(tuple(rows))
             return
-        for p in range(max_pivot, need - 2, -1):
-            if any((r >> p) & 1 for r in rows):
+        for i, b in enumerate(perp):
+            p = b.bit_length() - 1
+            if p < need - 1:
+                break
+            if p > max_pivot or (used >> p) & 1:
                 continue  # keep full RREF: old rows must vanish at the new pivot
-            low = (1 << p) - 1
-            eqs = [(_swap_halves(n, r) & low, (_swap_halves(n, r) >> p) & 1) for r in rows]
-            w0 = _solve_parity(eqs)
-            if w0 is None:
-                continue
-            kern = f2_kernel(f2_transpose([m for m, _ in eqs], p), p)
-            for combo in f2_span(kern):
-                rows.append((1 << p) | (w0 ^ combo))
-                rec(p - 1)
+            for c in f2_span(perp[i + 1 :]):
+                w = b ^ c
+                rows.append(w)
+                rec(f2_orth(perp, [_swap_halves(n, w)]), used | w, p - 1)
                 rows.pop()
 
-    rec(2 * n - 1)
+    rec(f2_identity(2 * n)[::-1], 0, 2 * n - 1)
     return tuple(sorted(out))
 
 
@@ -184,27 +184,6 @@ def sample_odd_lagrangians(n, count=32, seed=0):
         member = odd_lagrangian_through(n, rng.choice(vecs))
         out.append(transform_member(n, random_isometry(n, rng), member))
     return tuple(out)
-
-
-def _solve_parity(eqs):
-    """One w with popcount(w & mask) % 2 == rhs for every (mask, rhs); None if none."""
-    rows = []
-    for mask, rhs in eqs:
-        for bm, br in rows:
-            if mask ^ bm < mask:
-                mask ^= bm
-                rhs ^= br
-        if mask:
-            rows.append((mask, rhs))
-            rows.sort(key=lambda t: -t[0])
-        elif rhs:
-            return None
-    w = 0
-    # ascending leading bits: each adjustment bit is absent from earlier masks
-    for mask, rhs in sorted(rows, key=lambda t: t[0]):
-        if ((w & mask).bit_count() & 1) != rhs:
-            w ^= 1 << (mask.bit_length() - 1)
-    return w
 
 
 # --- the stabilizer of the left half ----------------------------------------
@@ -311,13 +290,14 @@ def _adapted_frame(n, member):
     full = list(high) + [1 << pos for pos in range(n) if pos not in pivots]
     finv = f2_mat_inverse(full, n)
     ss = [sum(((finv[row] >> i) & 1) << row for row in range(n)) for i in range(m)]
-    # hyperbolic partners of the t's: orthogonal to everything else
+    # hyperbolic partners of the t's: inside the perp of the w's and s's,
+    # orthogonal to the other t's and pairing to 1 with t (v pairs to 0
+    # with x iff v has even overlap with x's halves swapped)
+    ws_ss_perp = f2_orth(f2_identity(2 * n)[::-1], [_swap_halves(n, x) for x in ws + ss])
     ps = []
     for l, t in enumerate(t_rows):
-        eqs = [(_swap_halves(n, t2), int(l2 == l)) for l2, t2 in enumerate(t_rows)]
-        eqs += [(_swap_halves(n, w), 0) for w in ws]
-        eqs += [(_swap_halves(n, s), 0) for s in ss]
-        p = _solve_parity(eqs)
+        others = f2_orth(ws_ss_perp, [_swap_halves(n, x) for x in t_rows if x != t])
+        p = next((b for b in others if pairing(n, b, t)), None)
         assert p is not None, "hyperbolic completion always exists"
         if quad_value(n, p):
             p ^= t

@@ -11,7 +11,7 @@ order formulas) is bookkeeping on top of that search.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import factorial, prod
@@ -102,16 +102,20 @@ class LatticeFrame:
 
 @dataclass(frozen=True)
 class Z4Code:
-    """Additive subgroup of (Z/4)^n, stored as the full word set."""
+    """Additive subgroup of (Z/4)^n, stored as the full word set.
+
+    generators, when known, span the words; they are not compared.
+    """
 
     length: int
     words: frozenset
+    generators: tuple = field(default=(), compare=False)
 
     @classmethod
     def from_generators(cls, length, generators):
         words = {(0,) * length}
-        for g in generators:
-            g = tuple(x % 4 for x in g)
+        gens = tuple(tuple(x % 4 for x in g) for g in generators)
+        for g in gens:
             if len(g) != length:
                 raise ValueError("generator length mismatch")
             words = {
@@ -119,7 +123,7 @@ class Z4Code:
                 for w in words
                 for m in range(4)
             }
-        return cls(length, frozenset(words))
+        return cls(length, frozenset(words), gens)
 
     @property
     def order(self):
@@ -281,7 +285,7 @@ def glue_code(lattice, frame):
 def abelian_type(code):
     """(l, k) with the code isomorphic to 2^l x 4^k as an abelian group."""
     n = code.length
-    gens = [tuple(int(x) for x in g) for g in code.words]
+    gens = [tuple(int(x) for x in g) for g in code.generators or code.words]
     four = [tuple(4 * int(i == j) for j in range(n)) for i in range(n)]
     divisors = quotient_divisors(gens + four, four)
     counts = {2: 0, 4: 0}
@@ -341,7 +345,7 @@ def frame_invariants(lattice, frame, deadline=None):
     """Compute every FrameInvariants field for a frame (search included)."""
     code = glue_code(lattice, frame)
     two_rank, four_rank = abelian_type(code)
-    stab = frame_stabilizer(lattice, frame, deadline=deadline)
+    stab = stabilizer(code.sorted_words(), frame.pair_count, 4, signed=True, deadline=deadline)
     sign_log2 = stab.sign_order.bit_length() - 1
     if 1 << sign_log2 != stab.sign_order:
         raise AssertionError("sign subgroup order must be a power of two")

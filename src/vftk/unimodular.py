@@ -249,7 +249,9 @@ def unimodularize(l, definite=None):
     for p, comps in sorted(discriminant_group(l).p_primary_generators().items()):
         a1 = _p_exponent(p, comps[0][1])  # orders come largest-first
         if p == 2:
-            r, s, t, u = sum_four_squares_mod(a1 + 1)
+            # 2^(a1+1) - 1 is 3 mod 4, so exactly one entry is even; at r or
+            # s it would make the four rows below sum to 0 mod 2, halving the glue
+            r, s, t, u = sorted(sum_four_squares_mod(a1 + 1), key=lambda x: x % 2 == 0)
             pats = [
                 (r, s, t, u, 1, 0, 0, 0),
                 (s, -r, u, -t, 0, 1, 0, 0),

@@ -3,7 +3,9 @@ runtime limit asserted against the wall clock.
 
 Shared heavy computations (the rank-8 frame invariants and the full frame
 census) run once in module-scoped fixtures; their elapsed times are
-recorded and asserted inside the criteria that own them.
+recorded and asserted inside the criteria that own them.  The n=5
+exhaustive odd-Lagrangian census comes from a session fixture in
+conftest.py, shared with test_f2quad.
 """
 
 import random
@@ -227,7 +229,7 @@ def test_criterion_09_sum_of_squares():
         assert any((-1 - s) % mod in two_sums for s in two_sums)
 
 
-def test_criterion_10_f2quad_orbits():
+def test_criterion_10_f2quad_orbits(n5_exhaustive_census):
     # n <= 3: exhaustive orbits coincide with the overlap-indicator classes,
     # and every member is carried to its class representative by an explicit
     # witness verified through the matrix action
@@ -268,7 +270,7 @@ def test_criterion_10_f2quad_orbits():
     assert len(nonsingular_vectors(5)) == 496
     assert elapsed < 60.0
     # exhaustive mode is opt-in and agrees with the default route
-    assert orbit_census(5, exhaustive=True) == rows
+    assert n5_exhaustive_census == rows
 
 
 def test_criterion_11_hat_relations(e8_invariants):

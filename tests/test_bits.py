@@ -4,15 +4,14 @@ from itertools import combinations
 from vftk.bits import (
     f2_echelon,
     f2_in_span,
-    f2_kernel,
     f2_mat_inverse,
     f2_mat_mul,
     f2_identity,
+    f2_orth,
     f2_rank,
     f2_rref,
     f2_span,
     f2_subspaces,
-    f2_vec_mat,
 )
 
 
@@ -37,16 +36,23 @@ def test_rref_canonical_under_row_ops():
         assert f2_rref(rows) == f2_rref(shuffled)
 
 
-def test_kernel():
+def test_orth_against_brute_force():
     rng = random.Random(12)
-    for _ in range(50):
-        n = rng.randint(1, 6)
+    for _ in range(60):
         width = rng.randint(1, 6)
-        rows = [rng.randrange(1 << width) for _ in range(n)]
-        ker = f2_kernel(rows, n)
-        assert len(ker) == n - f2_rank(rows)
-        for v in ker:
-            assert f2_vec_mat(v, rows) == 0
+        basis = f2_echelon(rng.randrange(1 << width) for _ in range(rng.randint(0, width)))
+        rows = [rng.randrange(1 << width) for _ in range(rng.randint(0, 4))]
+        orth = f2_orth(basis, rows)
+        # echelon: distinct leading bits, descending
+        leads = [b.bit_length() for b in orth]
+        assert leads == sorted(set(leads), reverse=True) and 0 not in leads
+        brute = {
+            v
+            for v in range(1 << width)
+            if f2_in_span(v, basis) and all((v & r).bit_count() % 2 == 0 for r in rows)
+        }
+        assert set(f2_span(orth)) == brute
+        assert len(brute) == 1 << len(orth)
 
 
 def test_mat_inverse():

@@ -151,6 +151,15 @@ def test_unimodularize_other_determinants():
         assert (over.result.rank, over.result.determinant()) == (8, 1)
         assert over.result.is_even and over.result.is_definite
         assert len(short_vectors(over.result, 2)) == 240
+    # a Z/4 in the 2-part ([[4]], [[2,0],[0,4]] and A3) once gave glue of
+    # order det^4 / 2 and a result of determinant 4
+    a3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+    for gram in (((4,),), ((2, 0), (0, 4)), a3):
+        lat = IntegralLattice.from_gram(gram)
+        over = unimodularize(lat)
+        assert over.diagonal_copies == 8
+        assert (over.result.rank, over.result.determinant()) == (8 * lat.rank, 1)
+        assert over.result.is_even and over.result.is_definite
 
 
 def test_unimodularize_indefinite_input():
