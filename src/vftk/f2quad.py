@@ -295,7 +295,7 @@ def _adapted_frame(n, member):
     # with x iff v has even overlap with x's halves swapped)
     ws_ss_perp = f2_orth(f2_identity(2 * n)[::-1], [_swap_halves(n, x) for x in ws + ss])
     ps = []
-    for l, t in enumerate(t_rows):
+    for t in t_rows:
         others = f2_orth(ws_ss_perp, [_swap_halves(n, x) for x in t_rows if x != t])
         p = next((b for b in others if pairing(n, b, t)), None)
         assert p is not None, "hyperbolic completion always exists"

@@ -104,12 +104,12 @@ class LatticeFrame:
 class Z4Code:
     """Additive subgroup of (Z/4)^n, stored as the full word set.
 
-    generators, when known, span the words; they are not compared.
+    generators span the words; they are not compared.
     """
 
     length: int
     words: frozenset
-    generators: tuple = field(default=(), compare=False)
+    generators: tuple = field(compare=False)
 
     @classmethod
     def from_generators(cls, length, generators):
@@ -285,7 +285,7 @@ def glue_code(lattice, frame):
 def abelian_type(code):
     """(l, k) with the code isomorphic to 2^l x 4^k as an abelian group."""
     n = code.length
-    gens = [tuple(int(x) for x in g) for g in code.generators or code.words]
+    gens = [tuple(int(x) for x in g) for g in code.generators]
     four = [tuple(4 * int(i == j) for j in range(n)) for i in range(n)]
     divisors = quotient_divisors(gens + four, four)
     counts = {2: 0, 4: 0}
@@ -302,8 +302,11 @@ def frame_stabilizer(lattice, frame, deadline=None):
     Returns the search result: order = |W_X|, sign_order = |D_X| (the
     sign-only monomials), with generators as (sigma, signs) pairs.
     """
-    code = glue_code(lattice, frame)
-    return stabilizer(code.sorted_words(), frame.pair_count, 4, signed=True, deadline=deadline)
+    return _code_stabilizer(glue_code(lattice, frame), deadline)
+
+
+def _code_stabilizer(code, deadline):
+    return stabilizer(code.sorted_words(), code.length, 4, signed=True, deadline=deadline)
 
 
 def frame_torus_divisors(lattice, frame, denom):
@@ -345,7 +348,7 @@ def frame_invariants(lattice, frame, deadline=None):
     """Compute every FrameInvariants field for a frame (search included)."""
     code = glue_code(lattice, frame)
     two_rank, four_rank = abelian_type(code)
-    stab = stabilizer(code.sorted_words(), frame.pair_count, 4, signed=True, deadline=deadline)
+    stab = _code_stabilizer(code, deadline)
     sign_log2 = stab.sign_order.bit_length() - 1
     if 1 << sign_log2 != stab.sign_order:
         raise AssertionError("sign subgroup order must be a power of two")
