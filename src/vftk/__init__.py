@@ -70,6 +70,7 @@ from .unimodular import (
     sum_two_squares_mod,
     unimodularize,
 )
+from .verify import VerificationError
 
 __version__ = "0.1.0"
 
@@ -124,4 +125,5 @@ __all__ = [
     "sum_four_squares_mod",
     "sum_two_squares_mod",
     "unimodularize",
+    "VerificationError",
 ]

@@ -10,7 +10,8 @@ exceed 64 bits.  Each check carries a ``source``: "reference" for values
 frozen from the published tables, "definition" for identities immediate
 from the constructions, and "computed" for values this package derives
 independently.  The exit status is 0 when every check passes, 1 when at
-least one fails, 2 for bad flags, 3 for unreadable or invalid input, and
+least one fails or a computation fails its own self-check (reported as
+an ``error``), 2 for bad flags, 3 for unreadable or invalid input, and
 4 when the ``VFTK_BUDGET_SECONDS`` wall-clock budget runs out.
 """
 
@@ -56,6 +57,7 @@ from .unimodular import (
     prime_power_twist,
     unimodularize,
 )
+from .verify import VerificationError
 
 __all__ = ["run", "main", "build_parser"]
 
@@ -590,6 +592,8 @@ def run(argv=None):
         report = args.func(args, deadline_from_env())
     except BudgetExceeded as exc:
         return {"schema": 1, "command": args.command, "error": str(exc)}, 4
+    except VerificationError as exc:
+        return {"schema": 1, "command": args.command, "error": str(exc)}, 1
     except (ParseError, OSError, ValueError) as exc:
         return {"schema": 1, "command": args.command, "error": str(exc)}, 3
     code = 0 if all(c["pass"] for c in report["checks"]) else 1

@@ -18,6 +18,7 @@ as in the bits module.
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 from . import budget
@@ -36,6 +37,7 @@ from .bits import (
 )
 from .frames import gl2_order
 from .stabsearch import CHECK_EVERY, orbit
+from .verify import verify
 
 __all__ = [
     "OrbitWitness",
@@ -81,6 +83,11 @@ def _swap_halves(n, v):
     return (v >> n) | ((v & ((1 << n) - 1)) << n)
 
 
+def _leading_bits(basis):
+    """Mask of the leading bits of an echelon basis."""
+    return sum(1 << (b.bit_length() - 1) for b in basis)
+
+
 def nonsingular_vectors(n):
     return [v for v in range(1, 1 << (2 * n)) if quad_value(n, v)]
 
@@ -112,7 +119,7 @@ def odd_lagrangian_through(n, v):
     # left vectors orthogonal to v: even overlap with the right half of v
     perp = f2_orth(f2_identity(n)[::-1], [v >> n])
     member = _canonical(perp + [v])
-    assert is_odd_lagrangian(n, member)
+    verify(is_odd_lagrangian(n, member), "member through v is not an odd Lagrangian")
     return member
 
 
@@ -133,14 +140,21 @@ def standard_odd_lagrangian(n, overlap):
 
 
 def enumerate_odd_lagrangians(n, deadline=None):
-    """Every odd Lagrangian, exhaustively (cost ~ number of Lagrangians).
+    """Every odd Lagrangian, exhaustively.
 
     Enumerates RREF bases of totally isotropic n-subspaces directly:
     pivots descend and earlier rows are required to vanish at later
     pivots.  Each depth carries the echelon perp of the chosen rows and
     their OR, so a new row with pivot p is a perp basis vector led by an
     unused bit p plus any combination of the perp basis vectors below it.
-    The deadline is polled every CHECK_EVERY recursive calls.
+
+    A child is entered only if its perp still has enough candidate
+    pivots: leading bits below p and outside the OR of its rows, one for
+    each row still missing.  This is sound because f2_orth keeps the
+    leading bit of every basis vector it does not drop, so every later
+    pivot leads a vector of the child's perp.  The pruned nodes are the
+    ones with no leaf below them; the deadline is polled every
+    CHECK_EVERY recursive calls.
     """
     if not 1 <= n <= 5:
         raise ValueError("exhaustive enumeration is limited to 1 <= n <= 5")
@@ -158,6 +172,7 @@ def enumerate_odd_lagrangians(n, deadline=None):
             if any(quad_value(n, r) for r in rows):
                 out.append(tuple(rows))
             return
+        leads = _leading_bits(perp)
         for i, b in enumerate(perp):
             p = b.bit_length() - 1
             if p < need - 1:
@@ -166,8 +181,17 @@ def enumerate_odd_lagrangians(n, deadline=None):
                 continue  # keep full RREF: old rows must vanish at the new pivot
             for c in f2_span(perp[i + 1 :]):
                 w = b ^ c
+                free = ((1 << p) - 1) & ~(used | w)
+                # the child's perp loses exactly one leading bit, so only a
+                # count with no spare needs the child's own leading bits
+                spare = (leads & free).bit_count() - (need - 1)
+                if spare < 0:
+                    continue
+                child = f2_orth(perp, [_swap_halves(n, w)]) if need > 1 else ()
+                if spare == 0 and (_leading_bits(child) & free).bit_count() < need - 1:
+                    continue
                 rows.append(w)
-                rec(f2_orth(perp, [_swap_halves(n, w)]), used | w, p - 1)
+                rec(child, used | w, p - 1)
                 rows.pop()
 
     rec(f2_identity(2 * n)[::-1], 0, 2 * n - 1)
@@ -220,14 +244,23 @@ def left_stabilizer_generators(n):
 
 
 def is_isometry(n, g):
-    basis = f2_identity(2 * n)
-    if any(quad_value(n, g[i]) != quad_value(n, basis[i]) for i in range(2 * n)):
+    """Whether the rows g (images of the basis vectors) preserve Q.
+
+    Against the constant split form: Q vanishes on every image, and the
+    images pair to 1 exactly at l = i + n.  The pairing matrix is
+    alternating, so its upper triangle decides.
+    """
+    width = 2 * n
+    if len(g) != width or any(x >> width for x in g):
         return False
-    return all(
-        pairing(n, g[i], g[l]) == pairing(n, basis[i], basis[l])
-        for i in range(2 * n)
-        for l in range(i + 1, 2 * n)
-    )
+    if any(quad_value(n, x) for x in g):
+        return False
+    for i in range(width):
+        s = _swap_halves(n, g[i])  # (x, y) is the parity of swap(x) & y
+        for l in range(i + 1, width):
+            if ((s & g[l]).bit_count() & 1) != (l == i + n):
+                return False
+    return True
 
 
 def fixes_left_half(n, g):
@@ -272,7 +305,7 @@ def _adapted_frame(n, member):
     Q(w_i) = 0 otherwise, the s's lie in the left half dual to the w's,
     and the p's complete the t's to hyperbolic pairs.  The Gram/Q data of
     this list depends only on (n, overlap), which is what makes the
-    canonicalizing isometry exist.
+    witness isometry exist.  The member must be in canonical RREF.
     """
     t_rows = [r for r in member if r < (1 << n)]
     u_rows = [r for r in member if r >> n]
@@ -286,19 +319,21 @@ def _adapted_frame(n, member):
     # left vectors pairing as delta against the w's: columns of the inverse
     # of a completion of the right parts
     high = [w >> n for w in ws]
-    pivots = {r.bit_length() - 1 for r in f2_echelon(high)}
-    full = list(high) + [1 << pos for pos in range(n) if pos not in pivots]
+    pivots = {u.bit_length() - 1 - n for u in u_rows}  # RREF: u_rows' right parts are echelon
+    full = high + [1 << pos for pos in range(n) if pos not in pivots]
     finv = f2_mat_inverse(full, n)
     ss = [sum(((finv[row] >> i) & 1) << row for row in range(n)) for i in range(m)]
     # hyperbolic partners of the t's: inside the perp of the w's and s's,
     # orthogonal to the other t's and pairing to 1 with t (v pairs to 0
     # with x iff v has even overlap with x's halves swapped)
-    ws_ss_perp = f2_orth(f2_identity(2 * n)[::-1], [_swap_halves(n, x) for x in ws + ss])
+    ws_ss_perp = []
+    if j:
+        ws_ss_perp = f2_orth(f2_identity(2 * n)[::-1], [_swap_halves(n, x) for x in ws + ss])
     ps = []
     for t in t_rows:
         others = f2_orth(ws_ss_perp, [_swap_halves(n, x) for x in t_rows if x != t])
         p = next((b for b in others if pairing(n, b, t)), None)
-        assert p is not None, "hyperbolic completion always exists"
+        verify(p is not None, "no hyperbolic partner for a left-overlap vector")
         if quad_value(n, p):
             p ^= t
         ps.append(p)
@@ -309,17 +344,29 @@ def _adapted_frame(n, member):
     return ws + t_rows + ss + ps
 
 
-def _canonicalizer(n, member):
-    """g in the left-half stabilizer taking member to its standard form."""
-    j = left_overlap(n, member)
+@lru_cache(maxsize=None)
+def _standard_frame_inverse(n, j):
+    """Inverse of the standard frame for left overlap j.
+
+    The frame is laid out as in _adapted_frame, with the Gram/Q data that
+    every adapted frame of overlap j has; its first n rows span
+    standard_odd_lagrangian(n, j).
+    """
     m = n - j
-    source = _adapted_frame(n, member)
-    target = [1 | (1 << n)]
-    target += [1 << (n + i) for i in range(1, m)]  # images of w_2..w_m
-    target += [1 << (m + l) for l in range(j)]  # images of the t's
-    target += [1 << i for i in range(m)]  # images of the s's
-    target += [1 << (n + m + l) for l in range(j)]  # images of the p's
-    return tuple(f2_mat_mul(f2_mat_inverse(source, 2 * n), target))
+    frame = [1 | (1 << n)]
+    frame += [1 << (n + i) for i in range(1, m)]  # w_2..w_m
+    frame += [1 << (m + l) for l in range(j)]  # the t's
+    frame += [1 << i for i in range(m)]  # the s's
+    frame += [1 << (n + m + l) for l in range(j)]  # the p's
+    return tuple(f2_mat_inverse(frame, 2 * n))
+
+
+def _witness(n, j, member):
+    """h in the left-half stabilizer carrying standard_odd_lagrangian(n, j)
+    onto member, whose left overlap is j: the inverse standard frame
+    times the member's adapted frame, so row i of the one goes to row i
+    of the other."""
+    return tuple(f2_mat_mul(_standard_frame_inverse(n, j), _adapted_frame(n, member)))
 
 
 @dataclass(frozen=True)
@@ -337,20 +384,29 @@ class OrbitWitness:
 def same_orbit_witness(n, a, b):
     """Witness in the left-half stabilizer mapping a to b, or a refutation.
 
-    Members with equal left overlap are canonicalized to the same standard
-    form; the witness is canonicalizer(a) * canonicalizer(b)^{-1}.  The
-    returned matrix is verified: it preserves Q, fixes the left half, and
-    maps a onto b.  Unequal overlaps are returned as the refutation.
+    Members with equal left overlap are both images of the same standard
+    representative; the witness is witness(a)^{-1} * witness(b), which
+    goes from a through the representative to b.  The returned matrix is
+    verified: it preserves Q, fixes the left half, and maps a onto b, and
+    a failed check raises VerificationError.  Unequal overlaps are
+    returned as the refutation.
     """
     a = _canonical(a)
     b = _canonical(b)
     ja, jb = left_overlap(n, a), left_overlap(n, b)
     if ja != jb:
         return OrbitWitness(None, (ja, jb))
-    g = tuple(f2_mat_mul(_canonicalizer(n, a), f2_mat_inverse(_canonicalizer(n, b), 2 * n)))
-    assert is_isometry(n, g) and fixes_left_half(n, g)
-    assert transform_member(n, g, a) == b
+    g = tuple(f2_mat_mul(f2_mat_inverse(_witness(n, ja, a), 2 * n), _witness(n, jb, b)))
+    _verify_witness(n, g, a, b)
     return OrbitWitness(g, (ja, jb))
+
+
+def _verify_witness(n, g, source, target):
+    """Raise VerificationError unless g is a left-half-fixing isometry
+    taking source onto target."""
+    verify(fixes_left_half(n, g), "witness moves the left half")
+    verify(is_isometry(n, g), "witness is not an isometry")
+    verify(transform_member(n, g, source) == target, "witness misses its target member")
 
 
 # --- orbit census and stabilizer structure -----------------------------------
@@ -423,7 +479,7 @@ def _full_left_stabilizer(n):
             g = [binv_t[i] for i in range(n)]
             g += [(b[i] << n) ^ corr[i] for i in range(n)]
             out.append(tuple(g))
-    assert len(set(out)) == left_stabilizer_order(n)
+    verify(len(set(out)) == left_stabilizer_order(n), "left-half stabilizer has the wrong order")
     return out
 
 
@@ -461,11 +517,11 @@ def stabilizer_structure(n, member):
         u_order = len(unipotent)
     else:
         order, rem = divmod(left_stabilizer_order(n), orbit_size(n, j))
-        assert rem == 0
+        verify(rem == 0, "orbit size does not divide the group order")
         u_order, rem = divmod(order, levi_order)
-        assert rem == 0
-    assert order == u_order * levi_order
-    assert u_order & (u_order - 1) == 0, "unipotent part must be a 2-group"
+        verify(rem == 0, "Levi order does not divide the stabilizer order")
+    verify(order == u_order * levi_order, "stabilizer is not unipotent times Levi")
+    verify(u_order & (u_order - 1) == 0, "unipotent part must be a 2-group")
     return StabilizerInfo(j, order, u_order, levi)
 
 
@@ -473,41 +529,45 @@ def orbit_census(n, exhaustive=None, deadline=None):
     """One row per orbit of the left-half stabilizer on odd Lagrangians.
 
     exhaustive=None enumerates and partitions for n <= 3 and uses the
-    closed-form sizes otherwise; the two routes are asserted against each
-    other whenever enumeration runs.  The deadline bounds the enumeration
-    and the certification of its members.
+    closed-form sizes otherwise; the two routes are checked against each
+    other whenever enumeration runs.  For n >= 4 the exhaustive route
+    certifies each member with an explicit witness h that fixes the left
+    half, preserves Q and carries the standard representative of the
+    member's left overlap onto the member.  A failed check raises
+    VerificationError.  The deadline bounds the enumeration and the
+    certification of its members.
     """
     if exhaustive is None:
         exhaustive = n <= 3
     if exhaustive:
         members = enumerate_odd_lagrangians(n, deadline)
-        assert len(members) == total_odd_count(n)
+        verify(len(members) == total_odd_count(n), "enumeration missed the closed-form count")
         if n <= 3:
             orbits = orbit_partition(n, members)
-            assert len(orbits) == n
+            verify(len(orbits) == n, "wrong number of orbits")
             sizes = {}
             for orbit in orbits:
                 js = {left_overlap(n, m) for m in orbit}
-                assert len(js) == 1, "orbits are separated by the left overlap"
+                verify(len(js) == 1, "an orbit mixes left overlaps")
                 sizes[js.pop()] = len(orbit)
-            assert all(sizes[j] == orbit_size(n, j) for j in range(n))
         else:
-            # certify instead of BFS: every member is carried onto its
-            # standard representative by an explicit verified isometry
+            # certify instead of BFS: every member is the image of its
+            # standard representative under an explicit verified isometry
             sizes = {j: 0 for j in range(n)}
             reps = {j: standard_odd_lagrangian(n, j) for j in range(n)}
             for member in members:
                 budget.check(deadline)
                 j = left_overlap(n, member)
-                g = _canonicalizer(n, member)
-                assert fixes_left_half(n, g) and is_isometry(n, g)
-                assert transform_member(n, g, member) == reps[j]
+                _verify_witness(n, _witness(n, j, member), reps[j], member)
                 sizes[j] += 1
-            assert all(sizes[j] == orbit_size(n, j) for j in range(n))
+        verify(
+            all(sizes.get(j) == orbit_size(n, j) for j in range(n)),
+            "orbit sizes disagree with the closed form",
+        )
     rows = []
     for j in range(n):
         info = stabilizer_structure(n, standard_odd_lagrangian(n, j))
         size = orbit_size(n, j)
-        assert size * info.order == left_stabilizer_order(n)
+        verify(size * info.order == left_stabilizer_order(n), "orbit-stabilizer product is off")
         rows.append(OrbitClass(j, size, info.order, info.unipotent_order, info.levi))
     return tuple(rows)

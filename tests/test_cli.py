@@ -9,6 +9,7 @@ import time
 import pytest
 
 import vftk.cli as cli
+import vftk.f2quad as f2quad
 from vftk.fileio import format_frame, format_gram
 from vftk.frames import e8_frame_representatives
 from vftk.lattices import IntegralLattice, e8_lattice
@@ -218,6 +219,14 @@ def test_exit_code_failed_check(monkeypatch):
     assert code == 1
     failed = [c for c in report["checks"] if not c["pass"]]
     assert any(c["name"] == "automorphism order" for c in failed)
+
+
+def test_exit_code_failed_self_check(monkeypatch):
+    # a census whose member witnesses fail is an error report with exit 1
+    monkeypatch.setattr(f2quad, "_adapted_frame", lambda n, member: f2quad.f2_identity(2 * n))
+    report, code = cli.run(["f2quad", "--n", "4", "--exhaustive"])
+    assert code == 1
+    assert report["command"] == "f2quad" and "witness" in report["error"]
 
 
 def test_main_prints_json(capsys):

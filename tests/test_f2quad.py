@@ -1,10 +1,24 @@
 """Tests for the GF(2) quadratic-space orbit classifier."""
 
+import os
+import random
+import subprocess
+import sys
+import textwrap
 from itertools import product
 
 import pytest
 
-from vftk.bits import f2_identity, f2_mat_mul, f2_rank, f2_reduce, f2_rref, f2_vec_mat
+import vftk.f2quad as f2quad
+from vftk.bits import (
+    f2_identity,
+    f2_mat_mul,
+    f2_rank,
+    f2_reduce,
+    f2_rref,
+    f2_subspaces,
+    f2_vec_mat,
+)
 from vftk.f2quad import (
     enumerate_odd_lagrangians,
     fixes_left_half,
@@ -29,6 +43,7 @@ from vftk.f2quad import (
     total_odd_count,
     transform_member,
 )
+from vftk.verify import VerificationError
 
 
 def test_quad_and_pairing_basics():
@@ -63,6 +78,13 @@ def test_enumeration_counts(n, count):
         assert is_odd_lagrangian(n, m)
         assert tuple(f2_rref(m)) == m  # canonical form
     assert len(set(members)) == count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_enumeration_against_subspace_filter(n):
+    # an independent route: filter every n-subspace of F2^(2n)
+    expected = sorted(m for m in f2_subspaces(2 * n, n) if is_odd_lagrangian(n, m))
+    assert enumerate_odd_lagrangians(n) == tuple(expected)
 
 
 def test_enumeration_bounds():
@@ -107,6 +129,38 @@ def test_left_stabilizer_orders():
     assert left_stabilizer_order(2) == 12
     assert left_stabilizer_order(3) == 1344
     assert left_stabilizer_order(5) == 10239344640
+
+
+def _is_isometry_pairwise(n, g):
+    # the pair-by-pair definition: Q and every pairing of the images
+    # agree with those of the standard basis
+    basis = f2_identity(2 * n)
+    if any(quad_value(n, g[i]) != quad_value(n, basis[i]) for i in range(2 * n)):
+        return False
+    return all(
+        pairing(n, g[i], g[l]) == pairing(n, basis[i], basis[l])
+        for i in range(2 * n)
+        for l in range(i + 1, 2 * n)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_is_isometry_against_pairwise_definition(n):
+    rng = random.Random(100 + n)
+    width = 2 * n
+    cases = [tuple(rng.randrange(1 << width) for _ in range(width)) for _ in range(300)]
+    for _ in range(60):
+        g = random_isometry(n, rng)
+        cases.append(g)
+        row, bit = rng.randrange(width), rng.randrange(width)
+        cases.append(g[:row] + (g[row] ^ (1 << bit),) + g[row + 1 :])
+    verdicts = [is_isometry(n, g) for g in cases]
+    assert verdicts == [_is_isometry_pairwise(n, g) for g in cases]
+    assert any(verdicts) and not all(verdicts)
+    g = random_isometry(n, rng)
+    assert not is_isometry(n, g[:-1])
+    assert not is_isometry(n, g + (0,))
+    assert not is_isometry(n, g[:-1] + (g[-1] | (1 << width),))
 
 
 def test_left_stabilizer_order_against_brute_force():
@@ -176,6 +230,57 @@ def test_witness_n5_across_classes():
     for a in members:
         for b in members:
             _check_witness(n, a, b, same_orbit_witness(n, a, b))
+
+
+def test_witness_failure_raises(monkeypatch):
+    # a frame that is not adapted to the member gives a witness that
+    # misses it, and the check must raise rather than return
+    n = 4
+    adapted = f2quad._adapted_frame
+    monkeypatch.setattr(
+        f2quad,
+        "_adapted_frame",
+        lambda n, member: adapted(n, standard_odd_lagrangian(n, left_overlap(n, member))),
+    )
+    (member,) = sample_odd_lagrangians(n, count=1, seed=3)
+    rep = standard_odd_lagrangian(n, left_overlap(n, member))
+    assert member != rep
+    with pytest.raises(VerificationError, match="misses its target"):
+        same_orbit_witness(n, member, rep)
+
+
+def test_census_certification_survives_optimize():
+    # under python -O every assert is stripped; the census must still
+    # refuse a member whose witness misses it
+    script = textwrap.dedent(
+        """
+        import vftk.f2quad as f2quad
+        from vftk.verify import VerificationError
+
+        assert False, "asserts are live"  # stripped under -O
+        adapted = f2quad._adapted_frame
+
+        def wrong_frame(n, member):
+            j = f2quad.left_overlap(n, member)
+            return adapted(n, f2quad.standard_odd_lagrangian(n, j))
+
+        f2quad._adapted_frame = wrong_frame
+        try:
+            f2quad.orbit_census(4, exhaustive=True)
+        except VerificationError as exc:
+            print("refused:", exc)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(f2quad.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: witness misses its target member")
 
 
 def test_witness_refutation_reports_overlaps():
@@ -279,5 +384,5 @@ def test_random_isometry_and_samples():
 
 def test_n5_exhaustive_census_certified(n5_exhaustive_census):
     # opt-in full run: enumerates all 71145 members and certifies each one
-    # with an explicit witness onto its standard representative
+    # with an explicit witness from its standard representative
     assert n5_exhaustive_census == orbit_census(5)
