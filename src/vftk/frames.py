@@ -28,6 +28,7 @@ from .lattices import (
     short_vectors,
 )
 from .stabsearch import stabilizer
+from .verify import verify
 
 __all__ = [
     "LatticeFrame",
@@ -350,8 +351,7 @@ def frame_invariants(lattice, frame, deadline=None):
     two_rank, four_rank = abelian_type(code)
     stab = _code_stabilizer(code, deadline)
     sign_log2 = stab.sign_order.bit_length() - 1
-    if 1 << sign_log2 != stab.sign_order:
-        raise AssertionError("sign subgroup order must be a power of two")
+    verify(1 << sign_log2 == stab.sign_order, "sign subgroup order must be a power of two")
     n = frame.pair_count
     torus = frame_torus_divisors(lattice, frame, 8)
     pointwise = code.order * stab.sign_order
@@ -396,8 +396,7 @@ def monomial_to_isometry(lattice, frame, sigma, signs):
             raise ValueError("monomial map does not preserve the lattice")
         rows.append(tuple(int(f) for f in acc))
     rows = tuple(rows)
-    if not lattice.is_isometry(rows):
-        raise AssertionError("constructed map is not an isometry")
+    verify(lattice.is_isometry(rows), "constructed map is not an isometry")
     return rows
 
 
@@ -454,12 +453,10 @@ def e8_frame_representatives(deadline=None):
         _, k = abelian_type(glue_code(e8, frame))
         out[k] = frame
     missing = {1, 2, 3, 4} - set(out)
-    if missing != {4}:
-        raise AssertionError(f"marking classes gave unexpected ranks {sorted(out)}")
+    verify(missing == {4}, f"marking classes gave unexpected ranks {sorted(out)}")
     graph = _e8_graph(deadline)
     found = next((c for c, k in _walk_frames(graph, deadline) if k == 4), None)
-    if found is None:
-        raise AssertionError("no rank-4 glue class found in E8")
+    verify(found is not None, "no rank-4 glue class found in E8")
     out[4] = graph.frame(found)
     return out
 
@@ -510,8 +507,7 @@ def classify_e8_frames(deadline=None):
         frame = graph.frame(first[k])
         code = glue_code(e8, frame)
         two_rank, four_rank = abelian_type(code)
-        if four_rank != k:
-            raise AssertionError("leaf rank disagrees with glue-code type")
+        verify(four_rank == k, "leaf rank disagrees with glue-code type")
         classes.append(
             FrameClass(
                 four_rank=k,

@@ -14,6 +14,7 @@ from itertools import product as iproduct
 
 from .f2codes import rm1_subcode
 from .intmat import identity, inverse, mat_mul, transpose, vec_mat
+from .verify import verify
 
 __all__ = [
     "EpsilonCocycle",
@@ -291,8 +292,7 @@ def lifted_frame_stabilizer(lattice, frame, stab=None, deadline=None):
         w = monomial_to_isometry(lattice, frame, sigma, signs)
         lift = lift_automorphism(cocycle, w)
         got_sigma, _flips = frame_symbol_action(lattice, frame, lift)
-        if got_sigma != sigma:
-            raise AssertionError("symbol action disagrees with the monomial")
+        verify(got_sigma == sigma, "symbol action disagrees with the monomial")
         checked += 1
     order = (1 << n) * stab.sign_order
     structure = (
@@ -378,7 +378,6 @@ def involution_class(k, chi):
         total += dim
         if sum(c * b for c, b in zip(coeffs, chi)) % 2:
             minus += dim
-    if total != 248:
-        raise AssertionError("weight-one dimensions no longer sum to 248")
+    verify(total == 248, "weight-one dimensions no longer sum to 248")
     label = "2B" if minus == 128 else ("2A" if minus == 112 else "unknown")
     return InvolutionReport(minus_dim=minus, plus_dim=total - minus, label=label)

@@ -6,15 +6,17 @@ unimodular overlattice of rank at most 2*rank(L) + 2, and an overlattice
 of L with its s-rescaling whose determinant is the prime power s^rank.
 All glue coefficients come from exact sum-of-squares congruences, every
 isotropy check is exact rational arithmetic, and isometries of L extend
-to the overlattices by acting diagonally on the copies.
+to the overlattices by acting diagonally on the copies.  Glue groups are
+never listed element by element: their orders and the primitivity of the
+first block are indices of integer lattices (an HNF and a determinant).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .abelian import rational_row_basis
-from .intmat import det, inverse, mat_mul
+from . import budget
+from .intmat import det, hnf_basis, inverse, mat_mul, transpose
 from .lattices import (
     DiscriminantGroup,
     IntegralLattice,
@@ -22,7 +24,7 @@ from .lattices import (
     discriminant_group,
     short_vectors,
 )
-from .stabsearch import orbit
+from .verify import verify
 
 __all__ = [
     "IsotropicSubgroup",
@@ -84,7 +86,7 @@ def sum_two_squares_mod(p, r):
         else:
             b += (-m * pow(2 * b, -1, p)) % p * pj
     a, b = a % p**r, b % p**r
-    assert (a * a + b * b + 1) % p**r == 0
+    verify((a * a + b * b + 1) % p**r == 0, "sum of two squares misses -1 mod p^r")
     return a, b
 
 
@@ -109,8 +111,19 @@ def sum_four_squares_mod(r):
     raise AssertionError("unreachable: every natural number is a sum of four squares")
 
 
-def _reduced(row):
-    return tuple(Fraction(x) % 1 for x in row)
+def _glue_lattice(gens, n):
+    """(den, rows): rows / den is the HNF basis of Z^n + span(gens); den clears denominators."""
+    den = lcm(1, *(x.denominator for g in gens for x in g))
+    rows = [tuple(den * (i == j) for j in range(n)) for i in range(n)]
+    rows += [tuple(int(x * den) for x in g) for g in gens]
+    return den, hnf_basis(rows)
+
+
+def _index(den, rows):
+    """[span(rows) / den : Z^n] = den^n / |det(rows)| for a _glue_lattice basis."""
+    index, rem = divmod(den ** len(rows), abs(det(rows)))
+    verify(rem == 0, "glue lattice index is not an integer")
+    return index
 
 
 @dataclass(frozen=True)
@@ -119,22 +132,18 @@ class IsotropicSubgroup:
 
     generators are rational rows in the ambient lattice's coordinates.
     q == 0 mod 2 on each generator and b == 0 mod 1 on each pair force
-    q == 0 on the whole subgroup.
+    q == 0 on the whole subgroup.  As rows mod 1 the subgroup is
+    (Z^n + span(generators)) / Z^n, so its order -- the number of rows a
+    walk adding generators to 0 would reach -- is that index: an HNF
+    basis and one determinant, with no element listed.
     """
 
     ambient: DiscriminantGroup
     generators: tuple
 
-    def closure(self):
-        """All subgroup elements as rows with coordinates reduced mod 1."""
-        zero = tuple(Fraction(0) for _ in range(self.ambient.lattice.rank))
-        return orbit(
-            {zero},
-            lambda u: (_reduced(tuple(x + y for x, y in zip(u, g))) for g in self.generators),
-        )
-
     def order(self):
-        return len(self.closure())
+        """|G| = [Z^n + span(generators) : Z^n]."""
+        return _index(*_glue_lattice(self.generators, self.ambient.lattice.rank))
 
 
 def isotropic_subgroup(dg, generators):
@@ -175,46 +184,36 @@ class Overlattice:
     tail_rank: int = 0
 
 
-def _index_of_basis(basis):
-    """[result : base] = 1/|det(basis_rows)| for a full-rank rational basis."""
-    den = lcm(*[x.denominator for row in basis for x in row])
-    di = det(tuple(tuple(int(x * den) for x in row) for row in basis))
-    idx = Fraction(den ** len(basis), abs(di))
-    assert idx.denominator == 1
-    return int(idx)
-
-
 def overlattice_from_isotropic(base, glue, diagonal_copies=1, tail_rank=0):
-    """Even overlattice of base generated by the glue's coset representatives."""
-    n = base.rank
-    eye = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    basis = rational_row_basis(eye + list(glue.generators))
-    gram2 = []
-    for u in basis:
-        row = []
-        for v in basis:
-            x = 2 * Fraction(base.inner(u, v))
-            assert x.denominator == 1, "validated glue always yields an integral overlattice"
-            row.append(int(x))
-        gram2.append(tuple(row))
-    result = IntegralLattice(gram2)
-    index = _index_of_basis(basis)
-    assert result.determinant() * index**2 == base.determinant()
-    assert not base.is_even or result.is_even
+    """Even overlattice of base generated by the glue's coset representatives.
+
+    Its basis is rows / den, so its doubled Gram is rows gram2 rows^T / den^2.
+    """
+    den, rows = _glue_lattice(glue.generators, base.rank)
+    gram2 = mat_mul(mat_mul(rows, base.gram2), transpose(rows))
+    verify(all(x % den**2 == 0 for row in gram2 for x in row), "overlattice is not integral")
+    result = IntegralLattice([[x // den**2 for x in row] for row in gram2])
+    index = _index(den, rows)
+    verify(result.determinant() * index**2 == base.determinant(), "index disagrees with det")
+    verify(not base.is_even or result.is_even, "overlattice of an even lattice is odd")
+    basis = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
     return Overlattice(base, glue, result, basis, diagonal_copies, tail_rank)
 
 
 def first_block_primitive(over, block_rank):
     """True if the first block_rank coordinates meet the result in the base.
 
-    Equivalent criterion: the projection of the glue away from the first
-    block is injective, i.e. no nonzero glue element is supported on the
-    first block alone.
+    A result vector on the first block alone but outside the base is a
+    nonzero glue element whose coordinates after the first block are
+    integers, i.e. a nonzero element in the kernel of the projection
+    G -> (Q/Z)^(n - block_rank) that drops the first block.  So the block
+    is primitive iff that projection is injective, iff its image, the
+    subgroup generated by the projected generators, still has order |G|.
+    Both orders are lattice indices, so no glue element is listed.
     """
-    for row in over.glue.closure():
-        if not any(row[block_rank:]) and any(row[:block_rank]):
-            return False
-    return True
+    tail = [g[block_rank:] for g in over.glue.generators]
+    image = _index(*_glue_lattice(tail, over.base.rank - block_rank))
+    return image == over.glue.order()
 
 
 def _p_exponent(p, order):
@@ -235,6 +234,13 @@ def unimodularize(l, definite=None):
     odd p (repeated on both halves in the 8-copy case), and four-square
     analogues mod 2^{a+1} spanning all eight copies for p = 2.  The glue
     group has order det^2 (resp. det^4), killing the determinant exactly.
+
+    Self-checks (each raises VerificationError, also under python -O): the
+    glue order, an HNF index, equals that closed form; det(result) times
+    the index squared is det(base), the result is even and |det| is 1;
+    the first copy embeds primitively, i.e. the projection of the glue
+    off the first copy keeps its order; and the result is definite when
+    required.
 
     definite=None verifies positive definiteness of the result exactly
     when l is positive definite; pass True/False to force or skip that.
@@ -270,13 +276,14 @@ def unimodularize(l, definite=None):
                     row.extend(c * xi for xi in x)
                 gens.append(tuple(row))
     glue = isotropic_subgroup(big, gens)
+    verify(glue.order() == (d**2 if d % 2 else d**4), "glue order is not det^2 or det^4")
     over = overlattice_from_isotropic(base, glue, diagonal_copies=copies)
-    assert abs(over.result.determinant()) == 1
-    assert first_block_primitive(over, l.rank)
+    verify(abs(over.result.determinant()) == 1, "glued lattice is not unimodular")
+    verify(first_block_primitive(over, l.rank), "first copy does not embed primitively")
     if definite is None:
         definite = l.is_definite
     if definite:
-        assert over.result.is_definite
+        verify(over.result.is_definite, "glued lattice is not definite")
     return over
 
 
@@ -301,10 +308,10 @@ def hyperbolic_unimodularize(l):
         gens = [g + g + pad for g in discriminant_group(l).generators]
         glue = isotropic_subgroup(discriminant_group(base), gens)
         over = overlattice_from_isotropic(base, glue, diagonal_copies=2, tail_rank=2)
-        assert first_block_primitive(over, l.rank)
+        verify(first_block_primitive(over, l.rank), "first block does not embed primitively")
     res = over.result
-    assert abs(res.determinant()) == 1 and res.is_even
-    assert not res.is_definite and not res.rescale(-1).is_definite
+    verify(abs(res.determinant()) == 1 and res.is_even, "glued lattice is not even unimodular")
+    verify(not res.is_definite and not res.rescale(-1).is_definite, "glued lattice is definite")
     return over
 
 
@@ -326,10 +333,10 @@ def prime_power_twist(l, s):
     gens = [g + g for g in discriminant_group(l).generators]
     glue = isotropic_subgroup(discriminant_group(base), gens)
     over = overlattice_from_isotropic(base, glue, diagonal_copies=2)
-    assert over.result.determinant() == s**l.rank
-    assert first_block_primitive(over, l.rank)
+    verify(over.result.determinant() == s**l.rank, "twisted lattice determinant is not s^rank")
+    verify(first_block_primitive(over, l.rank), "first block does not embed primitively")
     if l.is_definite:
-        assert over.result.is_definite
+        verify(over.result.is_definite, "twisted lattice is not definite")
     return over
 
 
@@ -387,29 +394,31 @@ def strong_extension_check(l, over, gens):
         x = mat_mul(mat_mul(b, amb), b_inv)
         if all(v.denominator == 1 for row in x for v in row):
             mat = tuple(tuple(int(v) for v in row) for row in x)
-            assert over.result.is_isometry(mat)
+            verify(over.result.is_isometry(mat), "extended map is not an isometry")
             verdicts.append(ExtensionVerdict(True, mat))
         else:
             verdicts.append(ExtensionVerdict(False, None))
     return tuple(verdicts)
 
 
-def definite_automorphisms(l):
+def definite_automorphisms(l, deadline=None):
     """All isometries of a small positive definite lattice.
 
     Backtracks over images of the basis vectors among vectors of equal
     norm, pruning on inner products with images already chosen.  Cost
-    grows with the short-vector counts, so keep the rank small.
+    grows with the short-vector counts, so keep the rank small.  Each
+    node polls the deadline (BudgetExceeded once it has passed).
     """
     if not l.is_definite:
         raise ValueError("needs a positive definite lattice")
     n = l.rank
     norms = [Fraction(l.gram2[i][i], 2) for i in range(n)]
-    candidates = {nv: short_vectors(l, nv) for nv in set(norms)}
+    candidates = {nv: short_vectors(l, nv, deadline) for nv in set(norms)}
     out = []
     img = []
 
     def rec(i):
+        budget.check(deadline)
         if i == n:
             out.append(tuple(img))
             return

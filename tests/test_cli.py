@@ -10,6 +10,7 @@ import pytest
 
 import vftk.cli as cli
 import vftk.f2quad as f2quad
+import vftk.unimodular as unimodular
 from vftk.fileio import format_frame, format_gram
 from vftk.frames import e8_frame_representatives
 from vftk.lattices import IntegralLattice, e8_lattice
@@ -34,7 +35,12 @@ def gram_files(tmp_path_factory):
             )
         )
     )
-    return {"e8": str(e8), "a2": str(a2), "frame": str(frame), "odd": str(odd), "a4": str(a4)}
+    paths = {"e8": str(e8), "a2": str(a2), "frame": str(frame), "odd": str(odd), "a4": str(a4)}
+    for det in (8, 16):
+        path = d / f"g{det}.gram"
+        path.write_text(format_gram(IntegralLattice.from_gram([[det]])))
+        paths[f"g{det}"] = str(path)
+    return paths
 
 
 def _passing(argv):
@@ -144,6 +150,20 @@ def test_prime_power_rank8_result_skips_norm2_check(gram_files):
     assert all(c["name"] != "norm-2 vector count" for c in report["checks"])
 
 
+@pytest.mark.parametrize("name, glue_order", [("g8", "4096"), ("g16", "65536")])
+def test_unimodularize_definite_large_glue(gram_files, name, glue_order):
+    # glue of order det^4: found by an index computation, not by listing it
+    start = time.monotonic()
+    report = _passing(["unimodularize", "--gram", gram_files[name]])
+    elapsed = time.monotonic() - start
+    res = report["results"]
+    assert res["glue_order"] == glue_order
+    assert res["diagonal_copies"] == 8 and res["result"]["rank"] == 8
+    (norm2,) = [c for c in report["checks"] if c["name"] == "norm-2 vector count"]
+    assert norm2["actual"] == "240"
+    assert elapsed < 10  # listing the 65536 glue elements took ~57 s
+
+
 def test_hat_verify(gram_files):
     report = _passing(["hat-verify", "--gram", gram_files["a2"]])
     assert report["results"]["rank"] == 2
@@ -227,6 +247,15 @@ def test_exit_code_failed_self_check(monkeypatch):
     report, code = cli.run(["f2quad", "--n", "4", "--exhaustive"])
     assert code == 1
     assert report["command"] == "f2quad" and "witness" in report["error"]
+
+
+def test_exit_code_failed_glue_check(monkeypatch, gram_files):
+    # glue missing a generator fails the closed-form order check: exit 1
+    validated = unimodular.isotropic_subgroup
+    monkeypatch.setattr(unimodular, "isotropic_subgroup", lambda dg, gens: validated(dg, gens[:-1]))
+    report, code = cli.run(["unimodularize", "--gram", gram_files["a2"]])
+    assert code == 1
+    assert report["command"] == "unimodularize" and "glue order" in report["error"]
 
 
 def test_main_prints_json(capsys):

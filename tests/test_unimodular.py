@@ -1,9 +1,18 @@
 """Sum-of-squares congruences and even unimodular overlattice constructions."""
 
+import os
+import random
+import subprocess
+import sys
+import textwrap
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+import vftk.unimodular as unimodular
+from vftk.budget import BudgetExceeded, deadline_in
 from vftk.f2codes import hamming_code
 from vftk.intmat import identity, mat_mul
 from vftk.lattices import (
@@ -13,6 +22,7 @@ from vftk.lattices import (
     e8_lattice,
     short_vectors,
 )
+from vftk.stabsearch import orbit
 from vftk.unimodular import (
     definite_automorphisms,
     dirichlet_prime,
@@ -31,6 +41,32 @@ A1 = IntegralLattice.from_gram(((2,),))
 A2 = IntegralLattice.from_gram(((2, -1), (-1, 2)))
 PLANE = IntegralLattice.from_gram(((0, 1), (1, 0)))
 ODD_PRIMES = [p for p in range(3, 51) if all(p % f for f in range(2, p))]
+
+
+def _closure(glue):
+    """(den, elements): every glue element, as den * row reduced mod den.
+
+    The oracle for the index route: it walks the whole group, so keep the
+    glue order small.
+    """
+    den = lcm(1, *(x.denominator for g in glue.generators for x in g))
+    gens = [tuple(int(x * den) % den for x in g) for g in glue.generators]
+    zero = (0,) * glue.ambient.lattice.rank
+    return den, orbit({zero}, lambda u: (tuple((a + b) % den for a, b in zip(u, g)) for g in gens))
+
+
+def _walk_primitive(elements, block_rank):
+    """No nonzero element is supported on the first block_rank coordinates."""
+    return not any(any(row[:block_rank]) and not any(row[block_rank:]) for row in elements)
+
+
+def _assert_matches_closure(over):
+    """glue.order() and first_block_primitive at every block rank match the walk."""
+    _, elements = _closure(over.glue)
+    assert over.glue.order() == len(elements)
+    verdicts = [first_block_primitive(over, b) for b in range(over.base.rank + 1)]
+    assert verdicts == [_walk_primitive(elements, b) for b in range(over.base.rank + 1)]
+    return verdicts
 
 
 def test_sum_two_squares_congruence():
@@ -226,14 +262,15 @@ def test_strong_extension_detects_obstruction():
     assert good.extends and good.matrix is not None
     assert not bad.extends and bad.matrix is None
     # independent oracle: the induced ambient map must fix the glue setwise
+    den, elements = _closure(over.glue)
     for w, verdict in ((eye, good), (minus, bad)):
         amb = [tuple(r) + (0,) * 4 for r in w]
         amb += [(0, 0) + tuple(r) for r in identity(4)]
         image = {
-            tuple(Fraction(sum(c * amb[i][j] for i, c in enumerate(row))) % 1 for j in range(6))
-            for row in over.glue.closure()
+            tuple(sum(c * amb[i][j] for i, c in enumerate(row)) % den for j in range(6))
+            for row in elements
         }
-        assert (image == over.glue.closure()) == verdict.extends
+        assert (image == elements) == verdict.extends
 
 
 def test_strong_extension_rejects_non_isometry():
@@ -311,3 +348,98 @@ def test_definite_automorphisms():
     assert len(definite_automorphisms(rect)) == 4
     with pytest.raises(ValueError):
         definite_automorphisms(PLANE)
+
+
+def test_definite_automorphisms_deadline():
+    # an expired deadline stops the search at its first node
+    with pytest.raises(BudgetExceeded):
+        definite_automorphisms(A2, deadline=time.monotonic() - 1)
+    # |W(E8)| = 696729600 isometries: the backtrack must stop soon after 0.3 s
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        definite_automorphisms(e8_lattice(), deadline=deadline_in(0.3))
+    assert time.monotonic() - start < 1.3
+
+
+SMALL_GRAMS = (
+    ((2,),),
+    ((4,),),
+    ((6,),),
+    ((2, -1), (-1, 2)),
+    ((4, 1), (1, 4)),
+    ((2, 0), (0, 4)),
+)
+
+
+@pytest.mark.parametrize("gram", SMALL_GRAMS)
+def test_glue_index_matches_closure_on_constructions(gram):
+    # all three constructions; definite glue orders run 9 .. 4096
+    lat = IntegralLattice.from_gram(gram)
+    d = abs(lat.determinant())
+    overs = (
+        unimodularize(lat),
+        hyperbolic_unimodularize(lat),
+        prime_power_twist(lat, dirichlet_prime(lat, 2)),
+    )
+    for over in overs:
+        verdicts = _assert_matches_closure(over)
+        assert verdicts[lat.rank]  # the first copy is primitive
+        assert not verdicts[-1]  # with nontrivial glue the whole base is imprimitive
+    assert overs[0].glue.order() == (d**2 if d % 2 else d**4)
+
+
+def _random_isotropic_glue(rng):
+    """Isotropic glue on a random diagonal even lattice of rank 3 or 4."""
+    diag = [rng.choice((2, 4, 8, -2, -4, -8)) for _ in range(rng.choice((3, 4)))]
+    n = len(diag)
+    base = IntegralLattice.from_gram([[d * (i == j) for j in range(n)] for i, d in enumerate(diag)])
+    dg = discriminant_group(base)
+    gens = []
+    for _ in range(40):
+        g = tuple(Fraction(rng.randrange(abs(d)), d) for d in diag)
+        if any(g) and dg.q(g) == 0 and all(dg.b(g, h) == 0 for h in gens):
+            gens.append(g)
+        if len(gens) == 3:
+            break
+    return base, isotropic_subgroup(dg, gens)
+
+
+def test_glue_index_matches_closure_on_random_glue():
+    rng = random.Random(2001)
+    seen = set()
+    for _ in range(60):
+        base, glue = _random_isotropic_glue(rng)
+        verdicts = _assert_matches_closure(overlattice_from_isotropic(base, glue))
+        seen.update(verdicts[1:-1])
+    # the interior block ranks gave both primitive and imprimitive blocks
+    assert seen == {True, False}
+
+
+def test_unimodularize_checks_survive_optimize():
+    # under python -O every assert is stripped; a glue group missing one
+    # pattern row must still be refused
+    script = textwrap.dedent(
+        """
+        import vftk.unimodular as unimodular
+        from vftk.lattices import IntegralLattice
+        from vftk.verify import VerificationError
+
+        assert False, "asserts are live"  # stripped under -O
+        validated = unimodular.isotropic_subgroup
+        unimodular.isotropic_subgroup = lambda dg, gens: validated(dg, gens[:-1])
+        try:
+            unimodular.unimodularize(IntegralLattice.from_gram(((2,),)))
+        except VerificationError as exc:
+            print("refused:", exc)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(unimodular.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: glue order is not det^2 or det^4")
