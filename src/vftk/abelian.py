@@ -1,14 +1,15 @@
 """Finite abelian quotients of free Z-modules.
 
-A subgroup of Q^n is described by basis rows.  quotient_divisors(sup, sub)
-computes the elementary divisors of span(sup)/span(sub) by writing the sub
-basis in sup coordinates and taking the Smith normal form.
+A Z-module of rational rows is held as a common denominator den and the
+integer HNF basis of the rows scaled by den.  quotient_divisors(sup, sub)
+writes the sub basis in sup coordinates by integer back-substitution along
+the HNF pivots and takes the Smith normal form of those coordinates.
 """
 
 from fractions import Fraction
 from math import lcm, prod
 
-from .intmat import hnf_basis, inverse, snf_divisors, vec_mat
+from .intmat import hnf_basis, snf_divisors
 
 __all__ = [
     "rational_row_basis",
@@ -19,14 +20,31 @@ __all__ = [
 ]
 
 
+def _scaled_hnf(rows):
+    """(den, basis): den clears every denominator in rows, basis is the HNF
+    of the rows scaled by den, so basis / den is a Z-basis of their span."""
+    den = lcm(1, *(x.denominator for r in rows for x in r))
+    return den, hnf_basis([tuple(x.numerator * (den // x.denominator) for x in r) for r in rows])
+
+
+def _hnf_coords(basis, row):
+    """Integer c with c @ basis == row for an HNF basis, or None if none exists."""
+    row = list(row)
+    coords = []
+    for b in basis:
+        p = next(j for j, x in enumerate(b) if x)
+        c, rem = divmod(row[p], b[p])
+        if rem:
+            return None
+        coords.append(c)
+        if c:
+            row = [x - c * y for x, y in zip(row, b)]
+    return tuple(coords) if not any(row) else None
+
+
 def rational_row_basis(rows):
     """Z-basis (tuple of Fraction rows) of the Z-span of rational rows."""
-    rows = [tuple(Fraction(x) for x in r) for r in rows]
-    if not rows:
-        return ()
-    den = lcm(*[x.denominator for r in rows for x in r]) if rows else 1
-    int_rows = [tuple(int(x * den) for x in r) for r in rows]
-    basis = hnf_basis(int_rows)
+    den, basis = _scaled_hnf(rows)
     return tuple(tuple(Fraction(x, den) for x in r) for r in basis)
 
 
@@ -34,46 +52,23 @@ def quotient_divisors(sup_rows, sub_rows):
     """Elementary divisors (> 1) of span(sup_rows)/span(sub_rows).
 
     Both spans are Z-modules of rational rows; sub must lie inside sup with
-    finite index (same rank), else ValueError.
+    finite index (same rank), else ValueError.  A sub row inside sup has
+    denominators dividing sup's den, so both scale to integer rows by it.
     """
-    sup = rational_row_basis(sup_rows)
-    sub = rational_row_basis(sub_rows)
+    den, sup = _scaled_hnf(sup_rows)
+    sub_den, sub = _scaled_hnf(sub_rows)
     if len(sub) != len(sup):
         raise ValueError("quotient is not finite (ranks differ)")
     if not sup:
         return ()
-    sup_sq, embed = _square_coords(sup)
-    sup_inv = inverse(sup_sq)
-    coords = []
-    for r in sub:
-        x = vec_mat(_project(r, embed), sup_inv)
-        if any(c.denominator != 1 for c in x) or vec_mat(x, sup) != tuple(map(Fraction, r)):
-            raise ValueError("sub is not contained in sup")
-        coords.append(tuple(int(c) for c in x))
+    scale, rem = divmod(den, sub_den)
+    coords = [_hnf_coords(sup, [x * scale for x in r]) for r in sub]
+    if rem or None in coords:
+        raise ValueError("sub is not contained in sup")
     divs = snf_divisors(coords)
     if len(divs) != len(sup):
         raise ValueError("quotient is not finite")
     return tuple(d for d in divs if d > 1)
-
-
-def _square_coords(basis):
-    """Pick a set of coordinate positions making the basis matrix square."""
-    # basis rows are echelon (from HNF) so leading columns are independent
-    cols = []
-    for r in basis:
-        for j, x in enumerate(r):
-            if x != 0 and j not in cols:
-                cols.append(j)
-                break
-    if len(cols) != len(basis):
-        raise ValueError("basis rows are not independent")
-    cols = sorted(cols)
-    sq = tuple(tuple(r[j] for j in cols) for r in basis)
-    return sq, cols
-
-
-def _project(row, cols):
-    return tuple(row[j] for j in cols)
 
 
 def group_order(divisors):

@@ -19,7 +19,7 @@ import argparse
 import json
 import random
 import sys
-from math import factorial, lcm
+from math import factorial
 
 from .abelian import type_string
 from .budget import BudgetExceeded, check as budget_check, deadline_from_env
@@ -348,11 +348,8 @@ def _word(k, coeffs):
 
 
 def _embedding_json(over):
-    denom = lcm(*(x.denominator for row in over.basis_rows for x in row), 1)
-    return {
-        "denominator": str(denom),
-        "rows": [[str(int(x * denom)) for x in row] for row in over.basis_rows],
-    }
+    glue = over.glue
+    return {"denominator": str(glue.den), "rows": [[str(x) for x in row] for row in glue.basis]}
 
 
 def _lattice_json(lattice):
@@ -370,15 +367,15 @@ def _cmd_unimodularize(args, deadline):
     inputs = {"gram": args.gram, "mode": args.mode, "min_prime": args.min_prime}
     checks = []
     if args.mode == "definite":
-        over = unimodularize(lattice)
+        over = unimodularize(lattice, deadline=deadline)
         checks.append(_check("determinant", 1, abs(over.result.determinant()), DEFINITION))
     elif args.mode == "hyperbolic":
-        over = hyperbolic_unimodularize(lattice)
+        over = hyperbolic_unimodularize(lattice, deadline)
         checks.append(_check("determinant", 1, abs(over.result.determinant()), DEFINITION))
         checks.append(_check("indefinite", False, over.result.is_definite, COMPUTED))
     else:
         s = dirichlet_prime(lattice, args.min_prime)
-        over = prime_power_twist(lattice, s)
+        over = prime_power_twist(lattice, s, deadline)
         inputs["twist_prime"] = str(s)
         checks.append(
             _check("determinant is the twist power", s**lattice.rank, over.result.determinant(), DEFINITION)
@@ -403,7 +400,7 @@ def _cmd_unimodularize(args, deadline):
         checks.append(_check("definiteness preserved", True, result.is_definite, COMPUTED))
     if result.rank == 8 and result.is_definite and abs(result.determinant()) == 1:
         checks.append(
-            _check("norm-2 vector count", 240, len(short_vectors(result, 2)), COMPUTED)
+            _check("norm-2 vector count", 240, len(short_vectors(result, 2, deadline)), COMPUTED)
         )
     results = {
         "base": _lattice_json(lattice),

@@ -20,13 +20,8 @@ from operator import mul
 from . import budget
 from .abelian import group_order, quotient_divisors, type_string
 from .f2codes import classify_markings, hamming_code
-from .lattices import (
-    IntegralLattice,
-    ambient_to_basis,
-    e8_lattice,
-    lattice_from_code,
-    short_vectors,
-)
+from .intmat import identity
+from .lattices import IntegralLattice, ambient_to_basis, e8_lattice, short_vectors
 from .stabsearch import stabilizer
 from .verify import verify
 
@@ -311,10 +306,14 @@ def _code_stabilizer(code, deadline):
 
 
 def frame_torus_divisors(lattice, frame, denom):
-    """Elementary divisors of ((1/denom)M + L*)/L* for the frame span M."""
-    ginv = lattice.gram_inverse()
-    scaled = [tuple(Fraction(c, denom) for c in x) for x in frame.vectors]
-    return quotient_divisors(list(scaled) + list(ginv), list(ginv))
+    """Elementary divisors of ((1/denom)M + L*)/L* for the frame span M.
+
+    v -> vG carries L* onto Z^n, so this is ((1/denom)MG + Z^n)/Z^n; row i
+    of MG is gram_row(x_i) halved.
+    """
+    eye = identity(lattice.rank)
+    scaled = [tuple(Fraction(c, 2 * denom) for c in lattice.gram_row(x)) for x in frame.vectors]
+    return quotient_divisors(scaled + list(eye), eye)
 
 
 @dataclass(frozen=True)

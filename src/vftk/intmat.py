@@ -8,12 +8,13 @@ ever touches floating point.
 
 from fractions import Fraction
 
+from . import budget
+
 __all__ = [
     "identity",
     "mat_mul",
     "vec_mat",
     "transpose",
-    "mat_frac",
     "det",
     "inverse",
     "hnf",
@@ -41,10 +42,6 @@ def mat_mul(a, b):
 def vec_mat(v, m):
     cols = list(zip(*m))
     return tuple(sum(x * y for x, y in zip(v, col)) for col in cols)
-
-
-def mat_frac(a):
-    return tuple(tuple(Fraction(x) for x in row) for row in a)
 
 
 def det(a):
@@ -175,11 +172,12 @@ def hnf_basis(rows):
     return tuple(r for r in h if any(r))
 
 
-def snf(a):
+def snf(a, deadline=None):
     """Smith normal form with transforms: returns (d, u, v), u @ a @ v = d.
 
     d is diagonal (rectangular allowed) with nonnegative entries satisfying
-    the divisibility chain; u and v are unimodular.
+    the divisibility chain; u and v are unimodular.  Every row or column
+    operation polls the deadline (BudgetExceeded once it has passed).
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -198,10 +196,12 @@ def snf(a):
             r[i], r[j] = r[j], r[i]
 
     def addmul_row(dst, src, q):
+        budget.check(deadline)
         s[dst] = [x + q * y for x, y in zip(s[dst], s[src])]
         u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
     def addmul_col(dst, src, q):
+        budget.check(deadline)
         for r in s:
             r[dst] += q * r[src]
         for r in v:

@@ -16,18 +16,8 @@ from math import isqrt, prod
 from operator import mul
 
 from . import budget
-from .abelian import quotient_divisors, rational_row_basis
-from .intmat import (
-    det,
-    hnf_basis,
-    inverse,
-    mat_frac,
-    mat_mul,
-    snf,
-    snf_divisors,
-    transpose,
-    vec_mat,
-)
+from .abelian import _hnf_coords, quotient_divisors
+from .intmat import det, hnf_basis, identity, inverse, mat_mul, snf, transpose
 
 __all__ = [
     "IntegralLattice",
@@ -181,13 +171,13 @@ def lattice_from_code(code):
 
 
 def ambient_to_basis(lattice, y):
-    """Coordinates of an ambient row y in the lattice basis (must be exact)."""
+    """Coordinates of an ambient row y in the lattice's HNF basis (must be exact)."""
     if lattice.ambient_rows is None:
         raise ValueError("lattice carries no ambient basis")
-    x = vec_mat(tuple(Fraction(v) for v in y), inverse(mat_frac(lattice.ambient_rows)))
-    if any(c.denominator != 1 for c in x):
+    x = _hnf_coords(lattice.ambient_rows, y)
+    if x is None:
         raise ValueError("vector is not in the lattice")
-    return tuple(int(c) for c in x)
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -360,13 +350,16 @@ class DiscriminantGroup:
         return out
 
 
-def discriminant_group(lattice):
-    """Smith-form presentation of L*/L for an integral lattice."""
+def discriminant_group(lattice, deadline=None):
+    """Smith-form presentation of L*/L for an integral lattice.
+
+    The Smith form polls the deadline (BudgetExceeded once it has passed).
+    """
     if not lattice.is_integral:
         raise ValueError("discriminant group needs an integral lattice")
     gram = tuple(tuple(x // 2 for x in row) for row in lattice.gram2)
     n = lattice.rank
-    d, u, _ = snf(gram)
+    d, u, _ = snf(gram, deadline)
     # U G V = D, so L* = Z^n G^{-1} = Z^n D^{-1} U: generators are rows of
     # U scaled by 1/d_i, of order exactly d_i (unimodular rows have gcd 1).
     gens = []
@@ -380,10 +373,5 @@ def discriminant_group(lattice):
 
 
 def sublattice_quotient(lattice, sub_rows):
-    """Elementary divisors (> 1) of L / span(sub_rows)."""
-    n = lattice.rank
-    basis = rational_row_basis(sub_rows)
-    if len(basis) != n:
-        raise ValueError("sublattice must have full rank")
-    sup = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    return quotient_divisors(sup, basis)
+    """Elementary divisors (> 1) of L / span(sub_rows); ValueError unless full rank."""
+    return quotient_divisors(identity(lattice.rank), sub_rows)

@@ -4,26 +4,24 @@ Three constructions on an even lattice L: a definite-preserving
 unimodular overlattice of 4 or 8 orthogonal copies of L, an indefinite
 unimodular overlattice of rank at most 2*rank(L) + 2, and an overlattice
 of L with its s-rescaling whose determinant is the prime power s^rank.
-All glue coefficients come from exact sum-of-squares congruences, every
-isotropy check is exact rational arithmetic, and isometries of L extend
-to the overlattices by acting diagonally on the copies.  Glue groups are
-never listed element by element: their orders and the primitivity of the
-first block are indices of integer lattices (an HNF and a determinant).
+All glue coefficients come from exact sum-of-squares congruences, and
+isometries of L extend to the overlattices by acting diagonally on the
+copies.  The glue lattice Z^n + span(glue) is held once as a common
+denominator den and an integer HNF basis: the isotropy checks are one
+integer Gram of the den-scaled generators, and glue orders and the
+primitivity of the first block are indices of integer lattices (an HNF
+and a determinant), so no glue element is ever listed.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
+from operator import mul
 
 from . import budget
-from .intmat import det, hnf_basis, inverse, mat_mul, transpose
-from .lattices import (
-    DiscriminantGroup,
-    IntegralLattice,
-    direct_sum,
-    discriminant_group,
-    short_vectors,
-)
+from .abelian import _hnf_coords, _scaled_hnf
+from .intmat import det, hnf_basis, identity, mat_mul, transpose
+from .lattices import IntegralLattice, direct_sum, discriminant_group, short_vectors
 from .verify import verify
 
 __all__ = [
@@ -111,16 +109,8 @@ def sum_four_squares_mod(r):
     raise AssertionError("unreachable: every natural number is a sum of four squares")
 
 
-def _glue_lattice(gens, n):
-    """(den, rows): rows / den is the HNF basis of Z^n + span(gens); den clears denominators."""
-    den = lcm(1, *(x.denominator for g in gens for x in g))
-    rows = [tuple(den * (i == j) for j in range(n)) for i in range(n)]
-    rows += [tuple(int(x * den) for x in g) for g in gens]
-    return den, hnf_basis(rows)
-
-
 def _index(den, rows):
-    """[span(rows) / den : Z^n] = den^n / |det(rows)| for a _glue_lattice basis."""
+    """[span(rows) / den : Z^n] = den^n / |det(rows)| for a basis of a lattice above Z^n."""
     index, rem = divmod(den ** len(rows), abs(det(rows)))
     verify(rem == 0, "glue lattice index is not an integer")
     return index
@@ -128,58 +118,68 @@ def _index(den, rows):
 
 @dataclass(frozen=True)
 class IsotropicSubgroup:
-    """Subgroup of a discriminant group on which q vanishes identically.
+    """Subgroup of the discriminant group L*/L on which q vanishes identically.
 
-    generators are rational rows in the ambient lattice's coordinates.
+    generators are rational rows in the coordinates of the lattice L.
     q == 0 mod 2 on each generator and b == 0 mod 1 on each pair force
     q == 0 on the whole subgroup.  As rows mod 1 the subgroup is
-    (Z^n + span(generators)) / Z^n, so its order -- the number of rows a
-    walk adding generators to 0 would reach -- is that index: an HNF
-    basis and one determinant, with no element listed.
+    (Z^n + span(generators)) / Z^n; basis / den is the HNF basis of that
+    glue lattice (den clears every denominator), so the order -- the
+    number of rows a walk adding generators to 0 would reach -- is one
+    determinant, with no element listed.
     """
 
-    ambient: DiscriminantGroup
+    lattice: IntegralLattice
     generators: tuple
+    den: int
+    basis: tuple
 
     def order(self):
         """|G| = [Z^n + span(generators) : Z^n]."""
-        return _index(*_glue_lattice(self.generators, self.ambient.lattice.rank))
+        return _index(self.den, self.basis)
 
 
-def isotropic_subgroup(dg, generators):
-    """Validated isotropic subgroup of the discriminant group dg.
+def isotropic_subgroup(lattice, generators):
+    """Validated isotropic subgroup of the discriminant group of lattice.
 
-    Exact checks: every generator lies in the dual lattice, has q == 0
-    mod 2, and pairs to 0 mod 1 with every other generator.
+    Exact checks on the integer rows R = den * generators, all read off
+    R gram2 and R gram2 R^T: every generator lies in the dual lattice
+    (its row of R gram2 is 0 mod 2 den), has q == 0 mod 2 (its diagonal
+    entry is 0 mod 4 den^2), and pairs to 0 mod 1 with every other
+    generator (their entry is 0 mod 2 den^2).
     """
     gens = tuple(tuple(Fraction(x) for x in g) for g in generators)
-    lat = dg.lattice
-    for g in gens:
-        if len(g) != lat.rank or not lat.in_dual(g):
+    n = lattice.rank
+    if any(len(g) != n for g in gens):
+        raise ValueError("glue generator does not lie in the dual lattice")
+    den, basis = _scaled_hnf(identity(n) + gens)
+    rows = [tuple(int(x * den) for x in g) for g in gens]
+    paired = mat_mul(rows, lattice.gram2)
+    for row, pair in zip(rows, paired):
+        if any(x % (2 * den) for x in pair):
             raise ValueError("glue generator does not lie in the dual lattice")
-        if dg.q(g) != 0:
+        if sum(map(mul, row, pair)) % (4 * den**2):
             raise ValueError("glue generator is not isotropic")
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if dg.b(gens[i], gens[j]) != 0:
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            if sum(map(mul, paired[i], rows[j])) % (2 * den**2):
                 raise ValueError("glue generators are not orthogonal")
-    return IsotropicSubgroup(dg, gens)
+    return IsotropicSubgroup(lattice, gens, den, basis)
 
 
 @dataclass(frozen=True)
 class Overlattice:
     """Even overlattice base <= result <= base* given by isotropic glue.
 
-    basis_rows expresses the result's basis in base coordinates (exact
-    rationals).  diagonal_copies and tail_rank record the block shape the
-    glue was built over: isometries of the block lattice act on the first
+    The result's basis in base coordinates is glue.basis / glue.den.
+    diagonal_copies and tail_rank record the block shape the glue was
+    built over: isometries of the block lattice act on the first
     diagonal_copies blocks and fix the tail (see strong_extension_check).
     """
 
     base: IntegralLattice
     glue: IsotropicSubgroup
     result: IntegralLattice
-    basis_rows: tuple
     diagonal_copies: int = 1
     tail_rank: int = 0
 
@@ -187,17 +187,17 @@ class Overlattice:
 def overlattice_from_isotropic(base, glue, diagonal_copies=1, tail_rank=0):
     """Even overlattice of base generated by the glue's coset representatives.
 
-    Its basis is rows / den, so its doubled Gram is rows gram2 rows^T / den^2.
+    Its basis is B / den for B = glue.basis, so its doubled Gram is
+    B gram2 B^T / den^2.
     """
-    den, rows = _glue_lattice(glue.generators, base.rank)
+    den, rows = glue.den, glue.basis
     gram2 = mat_mul(mat_mul(rows, base.gram2), transpose(rows))
     verify(all(x % den**2 == 0 for row in gram2 for x in row), "overlattice is not integral")
     result = IntegralLattice([[x // den**2 for x in row] for row in gram2])
-    index = _index(den, rows)
+    index = glue.order()
     verify(result.determinant() * index**2 == base.determinant(), "index disagrees with det")
     verify(not base.is_even or result.is_even, "overlattice of an even lattice is odd")
-    basis = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-    return Overlattice(base, glue, result, basis, diagonal_copies, tail_rank)
+    return Overlattice(base, glue, result, diagonal_copies, tail_rank)
 
 
 def first_block_primitive(over, block_rank):
@@ -209,11 +209,13 @@ def first_block_primitive(over, block_rank):
     G -> (Q/Z)^(n - block_rank) that drops the first block.  So the block
     is primitive iff that projection is injective, iff its image, the
     subgroup generated by the projected generators, still has order |G|.
-    Both orders are lattice indices, so no glue element is listed.
+    Both orders are lattice indices, so no glue element is listed: the
+    image lattice Z^(n - block_rank) + span(projected generators) is
+    spanned by the glue basis with the first block dropped.
     """
-    tail = [g[block_rank:] for g in over.glue.generators]
-    image = _index(*_glue_lattice(tail, over.base.rank - block_rank))
-    return image == over.glue.order()
+    glue = over.glue
+    image = _index(glue.den, hnf_basis([row[block_rank:] for row in glue.basis]))
+    return image == glue.order()
 
 
 def _p_exponent(p, order):
@@ -224,7 +226,7 @@ def _p_exponent(p, order):
     return e
 
 
-def unimodularize(l, definite=None):
+def unimodularize(l, definite=None, deadline=None):
     """Even unimodular overlattice of 4 or 8 orthogonal copies of l.
 
     4 copies when det(l) is odd, 8 when even.  For each prime p dividing
@@ -244,15 +246,15 @@ def unimodularize(l, definite=None):
 
     definite=None verifies positive definiteness of the result exactly
     when l is positive definite; pass True/False to force or skip that.
+    The deadline bounds the Smith form of l's discriminant group.
     """
     if not l.is_even:
         raise ValueError("input lattice must be even")
     d = abs(l.determinant())
     copies = 4 if d % 2 else 8
     base = direct_sum(*[l] * copies)
-    big = discriminant_group(base)
     gens = []
-    for p, comps in sorted(discriminant_group(l).p_primary_generators().items()):
+    for p, comps in sorted(discriminant_group(l, deadline).p_primary_generators().items()):
         a1 = _p_exponent(p, comps[0][1])  # orders come largest-first
         if p == 2:
             # 2^(a1+1) - 1 is 3 mod 4, so exactly one entry is even; at r or
@@ -275,7 +277,7 @@ def unimodularize(l, definite=None):
                 for c in pat:
                     row.extend(c * xi for xi in x)
                 gens.append(tuple(row))
-    glue = isotropic_subgroup(big, gens)
+    glue = isotropic_subgroup(base, gens)
     verify(glue.order() == (d**2 if d % 2 else d**4), "glue order is not det^2 or det^4")
     over = overlattice_from_isotropic(base, glue, diagonal_copies=copies)
     verify(abs(over.result.determinant()) == 1, "glued lattice is not unimodular")
@@ -287,26 +289,27 @@ def unimodularize(l, definite=None):
     return over
 
 
-def hyperbolic_unimodularize(l):
+def hyperbolic_unimodularize(l, deadline=None):
     """Indefinite even unimodular overlattice of rank <= 2*rank(l) + 2.
 
     For |det| = 1 this is l plus one hyperbolic plane.  Otherwise l and
     its sign-flip are glued along the diagonal of their discriminant
     groups, with a hyperbolic plane added to force indefiniteness.
-    Purely algebraic: no short-vector enumeration is involved.
+    Purely algebraic: no short-vector enumeration is involved.  The
+    deadline bounds the Smith form of l's discriminant group.
     """
     if not l.is_even:
         raise ValueError("input lattice must be even")
     plane = IntegralLattice.from_gram(((0, 1), (1, 0)))
     if l.rank == 0 or abs(l.determinant()) == 1:
         base = direct_sum(l, plane)
-        glue = isotropic_subgroup(discriminant_group(base), ())
+        glue = isotropic_subgroup(base, ())
         over = overlattice_from_isotropic(base, glue, diagonal_copies=1, tail_rank=2)
     else:
         base = direct_sum(l, l.rescale(-1), plane)
         pad = (Fraction(0), Fraction(0))
-        gens = [g + g + pad for g in discriminant_group(l).generators]
-        glue = isotropic_subgroup(discriminant_group(base), gens)
+        gens = [g + g + pad for g in discriminant_group(l, deadline).generators]
+        glue = isotropic_subgroup(base, gens)
         over = overlattice_from_isotropic(base, glue, diagonal_copies=2, tail_rank=2)
         verify(first_block_primitive(over, l.rank), "first block does not embed primitively")
     res = over.result
@@ -315,12 +318,13 @@ def hyperbolic_unimodularize(l):
     return over
 
 
-def prime_power_twist(l, s):
+def prime_power_twist(l, s, deadline=None):
     """Overlattice of l + l(s) with determinant s^rank(l).
 
     Requires s prime with s == -1 mod 2*det(l); the glue is the diagonal
     {(x, x)} of the two discriminant groups.  Definiteness is preserved,
-    l embeds primitively, and isometries of l extend diagonally.
+    l embeds primitively, and isometries of l extend diagonally.  The
+    deadline bounds the Smith form of l's discriminant group.
     """
     if not l.is_even:
         raise ValueError("input lattice must be even")
@@ -330,8 +334,8 @@ def prime_power_twist(l, s):
     if (s + 1) % (2 * d):
         raise ValueError("s must be -1 mod 2*det(l)")
     base = direct_sum(l, l.rescale(s))
-    gens = [g + g for g in discriminant_group(l).generators]
-    glue = isotropic_subgroup(discriminant_group(base), gens)
+    gens = [g + g for g in discriminant_group(l, deadline).generators]
+    glue = isotropic_subgroup(base, gens)
     over = overlattice_from_isotropic(base, glue, diagonal_copies=2)
     verify(over.result.determinant() == s**l.rank, "twisted lattice determinant is not s^rank")
     verify(first_block_primitive(over, l.rank), "first block does not embed primitively")
@@ -378,22 +382,23 @@ def strong_extension_check(l, over, gens):
     overlattice's diagonal blocks and the identity on the tail.  It
     descends to the overlattice iff its matrix in the result basis is
     integral -- equivalently, iff the induced map on the discriminant
-    group fixes the glue setwise.  Returns one verdict per generator,
-    with the extended matrix (rows = basis images) when it exists.
+    group fixes the glue setwise.  With B = glue.basis that matrix is
+    B amb B^-1 (den cancels): row i is row i of B amb written in the HNF
+    basis B, by integer back-substitution.  Returns one verdict per
+    generator, with the extended matrix (rows = basis images) when it
+    exists.
     """
     if over.diagonal_copies * l.rank + over.tail_rank != over.base.rank:
         raise ValueError("overlattice block structure does not match l")
-    b = tuple(tuple(Fraction(x) for x in row) for row in over.basis_rows)
-    b_inv = inverse(b)
+    b = over.glue.basis
     verdicts = []
     for w in gens:
         w = tuple(tuple(int(x) for x in row) for row in w)
         if not l.is_isometry(w):
             raise ValueError("generator is not an isometry of l")
         amb = _block_diagonal(w, over.diagonal_copies, over.tail_rank)
-        x = mat_mul(mat_mul(b, amb), b_inv)
-        if all(v.denominator == 1 for row in x for v in row):
-            mat = tuple(tuple(int(v) for v in row) for row in x)
+        mat = tuple(_hnf_coords(b, row) for row in mat_mul(b, amb))
+        if None not in mat:
             verify(over.result.is_isometry(mat), "extended map is not an isometry")
             verdicts.append(ExtensionVerdict(True, mat))
         else:

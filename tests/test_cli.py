@@ -13,7 +13,20 @@ import vftk.f2quad as f2quad
 import vftk.unimodular as unimodular
 from vftk.fileio import format_frame, format_gram
 from vftk.frames import e8_frame_representatives
-from vftk.lattices import IntegralLattice, e8_lattice
+from vftk.lattices import IntegralLattice, direct_sum, e8_lattice
+
+# E8 in a skewed basis: its discriminant group is trivial, but the Smith
+# forms of E8 + E8(3) in this basis blow up
+ROT_E8 = (
+    (18, 4, 4, 5, 20, 2, -18, -1),
+    (4, 2, 1, 0, 5, 1, -5, 0),
+    (4, 1, 2, 1, 5, 0, -4, 0),
+    (5, 0, 1, 4, 4, -1, -3, 0),
+    (20, 5, 5, 4, 24, 3, -21, -2),
+    (2, 1, 0, -1, 3, 2, -3, -1),
+    (-18, -5, -4, -3, -21, -3, 20, 1),
+    (-1, 0, 0, 0, -2, -1, 1, 2),
+)
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +49,13 @@ def gram_files(tmp_path_factory):
         )
     )
     paths = {"e8": str(e8), "a2": str(a2), "frame": str(frame), "odd": str(odd), "a4": str(a4)}
-    for det in (8, 16):
-        path = d / f"g{det}.gram"
-        path.write_text(format_gram(IntegralLattice.from_gram([[det]])))
-        paths[f"g{det}"] = str(path)
+    rot_e8 = IntegralLattice.from_gram(ROT_E8)
+    grams = {"g8": IntegralLattice.from_gram([[8]]), "g16": IntegralLattice.from_gram([[16]])}
+    grams.update(rot_e8=rot_e8, rot_e8_sum=direct_sum(rot_e8, rot_e8.rescale(3)))
+    for name, lat in grams.items():
+        path = d / f"{name}.gram"
+        path.write_text(format_gram(lat))
+        paths[name] = str(path)
     return paths
 
 
@@ -164,6 +180,19 @@ def test_unimodularize_definite_large_glue(gram_files, name, glue_order):
     assert elapsed < 10  # listing the 65536 glue elements took ~57 s
 
 
+def test_prime_power_on_rotated_e8(gram_files):
+    # the glue path runs no Smith form of the rank-16 base E8 + E8(3)
+    start = time.monotonic()
+    report = _passing(["unimodularize", "--gram", gram_files["rot_e8"], "--mode", "prime-power"])
+    elapsed = time.monotonic() - start
+    assert report["inputs"]["twist_prime"] == "3"
+    res = report["results"]
+    assert res["glue_order"] == "1" and res["result"]["rank"] == 16
+    eye = [[str(int(i == j)) for j in range(16)] for i in range(16)]
+    assert res["embedding"] == {"denominator": "1", "rows": eye}
+    assert elapsed < 10  # no result after 60 s while the base's Smith form ran
+
+
 def test_hat_verify(gram_files):
     report = _passing(["hat-verify", "--gram", gram_files["a2"]])
     assert report["results"]["rank"] == 2
@@ -229,6 +258,12 @@ def test_budget_binds_on_f2quad_exhaustive():
     _assert_budget_binds(["f2quad", "--n", "5", "--exhaustive"])
 
 
+def test_budget_binds_inside_smith_form(gram_files):
+    # definite mode on E8 + E8(3) spends its time in the Smith form of the
+    # input's discriminant group, whose entries grow to millions of bits
+    _assert_budget_binds(["unimodularize", "--gram", gram_files["rot_e8_sum"]])
+
+
 def test_exit_code_failed_check(monkeypatch):
     # drive the exit-1 branch by feeding the driver a wrong classification
     class FakeRep:
@@ -252,7 +287,7 @@ def test_exit_code_failed_self_check(monkeypatch):
 def test_exit_code_failed_glue_check(monkeypatch, gram_files):
     # glue missing a generator fails the closed-form order check: exit 1
     validated = unimodular.isotropic_subgroup
-    monkeypatch.setattr(unimodular, "isotropic_subgroup", lambda dg, gens: validated(dg, gens[:-1]))
+    monkeypatch.setattr(unimodular, "isotropic_subgroup", lambda lat, gens: validated(lat, gens[:-1]))
     report, code = cli.run(["unimodularize", "--gram", gram_files["a2"]])
     assert code == 1
     assert report["command"] == "unimodularize" and "glue order" in report["error"]

@@ -7,7 +7,6 @@ import sys
 import textwrap
 import time
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -49,9 +48,9 @@ def _closure(glue):
     The oracle for the index route: it walks the whole group, so keep the
     glue order small.
     """
-    den = lcm(1, *(x.denominator for g in glue.generators for x in g))
+    den = glue.den
     gens = [tuple(int(x * den) % den for x in g) for g in glue.generators]
-    zero = (0,) * glue.ambient.lattice.rank
+    zero = (0,) * glue.lattice.rank
     return den, orbit({zero}, lambda u: (tuple((a + b) % den for a, b in zip(u, g)) for g in gens))
 
 
@@ -114,7 +113,7 @@ def test_hamming_glue_rebuilds_e8():
     base = direct_sum(*[A1] * 8)
     code = hamming_code(8)
     gens = [tuple(Fraction((w >> i) & 1, 2) for i in range(8)) for w in code.rows]
-    glue = isotropic_subgroup(discriminant_group(base), gens)
+    glue = isotropic_subgroup(base, gens)
     assert glue.order() == 16
     over = overlattice_from_isotropic(base, glue)
     assert over.result.determinant() == 1
@@ -124,20 +123,17 @@ def test_hamming_glue_rebuilds_e8():
 
 def test_trivial_glue_returns_base():
     base = direct_sum(A1, A1.rescale(-1))
-    glue = isotropic_subgroup(discriminant_group(base), ())
+    glue = isotropic_subgroup(base, ())
     over = overlattice_from_isotropic(base, glue)
     assert over.result.gram2 == base.gram2
-    assert over.basis_rows == tuple(
-        tuple(Fraction(int(i == j)) for j in range(2)) for i in range(2)
-    )
+    assert (over.glue.den, over.glue.basis) == (1, identity(2))
 
 
 def test_isotropic_subgroup_validation():
-    dg = discriminant_group(A1)
     with pytest.raises(ValueError, match="dual"):
-        isotropic_subgroup(dg, [(Fraction(1, 3),)])
+        isotropic_subgroup(A1, [(Fraction(1, 3),)])
     with pytest.raises(ValueError, match="isotropic"):
-        isotropic_subgroup(dg, [(Fraction(1, 2),)])
+        isotropic_subgroup(A1, [(Fraction(1, 2),)])
     # both generators isotropic but pairing to 1/2: not mutually orthogonal
     mixed = IntegralLattice.from_gram(((4, 0), (0, -4)))
     dg2 = discriminant_group(mixed)
@@ -145,7 +141,68 @@ def test_isotropic_subgroup_validation():
     g2 = (Fraction(1, 4), Fraction(-1, 4))
     assert dg2.q(g1) == 0 and dg2.q(g2) == 0
     with pytest.raises(ValueError, match="orthogonal"):
-        isotropic_subgroup(dg2, [g1, g2])
+        isotropic_subgroup(mixed, [g1, g2])
+
+
+def _fraction_verdict(lat, gens):
+    """The Fraction definitions: None for isotropic glue, else the error message."""
+    dg = discriminant_group(lat)
+    for g in gens:
+        if not lat.in_dual(g):
+            return "glue generator does not lie in the dual lattice"
+        if dg.q(g) != 0:
+            return "glue generator is not isotropic"
+    for i, g in enumerate(gens):
+        if any(dg.b(g, h) != 0 for h in gens[i + 1 :]):
+            return "glue generators are not orthogonal"
+    return None
+
+
+def _random_even_gram(rng, kind):
+    """Even diagonal lattice of rank 2-4, in a skewed basis unless kind is diagonal.
+
+    Diagonal entries are 2, 4, 8 or 16 up to sign (both signs when kind is
+    indefinite), so the discriminant groups have many isotropic elements.
+    """
+    n = rng.randint(2, 4)
+    signs = [1, -1] + [rng.choice((1, -1)) for _ in range(n - 2)] if kind == "indefinite" else [1] * n
+    gram = [[0] * n for _ in range(n)]
+    for i, sign in enumerate(signs):
+        gram[i][i] = sign * rng.choice((2, 4, 8, 16))
+    for _ in range(0 if kind == "diagonal" else 4):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1))
+        gram[i] = [a + c * b for a, b in zip(gram[i], gram[j])]
+        for row in gram:
+            row[i] += c * row[j]
+    return IntegralLattice.from_gram(gram)
+
+
+def test_integer_isotropy_matches_fraction_definitions():
+    rng = random.Random(7)
+    outcomes = set()
+    for kind in ("diagonal", "definite", "indefinite") * 60:
+        lat = _random_even_gram(rng, kind)
+        dg = discriminant_group(lat)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.15:  # a random rational row, rarely in L*
+                g = tuple(Fraction(rng.randrange(-3, 4), rng.randint(1, 4)) for _ in range(lat.rank))
+            else:  # a random element of L*, isotropic if one of 40 draws is
+                for _ in range(40):
+                    g = dg.element([rng.randrange(d) for d in dg.orders])
+                    if dg.q(g) == 0:
+                        break
+            gens.append(g)
+        expected = _fraction_verdict(lat, gens)
+        try:
+            isotropic_subgroup(lat, gens)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, (lat.gram2, gens)
+        outcomes.add(got)
+    assert len(outcomes) == 4  # accepted, and each of the three refusals
 
 
 def test_unimodularize_a1_gives_e8():
@@ -174,9 +231,7 @@ def test_unimodularize_e8_is_four_copies():
     over = unimodularize(e8_lattice())
     assert over.diagonal_copies == 4
     assert over.result.gram2 == direct_sum(*[e8_lattice()] * 4).gram2
-    assert over.basis_rows == tuple(
-        tuple(Fraction(int(i == j)) for j in range(32)) for i in range(32)
-    )
+    assert (over.glue.den, over.glue.basis) == (1, identity(32))
 
 
 def test_unimodularize_other_determinants():
@@ -218,13 +273,13 @@ def test_unimodularize_rejects_odd_lattice():
 def test_first_block_primitive_negative_control():
     # glue supported on the first block alone makes the embedding imprimitive
     base = IntegralLattice.from_gram(((8, 0), (0, 2)))
-    glue = isotropic_subgroup(discriminant_group(base), [(Fraction(1, 2), Fraction(0))])
+    glue = isotropic_subgroup(base, [(Fraction(1, 2), Fraction(0))])
     over = overlattice_from_isotropic(base, glue)
     assert over.result.determinant() == 4
     assert not first_block_primitive(over, 1)
     # mirrored construction: glue supported away from the first block is fine
     swapped = IntegralLattice.from_gram(((2, 0), (0, 8)))
-    glue = isotropic_subgroup(discriminant_group(swapped), [(Fraction(0), Fraction(1, 2))])
+    glue = isotropic_subgroup(swapped, [(Fraction(0), Fraction(1, 2))])
     assert first_block_primitive(overlattice_from_isotropic(swapped, glue), 1)
 
 
@@ -254,7 +309,7 @@ def test_strong_extension_detects_obstruction():
     base = direct_sum(A2, A2.rescale(-1), PLANE)
     pad = (Fraction(0), Fraction(0))
     gens = [g + g + pad for g in discriminant_group(A2).generators]
-    glue = isotropic_subgroup(discriminant_group(base), gens)
+    glue = isotropic_subgroup(base, gens)
     over = overlattice_from_isotropic(base, glue, diagonal_copies=1, tail_rank=4)
     eye = identity(2)
     minus = tuple(tuple(-x for x in row) for row in eye)
@@ -401,7 +456,7 @@ def _random_isotropic_glue(rng):
             gens.append(g)
         if len(gens) == 3:
             break
-    return base, isotropic_subgroup(dg, gens)
+    return base, isotropic_subgroup(base, gens)
 
 
 def test_glue_index_matches_closure_on_random_glue():
@@ -426,7 +481,7 @@ def test_unimodularize_checks_survive_optimize():
 
         assert False, "asserts are live"  # stripped under -O
         validated = unimodular.isotropic_subgroup
-        unimodular.isotropic_subgroup = lambda dg, gens: validated(dg, gens[:-1])
+        unimodular.isotropic_subgroup = lambda lat, gens: validated(lat, gens[:-1])
         try:
             unimodular.unimodularize(IntegralLattice.from_gram(((2,),)))
         except VerificationError as exc:
