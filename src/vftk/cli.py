@@ -23,7 +23,7 @@ from math import factorial
 
 from .abelian import type_string
 from .budget import BudgetExceeded, check as budget_check, deadline_from_env
-from .f2codes import hamming_code, classify_markings
+from .f2codes import classify_markings, hamming_code, rm1_subcode
 from .f2quad import (
     left_stabilizer_order,
     nonsingular_vectors,
@@ -255,7 +255,7 @@ def _cmd_stabilizer_orders(args, deadline):
     checks = []
     for k in ks:
         budget_check(deadline)
-        g = frame_group_order(k)
+        g = frame_group_order(k, deadline)
         wreath = order_sym_wr_agl(k)
         gc = g // wreath
         rows.append(
@@ -320,28 +320,11 @@ def _cmd_miyamoto(args, deadline):
             _check(
                 f"k={k} weight-one dims sum to 248",
                 248,
-                sum(
-                    weight_one_dim(k, bin(_word(k, coeffs)).count("1"))
-                    for coeffs in _all_coeffs(k)
-                ),
+                sum(weight_one_dim(k, w.bit_count()) for w in rm1_subcode(k).words()),
                 REFERENCE,
             ),
         ]
     return _report("miyamoto", {"k": args.k}, {"rows": rows}, checks)
-
-
-def _all_coeffs(k):
-    return [tuple((w >> i) & 1 for i in range(k)) for w in range(1 << k)]
-
-
-def _word(k, coeffs):
-    from .f2codes import rm1_subcode
-
-    word = 0
-    for c, g in zip(coeffs, rm1_subcode(k).rows):
-        if c:
-            word ^= g
-    return word
 
 
 # --- unimodularize -----------------------------------------------------------

@@ -12,8 +12,7 @@ order formulas) is bookkeeping on top of that search.
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import wraps
 from math import factorial, prod
 from operator import mul
 
@@ -309,11 +308,11 @@ def frame_torus_divisors(lattice, frame, denom):
     """Elementary divisors of ((1/denom)M + L*)/L* for the frame span M.
 
     v -> vG carries L* onto Z^n, so this is ((1/denom)MG + Z^n)/Z^n; row i
-    of MG is gram_row(x_i) halved.
+    of MG is gram_row(x_i) halved.  Scaled by 2*denom it is the quotient
+    of the gram rows plus 2*denom*Z^n by 2*denom*Z^n.
     """
-    eye = identity(lattice.rank)
-    scaled = [tuple(Fraction(c, 2 * denom) for c in lattice.gram_row(x)) for x in frame.vectors]
-    return quotient_divisors(scaled + list(eye), eye)
+    scale = [tuple(2 * denom * x for x in row) for row in identity(lattice.rank)]
+    return quotient_divisors([lattice.gram_row(x) for x in frame.vectors] + scale, scale)
 
 
 @dataclass(frozen=True)
@@ -384,16 +383,17 @@ def monomial_to_isometry(lattice, frame, sigma, signs):
     cols = [lattice.gram_row(x) for x in vecs]  # cols[p][j] = 2 (e_j, x_p)
     rows = []
     for j in range(n):
-        acc = [Fraction(0)] * n
+        # e_j = sum_p (e_j, x_p)/4 x_p, so row j is acc/8
+        acc = [0] * n
         for p in range(n):
-            c = Fraction(cols[p][j] * signs[p], 8)
+            c = cols[p][j] * signs[p]
             if c:
                 tgt = vecs[sigma[p]]
                 for t in range(n):
                     acc[t] += c * tgt[t]
-        if any(f.denominator != 1 for f in acc):
+        if any(x % 8 for x in acc):
             raise ValueError("monomial map does not preserve the lattice")
-        rows.append(tuple(int(f) for f in acc))
+        rows.append(tuple(x // 8 for x in acc))
     rows = tuple(rows)
     verify(lattice.is_isometry(rows), "constructed map is not an isometry")
     return rows
@@ -549,24 +549,25 @@ def order_sym_wr_agl(k):
     return factorial(d) ** (1 << (k - 1)) * agl2_order(k - 1)
 
 
-@lru_cache(maxsize=None)
-def _e8_gc_orders():
+@_cache_completed
+def _e8_gc_orders(deadline=None):
     e8 = e8_lattice()
     out = {}
-    for k, frame in e8_frame_representatives().items():
-        inv = frame_invariants(e8, frame)
+    for k, frame in e8_frame_representatives(deadline).items():
+        inv = frame_invariants(e8, frame, deadline)
         out[k] = inv.pointwise_order
     return out
 
 
-def frame_group_order(k):
+def frame_group_order(k, deadline=None):
     """Full stabilizer order of the k-th standard 16-pair frame.
 
     The pointwise part is the computed E8 value for k <= 4 and 2^5 for
     k = 5 (where the pointwise and sign groups coincide); the quotient is
-    the wreath product counted by order_sym_wr_agl.
+    the wreath product counted by order_sym_wr_agl.  The deadline bounds
+    the E8 computation, which the first call that completes keeps.
     """
     if not 1 <= k <= 5:
         raise ValueError("k must be in 1..5")
-    gc = 32 if k == 5 else _e8_gc_orders()[k]
+    gc = 32 if k == 5 else _e8_gc_orders(deadline)[k]
     return gc * order_sym_wr_agl(k)

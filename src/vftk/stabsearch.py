@@ -2,20 +2,26 @@
 
 The object being stabilized is a finite set of words over Z/m: a monomial
 map (sigma, s) sends a word w to w' with w'[sigma[p]] = s[p]*w[p] mod m.
-`stabilizer` computes the full stabilizer's order, its sign-only subgroup,
-and a generating set, via a stabilizer chain over coordinate positions:
+`stabilizer` computes the full stabilizer's order, the order of its
+sign-only subgroup, and a generating set, via a stabilizer chain over
+coordinate positions:
 
     |Stab| = |sign part| * prod_j |orbit of j under the subgroup fixing
                                    positions 0..j-1|
 
-Each orbit membership question is answered by a depth-first existence
-search over images of positions, pruned by comparing the multiset of
-(signed) word restrictions on the source prefix with the multiset of word
-restrictions on the candidate target prefix.  At full depth the multiset
-condition is equivalent to actual stabilization, so every accepted leaf is
-a witness.  Restriction multisets are memoized across the whole chain.
+Each question is answered by one depth-first existence search over images
+of positions, pruned by comparing the multiset of (signed) word
+restrictions on the source prefix with the multiset of word restrictions
+on the candidate target prefix.  At full depth the multiset condition is
+equivalent to actual stabilization, so every accepted leaf is a witness.
+Restriction multisets are memoized across all the questions.
 
-Signless searches (m = 2, or sign=False) are the same with the sign
+The sign part is elementary abelian, a subspace of F2^n, so its dimension
+is the number of positions p that are the first -1 of some stabilizing
+sign vector.  The search asks that once per position: sigma the identity,
+signs +1 before p, -1 at p and free after it.
+
+Signless searches (m = 2, or signed=False) are the same with the sign
 machinery switched off.
 """
 
@@ -23,7 +29,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import budget
-from .bits import f2_echelon
 
 __all__ = [
     "StabilizerResult",
@@ -40,17 +45,17 @@ CHECK_EVERY = 4096  # nodes between deadline polls
 class StabilizerResult:
     """Order and generators of a (signed) permutation stabilizer.
 
-    generators are (sigma, signs) pairs; sigma maps position p to
-    sigma[p], signs[p] multiplies the value leaving position p.  The sign
-    part alone has order sign_order, and order = sign_order times the
-    product of orbit_sizes.
+    generators are (sigma, signs) pairs, the witnesses of the chain's
+    orbits; sigma maps position p to sigma[p], signs[p] multiplies the
+    value leaving position p.  The sign-only subgroup has order
+    sign_order, a power of two, and order = sign_order times the product
+    of orbit_sizes.
     """
 
     order: int
     sign_order: int
     orbit_sizes: tuple
     generators: tuple
-    sign_basis: tuple
 
 
 def orbit(seeds, images):
@@ -73,7 +78,6 @@ def orbit(seeds, images):
 class _Search:
     def __init__(self, words, n, modulus, signed, deadline):
         self.words = [tuple(w) for w in words]
-        self.wordset = frozenset(self.words)
         self.n = n
         self.modulus = modulus
         self.deadline = deadline
@@ -84,7 +88,6 @@ class _Search:
             signed and any((-w[p]) % modulus != w[p] for w in self.words)
             for p in range(n)
         ]
-        self.signed = signed
         self._tmemo = {}
         self._smemo = {}
 
@@ -110,13 +113,14 @@ class _Search:
         return got
 
     # --- existence query ------------------------------------------------
-    def exists(self, fixed, target):
+    def exists(self, fixed, target, flip=None):
         """Witness (sigma, signs) fixing positions < fixed and sending
-        position `fixed` to `target`, or None."""
+        position `fixed` to `target`, or None.  With flip=p the signs are
+        also +1 before p and -1 at p."""
         used = [False] * self.n
-        return self._dfs(0, fixed, target, used, (), ())
+        return self._dfs(0, fixed, target, flip, used, (), ())
 
-    def _dfs(self, depth, fixed, target, used, tpos, signs):
+    def _dfs(self, depth, fixed, target, flip, used, tpos, signs):
         self.nodes += 1
         if self.nodes % CHECK_EVERY == 0:
             budget.check(self.deadline)
@@ -128,7 +132,10 @@ class _Search:
             candidates = (target,)
         else:
             candidates = tuple(q for q in range(self.n) if not used[q])
-        sign_options = (1, -1) if self.sign_matters[depth] else (1,)
+        if flip is not None and depth <= flip:
+            sign_options = (-1,) if depth == flip else (1,)
+        else:
+            sign_options = (1, -1) if self.sign_matters[depth] else (1,)
         for q in candidates:
             if used[q]:
                 continue
@@ -139,63 +146,23 @@ class _Search:
                 if self.scount(new_signs) != tcnt:
                     continue
                 used[q] = True
-                got = self._dfs(depth + 1, fixed, target, used, new_tpos, new_signs)
+                got = self._dfs(depth + 1, fixed, target, flip, used, new_tpos, new_signs)
                 used[q] = False
                 if got is not None:
                     return got
         return None
 
-    # --- sign subgroup ----------------------------------------------------
-    def sign_subgroup(self):
-        """All sign vectors stabilizing the word set (brute force, 2^n)."""
-        n, m = self.n, self.modulus
-        if not self.signed:
-            return [tuple([1] * n)], 1
-        free = [p for p in range(n) if self.sign_matters[p]]
-        found = []
-        for mask in range(1 << len(free)):
-            signs = [1] * n
-            bits = mask
-            i = 0
-            while bits:
-                if bits & 1:
-                    signs[free[i]] = -1
-                bits >>= 1
-                i += 1
-            ok = True
-            for w in self.words:
-                if tuple((s * x) % m for s, x in zip(signs, w)) not in self.wordset:
-                    ok = False
-                    break
-            if ok:
-                found.append(tuple(signs))
-        # positions where signs never matter contribute a free factor of 2
-        free_factor = 1 << (n - len(free))
-        return found, free_factor
-
 
 def stabilizer(words, n, modulus, signed=True, deadline=None):
     """Full (signed) permutation stabilizer of a set of words in (Z/m)^n."""
     search = _Search(words, n, modulus, signed, deadline)
-    identity = tuple(range(n))
-
+    sign_order = 1
     if signed:
-        sign_vectors, free_factor = search.sign_subgroup()
-        sign_order = len(sign_vectors) * free_factor
-        # reduce the found subgroup to an F2 basis (bitmask of -1 entries)
-        masks = [sum(1 << p for p in range(n) if s[p] == -1) for s in sign_vectors]
-        sign_basis = []
-        for mask in f2_echelon(masks):
-            s = tuple(-1 if (mask >> p) & 1 else 1 for p in range(n))
-            sign_basis.append((identity, s))
+        # a position whose sign never matters contributes a free factor of 2;
+        # any other does if some stabilizing sign vector has its first -1 there
         for p in range(n):
-            if not search.sign_matters[p]:
-                s = [1] * n
-                s[p] = -1
-                sign_basis.append((identity, tuple(s)))
-    else:
-        sign_order = 1
-        sign_basis = []
+            if not search.sign_matters[p] or search.exists(n, None, flip=p) is not None:
+                sign_order *= 2
 
     orbit_sizes = []
     generators = []
@@ -224,7 +191,6 @@ def stabilizer(words, n, modulus, signed=True, deadline=None):
         sign_order=sign_order,
         orbit_sizes=tuple(orbit_sizes),
         generators=tuple(generators),
-        sign_basis=tuple(sign_basis),
     )
 
 

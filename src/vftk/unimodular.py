@@ -226,7 +226,7 @@ def _p_exponent(p, order):
     return e
 
 
-def unimodularize(l, definite=None, deadline=None):
+def unimodularize(l, deadline=None):
     """Even unimodular overlattice of 4 or 8 orthogonal copies of l.
 
     4 copies when det(l) is odd, 8 when even.  For each prime p dividing
@@ -241,12 +241,9 @@ def unimodularize(l, definite=None, deadline=None):
     glue order, an HNF index, equals that closed form; det(result) times
     the index squared is det(base), the result is even and |det| is 1;
     the first copy embeds primitively, i.e. the projection of the glue
-    off the first copy keeps its order; and the result is definite when
-    required.
-
-    definite=None verifies positive definiteness of the result exactly
-    when l is positive definite; pass True/False to force or skip that.
-    The deadline bounds the Smith form of l's discriminant group.
+    off the first copy keeps its order; and the result is positive
+    definite when l is.  The deadline bounds the Smith form of l's
+    discriminant group.
     """
     if not l.is_even:
         raise ValueError("input lattice must be even")
@@ -282,9 +279,7 @@ def unimodularize(l, definite=None, deadline=None):
     over = overlattice_from_isotropic(base, glue, diagonal_copies=copies)
     verify(abs(over.result.determinant()) == 1, "glued lattice is not unimodular")
     verify(first_block_primitive(over, l.rank), "first copy does not embed primitively")
-    if definite is None:
-        definite = l.is_definite
-    if definite:
+    if l.is_definite:
         verify(over.result.is_definite, "glued lattice is not definite")
     return over
 

@@ -253,6 +253,11 @@ def test_budget_binds_on_cold_frame_caches():
     _assert_budget_binds(["e8-frames", "--census"])
 
 
+def test_budget_binds_on_stabilizer_orders():
+    # the E8 pointwise orders behind frame_group_order are built under the budget
+    _assert_budget_binds(["stabilizer-orders"])
+
+
 def test_budget_binds_on_f2quad_exhaustive():
     # the odd-Lagrangian enumeration and its certification poll the deadline
     _assert_budget_binds(["f2quad", "--n", "5", "--exhaustive"])

@@ -1,11 +1,14 @@
 """Frame engine: markings to frames, glue codes, stabilizers, order formulas."""
 
 import random
+import time
 from itertools import combinations
 from math import factorial
 
 import pytest
 
+from vftk import frames
+from vftk.budget import BudgetExceeded
 from vftk.f2codes import Marking, classify_markings, hamming_code
 from vftk.frames import (
     LatticeFrame,
@@ -26,7 +29,7 @@ from vftk.frames import (
     order_sym_wr_agl,
 )
 from vftk.lattices import IntegralLattice, e8_lattice, short_vectors, short_vectors_box
-from vftk.stabsearch import brute_force_monomials
+from vftk.stabsearch import apply_monomial, brute_force_monomials
 
 D4 = IntegralLattice.from_gram(
     [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
@@ -278,6 +281,27 @@ def test_monomial_to_isometry_rejects_nonmember():
         monomial_to_isometry(e8, frame, found, (1,) * 8)
 
 
+def test_monomial_to_isometry_iff_glue_code_preserved():
+    # every transposition, with no sign or one -1, on each E8 class
+    e8 = e8_lattice()
+    rejected = 0
+    for frame in e8_frame_representatives().values():
+        code = glue_code(e8, frame)
+        for i, j in combinations(range(8), 2):
+            sigma = list(range(8))
+            sigma[i], sigma[j] = j, i
+            for flip in range(-1, 8):
+                signs = tuple(-1 if p == flip else 1 for p in range(8))
+                image = {apply_monomial(w, sigma, signs, 4) for w in code.words}
+                if image == code.words:
+                    assert e8.is_isometry(monomial_to_isometry(e8, frame, sigma, signs))
+                else:
+                    rejected += 1
+                    with pytest.raises(ValueError):
+                        monomial_to_isometry(e8, frame, sigma, signs)
+    assert 0 < rejected < 4 * 28 * 9
+
+
 def test_group_order_helpers():
     assert gl2_order(1) == 1
     assert gl2_order(2) == 6
@@ -305,3 +329,16 @@ def test_frame_group_order(e8_table):
     assert frame_group_order(1) == 2**15 * factorial(16)
     assert frame_group_order(5) == 2**5 * 322560
     assert frame_group_order(5) == 2**9 * 20160
+
+
+def test_frame_group_order_deadline_reaches_cold_e8_build(monkeypatch):
+    # with every E8 cache cold, an expired deadline stops the build, and the
+    # build that ran out of budget leaves nothing cached
+    for name in ("_e8_graph", "e8_frame_representatives", "_e8_gc_orders"):
+        cold = frames._cache_completed(getattr(frames, name).__wrapped__)
+        monkeypatch.setattr(frames, name, cold)
+    with pytest.raises(BudgetExceeded):
+        frame_group_order(1, deadline=time.monotonic() - 1)
+    assert frames._e8_gc_orders.cache_info().currsize == 0
+    # k = 5 needs no E8 computation
+    assert frame_group_order(5, deadline=time.monotonic() - 1) == 2**9 * 20160

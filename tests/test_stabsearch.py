@@ -1,7 +1,16 @@
-"""Orbit closure under generators, checked against whole-group enumeration."""
+"""Orbit closure and the stabilizer search, checked against whole-group enumeration."""
+
+import random
 
 from vftk.f2codes import BinaryCode, all_markings
-from vftk.stabsearch import brute_force_perms, orbit
+from vftk.frames import Z4Code
+from vftk.stabsearch import (
+    apply_monomial,
+    brute_force_monomials,
+    brute_force_perms,
+    orbit,
+    stabilizer,
+)
 
 # two blocks of three coordinates: the group S3 wr S2 of order 72
 BLOCKS = BinaryCode.from_rows(6, [0b000111, 0b111000])
@@ -33,3 +42,58 @@ def test_orbit_on_markings_matches_group():
 def test_orbit_without_images_is_the_seeds():
     assert orbit({3, 5}, lambda q: ()) == {3, 5}
     assert orbit(set(), lambda q: (q + 1,)) == set()
+
+
+def _random_words(rng, n, modulus):
+    """A few random words, closed under one random monomial map."""
+    words = {tuple(rng.randrange(modulus) for _ in range(n)) for _ in range(rng.randint(1, 4))}
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    return orbit(words, lambda w: (apply_monomial(w, sigma, signs, modulus),))
+
+
+def _random_z4_code(rng, n):
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        # an even generator leaves room for positions whose sign is free
+        values = (0, 2) if rng.random() < 0.4 else range(4)
+        gens.append(tuple(rng.choice(values) for _ in range(n)))
+    return Z4Code.from_generators(n, gens).words
+
+
+def test_stabilizer_matches_brute_force_monomials():
+    rng = random.Random(11)
+    free_sign = sign_dim_2 = 0
+    for case in range(150):
+        n = rng.randint(1, 5)
+        if case % 3 == 0:
+            words, modulus = _random_z4_code(rng, n), 4
+        else:
+            modulus = 3 if case % 3 == 1 else 4
+            words = _random_words(rng, n, modulus)
+        words = sorted(words)
+        brute = brute_force_monomials(words, n, modulus)
+        res = stabilizer(words, n, modulus)
+        identity = tuple(range(n))
+        assert res.order == len(brute)
+        assert res.sign_order == sum(sigma == identity for sigma, _ in brute)
+        assert set(res.generators) <= set(brute)
+        if any(all(w[p] == -w[p] % modulus for w in words) for p in range(n)):
+            free_sign += 1
+        elif res.sign_order >= 4:
+            sign_dim_2 += 1
+    # positions with a free sign, and sign parts of dimension >= 2 that
+    # only the search over sign-relevant positions can find
+    assert free_sign >= 20 and sign_dim_2 >= 10
+
+
+def test_signless_stabilizer_matches_brute_force_perms():
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        words = sorted(_random_words(rng, n, 2))
+        brute = brute_force_perms(words, n)
+        res = stabilizer(words, n, 2, signed=False)
+        assert res.order == len(brute) and res.sign_order == 1
+        assert all(sigma in brute and signs == (1,) * n for sigma, signs in res.generators)
