@@ -49,6 +49,7 @@ from .hatgroup import (
     standard_cocycle,
     weight_one_dim,
 )
+from .intmat import identity
 from .lattices import e8_lattice, short_vectors
 from .unimodular import (
     dirichlet_prime,
@@ -481,7 +482,7 @@ def _cmd_hat_verify(args, deadline):
         _check("commutator relation on samples", samples, commutators, DEFINITION),
         _check("bilinearity on samples", samples, bilinear, DEFINITION),
     ]
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    ident = identity(n)
     neg = tuple(tuple(-int(i == j) for j in range(n)) for i in range(n))
     lift_total = lift_ok = 0
     for w in (ident, neg):

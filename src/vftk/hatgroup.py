@@ -8,10 +8,11 @@ Fractions mod 1, and the "eigenspace dimensions" of the involution
 classifier are closed-form integers — no analytic objects anywhere.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iproduct
 
+from .bits import f2_vec_mat
 from .f2codes import rm1_subcode
 from .intmat import identity, inverse, mat_mul, transpose, vec_mat
 from .verify import verify
@@ -195,8 +196,8 @@ def lift_automorphism(cocycle, w, mu_bits=None):
 
 def all_lifts(cocycle, w):
     """All 2^n lifts of the isometry w."""
-    n = cocycle.rank
-    return [lift_automorphism(cocycle, w, bits) for bits in iproduct((0, 1), repeat=n)]
+    base = lift_automorphism(cocycle, w)
+    return [replace(base, mu_bits=bits) for bits in iproduct((0, 1), repeat=cocycle.rank)]
 
 
 # --- torus action on frame symbols ------------------------------------------
@@ -366,17 +367,14 @@ def involution_class(k, chi):
         raise ValueError("character must give one bit per generator")
     if not any(chi):
         raise ValueError("character is trivial")
-    code = rm1_subcode(k)
+    rows = rm1_subcode(k).rows
+    chi_mask = sum(b << i for i, b in enumerate(chi))
     minus = 0
     total = 0
-    for coeffs in iproduct((0, 1), repeat=k):
-        word = 0
-        for c, g in zip(coeffs, code.rows):
-            if c:
-                word ^= g
-        dim = weight_one_dim(k, bin(word).count("1"))
+    for c in range(1 << k):
+        dim = weight_one_dim(k, f2_vec_mat(c, rows).bit_count())
         total += dim
-        if sum(c * b for c, b in zip(coeffs, chi)) % 2:
+        if (c & chi_mask).bit_count() & 1:
             minus += dim
     verify(total == 248, "weight-one dimensions no longer sum to 248")
     label = "2B" if minus == 128 else ("2A" if minus == 112 else "unknown")

@@ -21,7 +21,6 @@ __all__ = [
     "hnf_basis",
     "snf",
     "snf_divisors",
-    "int_left_kernel",
     "is_unimodular",
 ]
 
@@ -265,19 +264,6 @@ def snf_divisors(a):
     for i in range(min(len(d), len(d[0]) if d else 0)):
         if d[i][i]:
             out.append(d[i][i])
-    return tuple(out)
-
-
-def int_left_kernel(a):
-    """Basis rows of {x integer row : x @ a == 0}."""
-    m = len(a)
-    d, u, _ = snf(a)
-    n = len(d[0]) if d else 0
-    out = []
-    for i in range(m):
-        di = d[i][i] if i < min(m, n) else 0
-        if di == 0:
-            out.append(u[i])
     return tuple(out)
 
 

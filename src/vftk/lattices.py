@@ -6,13 +6,14 @@ To keep everything integer we store gram2 = 2 * Gram: the lattice is
 integral iff every gram2 entry is even, and even iff additionally the
 diagonal of gram2 is divisible by 4.  Vectors are coordinate row tuples in
 the lattice's own basis; the dual lattice is G^{-1} Z^n in the same
-coordinates.  No floating point anywhere.
+coordinates.  No floating point anywhere: definiteness and short vectors
+both come from one fraction-free LDL^T of gram2 (`_ldl`).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 from operator import mul
 
 from . import budget
@@ -66,12 +67,8 @@ class IntegralLattice:
 
     @property
     def is_definite(self):
-        # positive definiteness via leading principal minors of gram2
-        for k in range(1, self.rank + 1):
-            minor = det(tuple(row[:k] for row in self.gram2[:k]))
-            if minor <= 0:
-                return False
-        return True
+        """Positive definite: every leading minor of gram2 is > 0."""
+        return _ldl(self.gram2) is not None
 
     # --- arithmetic ---------------------------------------------------------
     def inner(self, u, v):
@@ -196,75 +193,75 @@ def _floor_sqrt_frac(fr):
     return isqrt(p * q) // q
 
 
-def _ldl(gram):
-    """Exact LDL^T of a positive definite Fraction matrix.
+def _ldl(gram2):
+    """Fraction-free LDL^T of gram2: Bareiss elimination with no row swaps.
 
-    Returns (diag, lower) with gram = L D L^T, L unit lower triangular.
+    Returns (pivots, cols) with pivots[k] the leading (k+1)-minor M_{k+1}
+    and cols[k] the entries B[j][k], j > k, below it; None at the first
+    pivot <= 0, i.e. unless gram2 is positive definite.
     """
-    n = len(gram)
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(i + 1):
-            s = gram[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
-            if i == j:
-                if s <= 0:
-                    raise ValueError("matrix is not positive definite")
-                diag[i] = s
-                lower[i][i] = Fraction(1)
-            else:
-                lower[i][j] = s / diag[j]
-    return diag, lower
+    n = len(gram2)
+    a = [list(row) for row in gram2]
+    pivots = []
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
+            return None
+        for i in range(k + 1, n):
+            for j in range(k + 1, i + 1):  # exact by Sylvester's identity
+                a[i][j] = (p * a[i][j] - a[i][k] * a[j][k]) // prev
+        pivots.append(p)
+        prev = p
+    return pivots, [tuple(a[j][k] for j in range(k + 1, n)) for k in range(n)]
 
 
 def short_vectors(lattice, norm, deadline=None):
     """All v with (v, v) == norm, exactly; closed under negation.
 
-    Fincke-Pohst style recursion on an exact LDL^T decomposition; all
-    bounds are derived with integer square roots, so the enumeration is
-    exact.  Requires a positive definite lattice.
+    Fincke-Pohst recursion on `_ldl(gram2)`: with M_0 = 1 and
+    c_k = sum_{j>k} B[j][k] x_j, x gram2 x^T = sum_k (M_{k+1} x_k + c_k)^2
+    / (M_k M_{k+1}).  Scaled by S = lcm_k(M_k M_{k+1}), level k with budget
+    `left` allows exactly |M_{k+1} x_k + c_k| <= isqrt(left // w_k), where
+    w_k = S / (M_k M_{k+1}), so every node is integer arithmetic.
+    Requires a positive definite lattice.
     """
     norm = Fraction(norm)
     if norm <= 0:
         raise ValueError("norm must be positive")
-    if not lattice.is_definite:
+    ldl = _ldl(lattice.gram2)
+    if ldl is None:
         raise ValueError("short vector enumeration needs a definite lattice")
-    n = lattice.rank
-    diag, lower = _ldl(lattice.gram())
-    # For v = (x_1..x_n): (v,v) = sum_i diag[i] * (x_i + sum_{j>i} L_ji x_j)^2
+    if (2 * norm).denominator != 1:
+        return []  # x gram2 x^T is an integer
+    pivots, cols = ldl
+    dens = [m * p for m, p in zip((1, *pivots), pivots)]
+    scale = lcm(*dens)
+    weights = [scale // d for d in dens]
     out = []
-    coords = [0] * n
+    coords = [0] * lattice.rank
     nodes = 0
 
-    def rec(i, remaining):
+    def rec(k, left):
         nonlocal nodes
         nodes += 1
         if nodes % 4096 == 0:
             budget.check(deadline)
-        if i < 0:
-            if remaining == 0:
+        if k < 0:
+            if left == 0:
                 v = tuple(coords)
                 if any(v):
                     out.append(v)
             return
-        center = -sum(lower[j][i] * coords[j] for j in range(i + 1, n))
-        bound = remaining / diag[i]
-        r = _floor_sqrt_frac(bound)
-        hi = int(center) + r + 2
-        while Fraction(hi) - center > 0 and (Fraction(hi) - center) ** 2 > bound:
-            hi -= 1
-        lo = int(center) - r - 2
-        while center - Fraction(lo) > 0 and (center - Fraction(lo)) ** 2 > bound:
-            lo += 1
-        for x in range(lo, hi + 1):
-            coords[i] = x
-            used = diag[i] * (Fraction(x) - center) ** 2
-            if used <= remaining:
-                rec(i - 1, remaining - used)
-        coords[i] = 0
+        c = sum(map(mul, cols[k], coords[k + 1 :]))
+        p, w = pivots[k], weights[k]
+        r = isqrt(left // w)
+        for x in range(-((c + r) // p), (r - c) // p + 1):
+            coords[k] = x
+            t = p * x + c
+            rec(k - 1, left - w * t * t)
 
-    rec(n - 1, norm)
-    # exactness: only keep exact-norm hits (rec already enforces remaining == 0)
+    rec(lattice.rank - 1, scale * int(2 * norm))
     return out
 
 
@@ -310,10 +307,6 @@ class DiscriminantGroup:
     @property
     def order(self):
         return prod(self.orders) if self.orders else 1
-
-    @property
-    def exponent(self):
-        return self.orders[-1] if self.orders else 1
 
     def q(self, v):
         return Fraction(self.lattice.norm(v)) % 2

@@ -342,3 +342,16 @@ def test_frame_group_order_deadline_reaches_cold_e8_build(monkeypatch):
     assert frames._e8_gc_orders.cache_info().currsize == 0
     # k = 5 needs no E8 computation
     assert frame_group_order(5, deadline=time.monotonic() - 1) == 2**9 * 20160
+
+
+def test_frame_group_order_deadline_binds_soon_on_cold_e8_build(monkeypatch):
+    # a deadline that passes during the cold build stops it soon after:
+    # no step between two polls, the short-vector search included, runs long
+    for name in ("_e8_graph", "e8_frame_representatives", "_e8_gc_orders"):
+        cold = frames._cache_completed(getattr(frames, name).__wrapped__)
+        monkeypatch.setattr(frames, name, cold)
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        frame_group_order(1, deadline=start + 0.05)
+    assert time.monotonic() - start < 0.15
+    assert frames._e8_gc_orders.cache_info().currsize == 0

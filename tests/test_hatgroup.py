@@ -107,6 +107,11 @@ def test_lift_is_homomorphism_all_sign_choices():
         key = tuple(lift.apply(HatElement(1, v)) for v in ((1, 0), (0, 1), (1, 1)))
         assert key not in seen
         seen.add(key)
+    # the same lifts, in the same order, as one lift_automorphism per bit vector
+    bits = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert lifts == [lift_automorphism(c, A2_ROT, b) for b in bits]
+    with pytest.raises(ValueError):
+        all_lifts(c, ((1, 1), (0, 1)))
 
 
 def test_lift_rejects_non_isometry():

@@ -6,13 +6,11 @@ from vftk.intmat import (
     hnf,
     hnf_basis,
     identity,
-    int_left_kernel,
     inverse,
     is_unimodular,
     mat_mul,
     snf,
     snf_divisors,
-    vec_mat,
 )
 
 
@@ -129,16 +127,3 @@ def test_inverse_roundtrip():
             continue
         assert mat_mul(a, inverse(a)) == identity(n)
         done += 1
-
-
-def test_int_left_kernel():
-    a = ((1, 2), (2, 4), (0, 0))
-    k = int_left_kernel(a)
-    assert len(k) == 2
-    for row in k:
-        assert vec_mat(row, a) == (0, 0)
-    rng = random.Random(7)
-    for _ in range(20):
-        a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 4))
-        for row in int_left_kernel(a):
-            assert all(x == 0 for x in vec_mat(row, a))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from vftk.f2codes import BinaryCode, hamming_code
-from vftk.intmat import vec_mat
+from vftk.intmat import det, vec_mat
 from vftk.lattices import (
     IntegralLattice,
     ambient_to_basis,
@@ -198,6 +198,49 @@ def test_short_vectors_match_box_oracle():
             for v in fast:
                 assert lat.norm(v) == norm
                 assert tuple(-x for x in v) in set(fast)
+    # doubled Grams b b^T + diag(d): odd entries give half-integral norms,
+    # and no vector has norm 5/6
+    rng = random.Random(23)
+    odd = found = 0
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        b = [[rng.randrange(-1, 2) for _ in range(n)] for _ in range(n)]
+        g2 = [[sum(b[i][k] * b[j][k] for k in range(n)) + rng.randrange(1, 4) * (i == j)
+               for j in range(n)] for i in range(n)]
+        lat = IntegralLattice(g2)
+        odd += any(g2[i][j] % 2 for i in range(n) for j in range(i))
+        for norm in (Fraction(1, 2), Fraction(5, 6), 1, Fraction(3, 2), 2):
+            fast = short_vectors(lat, norm)
+            assert len(set(fast)) == len(fast)
+            assert set(fast) == set(short_vectors_box(lat, norm))
+            for v in fast:
+                assert lat.norm(v) == norm
+                assert tuple(-x for x in v) in set(fast)
+            found += bool(fast) and norm.denominator == 2
+    assert odd >= 20 and found >= 20
+
+
+def test_is_definite_matches_leading_minors():
+    # the old definition: every leading block of gram2 has det > 0
+    rng = random.Random(31)
+    kinds = set()
+    for trial in range(300):
+        n = rng.randrange(1, 6)
+        if trial % 2:
+            m = rng.randrange(1, n + 1)  # m < n gives a singular semidefinite form
+            b = [[rng.randrange(-2, 3) for _ in range(m)] for _ in range(n)]
+            g2 = [[sum(x * y for x, y in zip(b[i], b[j])) for j in range(n)] for i in range(n)]
+        else:
+            g2 = [[0] * n for _ in range(n)]
+            for i in range(n):
+                g2[i][i] = rng.randrange(-1, 8)
+                for j in range(i):
+                    g2[i][j] = g2[j][i] = rng.randrange(-3, 4)
+        minors = [det(tuple(row[:k] for row in g2[:k])) for k in range(1, n + 1)]
+        definite = all(d > 0 for d in minors)
+        assert IntegralLattice(g2).is_definite == definite
+        kinds.add("definite" if definite else "zero minor" if 0 in minors else "negative minor")
+    assert kinds == {"definite", "zero minor", "negative minor"}
 
 
 def test_gram_row_matches_inner():
