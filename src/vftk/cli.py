@@ -104,6 +104,20 @@ def _report(command, inputs, results, checks):
 # --- e8-frames ---------------------------------------------------------------
 
 
+def _invariant_fields(inv):
+    """(glue shape, stabilizer fields) of one frame, as both frame reports print them."""
+    delta_type = type_string((2,) * inv.two_rank + (4,) * inv.four_rank)
+    return delta_type, {
+        "wx_order": str(inv.monomial_order),
+        "dx_order": str(inv.sign_order),
+        "gd_order": str(inv.miyamoto_order),
+        "gc_order": str(inv.pointwise_order),
+        "g_cap_t_type": inv.torus_stab_type,
+        "g_over_gc_order": str(inv.perm_image_order),
+        "g_order": str(inv.full_order),
+    }
+
+
 def _cmd_e8_frames(args, deadline):
     lattice_reps = e8_frame_representatives(deadline)
     census = classify_e8_frames(deadline=deadline) if args.census else None
@@ -115,22 +129,8 @@ def _cmd_e8_frames(args, deadline):
         budget_check(deadline)
         inv = frame_invariants(e8, lattice_reps[k], deadline=deadline)
         l, e, delta, wx, dx, gc, count = E8_TABLE[k]
-        delta_type = type_string((2,) * inv.two_rank + (4,) * inv.four_rank)
-        rows.append(
-            {
-                "k": k,
-                "l": inv.two_rank,
-                "e": inv.sign_log2,
-                "delta_type": delta_type,
-                "wx_order": str(inv.monomial_order),
-                "dx_order": str(inv.sign_order),
-                "gd_order": str(inv.miyamoto_order),
-                "gc_order": str(inv.pointwise_order),
-                "g_cap_t_type": inv.torus_stab_type,
-                "g_over_gc_order": str(inv.perm_image_order),
-                "g_order": str(inv.full_order),
-            }
-        )
+        delta_type, orders = _invariant_fields(inv)
+        rows.append({"k": k, "l": inv.two_rank, "e": inv.sign_log2, "delta_type": delta_type, **orders})
         if census:
             cls = by_k[k]
             rows[-1]["census_count"] = str(cls.count)
@@ -180,19 +180,8 @@ def _cmd_frame_invariants(args, deadline):
     frame = load_frame(args.frame, lattice)
     inv = frame_invariants(lattice, frame, deadline=deadline)
     n, l, k, e = inv.pair_count, inv.two_rank, inv.four_rank, inv.sign_log2
-    results = {
-        "delta_type": type_string((2,) * l + (4,) * k),
-        "l": l,
-        "k": k,
-        "e": e,
-        "wx_order": str(inv.monomial_order),
-        "dx_order": str(inv.sign_order),
-        "gd_order": str(inv.miyamoto_order),
-        "gc_order": str(inv.pointwise_order),
-        "g_cap_t_type": inv.torus_stab_type,
-        "g_over_gc_order": str(inv.perm_image_order),
-        "g_order": str(inv.full_order),
-    }
+    delta_type, orders = _invariant_fields(inv)
+    results = {"delta_type": delta_type, "l": l, "k": k, "e": e, **orders}
     checks = [
         _check("pair count equals rank", lattice.rank, n, DEFINITION),
         _check("glue order is 2^l 4^k", 2**l * 4**k, inv.glue_order, DEFINITION),
@@ -358,7 +347,7 @@ def _cmd_unimodularize(args, deadline):
         checks.append(_check("determinant", 1, abs(over.result.determinant()), DEFINITION))
         checks.append(_check("indefinite", False, over.result.is_definite, COMPUTED))
     else:
-        s = dirichlet_prime(lattice, args.min_prime)
+        s = dirichlet_prime(lattice, args.min_prime, deadline)
         over = prime_power_twist(lattice, s, deadline)
         inputs["twist_prime"] = str(s)
         checks.append(

@@ -7,6 +7,7 @@ ever touches floating point.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from . import budget
 
@@ -175,96 +176,50 @@ def snf(a, deadline=None):
     """Smith normal form with transforms: returns (d, u, v), u @ a @ v = d.
 
     d is diagonal (rectangular allowed) with nonnegative entries satisfying
-    the divisibility chain; u and v are unimodular.  Every row or column
-    operation polls the deadline (BudgetExceeded once it has passed).
+    the divisibility chain, zeros last; u and v are unimodular.  Row and
+    column HNFs alternate until the matrix is diagonal, so every entry stays
+    reduced (Kannan & Bachem, SIAM J. Comput. 8(4), 1979); then a 2x2
+    gcd/lcm step per pair d_i, d_j with d_i not dividing d_j restores the
+    chain.  Each pass polls the deadline (BudgetExceeded once it has passed).
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    s = [list(r) for r in a]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in s:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def addmul_row(dst, src, q):
+    n = len(a[0]) if a else 0
+    s, u = hnf(a)
+    v = identity(n)
+    while any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
         budget.check(deadline)
-        s[dst] = [x + q * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, q):
-        budget.check(deadline)
-        for r in s:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    t = 0
-    while t < min(m, n):
-        # locate a nonzero pivot in the remaining block
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if s[i][j] != 0:
-                    if piv is None or abs(s[i][j]) < abs(s[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    addmul_row(i, t, -q)
-                    if s[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    addmul_col(j, t, -q)
-                    if s[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # pivot must divide the rest of the block; if not, fold a bad row in
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if s[i][j] % s[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            addmul_row(t, bad, 1)
-            continue  # redo elimination at the same t
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return tuple(map(tuple, s)), tuple(map(tuple, u)), tuple(map(tuple, v))
+        t, w = hnf(transpose(s))
+        s, v = transpose(t), mat_mul(v, transpose(w))
+        s, w = hnf(s)
+        u = mat_mul(w, u)
+    # HNF pivots are positive and zero rows sink: d_0, ..., d_{r-1} > 0, then zeros
+    d = [s[i][i] for i in range(min(len(s), n))]
+    r = len(d) - d.count(0)
+    u, v = [list(row) for row in u], [list(row) for row in v]
+    for i in range(r):
+        for j in range(i + 1, r):
+            if d[j] % d[i] == 0:
+                continue
+            # diag(a, b) -> diag(g, lcm): rows by [[x, y], [-b/g, a/g]], columns
+            # by [[1, -yb/g], [1, xa/g]], both of determinant xa/g + yb/g = 1
+            a, b = d[i], d[j]
+            g = gcd(a, b)
+            ag, bg = a // g, b // g
+            x = pow(ag, -1, bg)
+            y = (g - x * a) // b
+            ui, uj = u[i], u[j]
+            u[i] = [x * p + y * q for p, q in zip(ui, uj)]
+            u[j] = [ag * q - bg * p for p, q in zip(ui, uj)]
+            for row in v:
+                row[i], row[j] = row[i] + row[j], x * ag * row[j] - y * bg * row[i]
+            d[i], d[j] = g, ag * b
+    s = tuple(tuple(d[i] if i == j else 0 for j in range(n)) for i in range(len(s)))
+    return s, tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
 def snf_divisors(a):
     """Nonzero Smith normal form diagonal entries (the elementary divisors)."""
     d, _, _ = snf(a)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i]:
-            out.append(d[i][i])
-    return tuple(out)
+    return tuple(row[i] for i, row in enumerate(d) if i < len(row) and row[i])
 
 
 def is_unimodular(a):

@@ -42,7 +42,8 @@ __all__ = [
 ]
 
 
-def _is_prime(m):
+def _is_prime(m, deadline=None):
+    """Trial division; polls the deadline once per 4096 odd trial factors."""
     if m < 2:
         return False
     if m < 4:
@@ -54,7 +55,20 @@ def _is_prime(m):
         if m % f == 0:
             return False
         f += 2
+        if f % 8192 == 1:
+            budget.check(deadline)
     return True
+
+
+def _input_det(l):
+    """|det(l)|, after a ValueError unless l is even and nondegenerate: every
+    construction here glues along the discriminant group, which needs det != 0."""
+    if not l.is_even:
+        raise ValueError("input lattice must be even")
+    d = abs(l.determinant())
+    if d == 0:
+        raise ValueError("input lattice must be nondegenerate")
+    return d
 
 
 def sum_two_squares_mod(p, r):
@@ -245,9 +259,7 @@ def unimodularize(l, deadline=None):
     definite when l is.  The deadline bounds the Smith form of l's
     discriminant group.
     """
-    if not l.is_even:
-        raise ValueError("input lattice must be even")
-    d = abs(l.determinant())
+    d = _input_det(l)
     copies = 4 if d % 2 else 8
     base = direct_sum(*[l] * copies)
     gens = []
@@ -293,10 +305,9 @@ def hyperbolic_unimodularize(l, deadline=None):
     Purely algebraic: no short-vector enumeration is involved.  The
     deadline bounds the Smith form of l's discriminant group.
     """
-    if not l.is_even:
-        raise ValueError("input lattice must be even")
+    d = _input_det(l)
     plane = IntegralLattice.from_gram(((0, 1), (1, 0)))
-    if l.rank == 0 or abs(l.determinant()) == 1:
+    if d == 1:
         base = direct_sum(l, plane)
         glue = isotropic_subgroup(base, ())
         over = overlattice_from_isotropic(base, glue, diagonal_copies=1, tail_rank=2)
@@ -321,11 +332,9 @@ def prime_power_twist(l, s, deadline=None):
     l embeds primitively, and isometries of l extend diagonally.  The
     deadline bounds the Smith form of l's discriminant group.
     """
-    if not l.is_even:
-        raise ValueError("input lattice must be even")
-    if not _is_prime(s):
+    d = _input_det(l)
+    if not _is_prime(s, deadline):
         raise ValueError("s must be prime")
-    d = abs(l.determinant())
     if (s + 1) % (2 * d):
         raise ValueError("s must be -1 mod 2*det(l)")
     base = direct_sum(l, l.rescale(s))
@@ -339,12 +348,18 @@ def prime_power_twist(l, s, deadline=None):
     return over
 
 
-def dirichlet_prime(l, lower):
-    """Smallest prime >= lower that is -1 mod 2*det(l)."""
-    m = 2 * abs(l.determinant())
+def dirichlet_prime(l, lower, deadline=None):
+    """Smallest prime >= lower that is -1 mod 2*det(l), for l as in prime_power_twist.
+
+    Steps through the residue class only; each candidate and every 4096
+    trial factors poll the deadline (BudgetExceeded once it has passed).
+    """
+    m = 2 * _input_det(l)
     s = max(2, lower)
-    while (s + 1) % m or not _is_prime(s):
-        s += 1
+    s += (-1 - s) % m
+    while not _is_prime(s, deadline):
+        budget.check(deadline)
+        s += m
     return s
 
 

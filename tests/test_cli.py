@@ -15,8 +15,9 @@ from vftk.fileio import format_frame, format_gram
 from vftk.frames import e8_frame_representatives
 from vftk.lattices import IntegralLattice, direct_sum, e8_lattice
 
-# E8 in a skewed basis: its discriminant group is trivial, but the Smith
-# forms of E8 + E8(3) in this basis blow up
+# E8 in a skewed basis: its discriminant group is trivial, and the Gram of
+# E8 + E8(3) in this basis grows to millions of bits under a Smith form
+# that eliminates pivot by pivot without reducing the other entries
 ROT_E8 = (
     (18, 4, 4, 5, 20, 2, -18, -1),
     (4, 2, 1, 0, 5, 1, -5, 0),
@@ -26,6 +27,16 @@ ROT_E8 = (
     (2, 1, 0, -1, 3, 2, -3, -1),
     (-18, -5, -4, -3, -21, -3, 20, 1),
     (-1, 0, 0, 0, -2, -1, 1, 2),
+)
+
+# a skewed definite even Gram of rank 6 and determinant 4224 = 2^7 * 3 * 11
+SKEW6 = (
+    (8, 5, 5, -7, 10, -3),
+    (5, 38, -12, 7, 6, -25),
+    (5, -12, 20, -19, 12, 11),
+    (-7, 7, -19, 20, -16, -8),
+    (10, 6, 12, -16, 22, -2),
+    (-3, -25, 11, -8, -2, 18),
 )
 
 
@@ -52,6 +63,11 @@ def gram_files(tmp_path_factory):
     rot_e8 = IntegralLattice.from_gram(ROT_E8)
     grams = {"g8": IntegralLattice.from_gram([[8]]), "g16": IntegralLattice.from_gram([[16]])}
     grams.update(rot_e8=rot_e8, rot_e8_sum=direct_sum(rot_e8, rot_e8.rescale(3)))
+    grams.update(
+        skew6=IntegralLattice.from_gram(SKEW6),
+        a1=IntegralLattice.from_gram([[2]]),
+        degenerate=IntegralLattice.from_gram([[2, 2], [2, 2]]),
+    )
     for name, lat in grams.items():
         path = d / f"{name}.gram"
         path.write_text(format_gram(lat))
@@ -193,6 +209,24 @@ def test_prime_power_on_rotated_e8(gram_files):
     assert elapsed < 10  # no result after 60 s while the base's Smith form ran
 
 
+@pytest.mark.parametrize("mode", ["definite", "hyperbolic", "prime-power"])
+@pytest.mark.parametrize("name", ["rot_e8_sum", "skew6"])
+def test_unimodularize_all_modes_on_skewed_grams(monkeypatch, gram_files, name, mode):
+    # each mode starts with the Smith form of the input's Gram, whose entries
+    # must stay reduced; the budget turns entry growth into exit 4, not a hang
+    monkeypatch.setenv("VFTK_BUDGET_SECONDS", "20")
+    _passing(["unimodularize", "--gram", gram_files[name], "--mode", mode])
+
+
+@pytest.mark.parametrize("mode", ["definite", "hyperbolic", "prime-power"])
+def test_unimodularize_rejects_degenerate_gram(gram_files, mode):
+    # det 0: no discriminant group to glue along, so bad input (exit 3),
+    # not a failed self-check or a ZeroDivisionError in the twist prime search
+    report, code = cli.run(["unimodularize", "--gram", gram_files["degenerate"], "--mode", mode])
+    assert code == 3
+    assert report["error"] == "input lattice must be nondegenerate"
+
+
 def test_hat_verify(gram_files):
     report = _passing(["hat-verify", "--gram", gram_files["a2"]])
     assert report["results"]["rank"] == 2
@@ -263,10 +297,11 @@ def test_budget_binds_on_f2quad_exhaustive():
     _assert_budget_binds(["f2quad", "--n", "5", "--exhaustive"])
 
 
-def test_budget_binds_inside_smith_form(gram_files):
-    # definite mode on E8 + E8(3) spends its time in the Smith form of the
-    # input's discriminant group, whose entries grow to millions of bits
-    _assert_budget_binds(["unimodularize", "--gram", gram_files["rot_e8_sum"]])
+def test_budget_binds_in_twist_prime_search(gram_files):
+    # the twist prime of [[2]] is the first prime above 10^18, which takes
+    # ~5 * 10^8 trial divisions to certify
+    argv = ["unimodularize", "--gram", gram_files["a1"], "--mode", "prime-power"]
+    _assert_budget_binds(argv + ["--min-prime", str(10**18)])
 
 
 def test_exit_code_failed_check(monkeypatch):

@@ -1,6 +1,12 @@
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
+import pytest
+
+from vftk.budget import BudgetExceeded, deadline_in
 from vftk.intmat import (
     det,
     hnf,
@@ -13,34 +19,72 @@ from vftk.intmat import (
     snf_divisors,
 )
 
+# no result after 30 s from a Smith form that eliminates pivot by pivot
+# without keeping the other entries reduced
+STALLS_PIVOT_SNF = (
+    (0, 3, 3, -9, 0, -10),
+    (-5, 6, -5, 11, -5, -6),
+    (0, -11, -5, -11, 0, 1),
+    (-8, 3, -9, 10, -8, 0),
+    (4, 4, 0, 0, -12, -10),
+    (7, 5, -11, 7, 0, 5),
+)
+
 
 def random_matrix(rng, m, n, lo=-9, hi=9):
     return tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(m))
 
 
+def random_oracle_matrix(rng, m, n):
+    """Entries in [-12, 12]; one draw in three has rank < min(m, n)."""
+    if rng.randrange(3):
+        return random_matrix(rng, m, n, -12, 12)
+    r = rng.randrange(min(m, n))
+    if r == 0:
+        return tuple((0,) * n for _ in range(m))
+    return mat_mul(random_matrix(rng, m, r, -3, 3), random_matrix(rng, r, n, -3, 3))
+
+
 def verify_snf(a):
-    d, u, v = snf(a)
-    assert mat_mul(mat_mul(u, a), v) == d
+    # the deadline turns a stalled Smith form into a failure, not a hang
+    d, u, v = snf(a, deadline_in(2))
+    m, n = len(a), len(a[0]) if a else 0
+    assert len(d) == m and all(len(row) == n for row in d)
+    assert len(u) == m and len(v) == n
+    if m and n:
+        assert mat_mul(mat_mul(u, a), v) == d
     assert is_unimodular(u)
     assert is_unimodular(v)
-    m, n = len(a), len(a[0])
     for i in range(m):
         for j in range(n):
             if i != j:
                 assert d[i][j] == 0
     diag = [d[i][i] for i in range(min(m, n))]
-    for i in range(len(diag) - 1):
+    for i in range(len(diag)):
         assert diag[i] >= 0
-        if diag[i] == 0:
-            assert diag[i + 1] == 0
-        else:
-            assert diag[i + 1] % diag[i] == 0
+        if i and diag[i - 1] == 0:
+            assert diag[i] == 0
+        elif i:
+            assert diag[i] % diag[i - 1] == 0
+    assert snf_divisors(a) == tuple(x for x in diag if x)
     return diag
+
+
+def minor_gcds(a):
+    """g_k = gcd of the k x k minors of a, for k = 1 .. min(m, n)."""
+    m, n = len(a), len(a[0])
+    return [
+        gcd(*(det([[a[i][j] for j in cols] for i in rows])
+              for rows in combinations(range(m), k) for cols in combinations(range(n), k)))
+        for k in range(1, min(m, n) + 1)
+    ]
 
 
 def verify_hnf(a):
     h, u = hnf(a)
-    assert mat_mul(u, a) == h
+    assert len(h) == len(a) and len(u) == len(a)
+    if a and a[0]:
+        assert mat_mul(u, a) == h
     assert is_unimodular(u)
     # echelon shape: leading columns strictly increase, zero rows last
     leads = []
@@ -49,21 +93,28 @@ def verify_hnf(a):
         leads.append(nz[0] if nz else None)
     seen_zero = False
     prev = -1
-    for lead in leads:
+    for i, lead in enumerate(leads):
         if lead is None:
             seen_zero = True
             continue
         assert not seen_zero
         assert lead > prev
         prev = lead
+        # a positive pivot, with every entry above it in [0, pivot)
+        assert h[i][lead] > 0
+        assert all(0 <= h[r][lead] < h[i][lead] for r in range(i))
     return h
 
 
 def test_snf_random_square():
+    # the divisors against the determinantal divisors: d_1 ... d_k = g_k
     rng = random.Random(1)
-    for _ in range(40):
-        a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        verify_snf(a)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        a = random_oracle_matrix(rng, n, n)
+        diag = verify_snf(a)
+        if n <= 4:
+            assert [prod(diag[:k]) for k in range(1, n + 1)] == minor_gcds(a)
 
 
 def test_snf_known():
@@ -75,16 +126,37 @@ def test_snf_known():
 
 def test_snf_rectangular():
     rng = random.Random(2)
-    for _ in range(20):
-        a = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 6))
-        verify_snf(a)
+    for _ in range(150):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = random_oracle_matrix(rng, m, n)
+        diag = verify_snf(a)
+        if max(m, n) <= 4:
+            assert [prod(diag[:k]) for k in range(1, min(m, n) + 1)] == minor_gcds(a)
+    # the empty shapes: 0 x n is (), m x 0 keeps its m empty rows
+    assert snf(()) == ((), (), ())
+    assert snf(((),) * 3) == (((),) * 3, identity(3), ())
+    assert verify_snf(((),) * 3) == []
+
+
+def test_snf_stalling_input_finishes():
+    start = time.monotonic()
+    d, u, v = snf(STALLS_PIVOT_SNF, deadline_in(1))
+    assert time.monotonic() - start < 1
+    assert verify_snf(STALLS_PIVOT_SNF) == [1, 1, 1, 1, 1, 1940100]
+    assert abs(det(STALLS_PIVOT_SNF)) == 1940100
+
+
+def test_snf_passed_deadline_raises():
+    with pytest.raises(BudgetExceeded):
+        snf(STALLS_PIVOT_SNF, deadline=time.monotonic() - 1)
 
 
 def test_hnf_random():
     rng = random.Random(3)
-    for _ in range(40):
-        a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        verify_hnf(a)
+    for _ in range(150):
+        verify_hnf(random_oracle_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)))
+    assert hnf(()) == ((), ())
+    assert hnf(((),) * 3) == (((),) * 3, identity(3))
 
 
 def test_hnf_basis_spans_same_lattice():
