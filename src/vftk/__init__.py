@@ -1,13 +1,15 @@
 """Exact-arithmetic toolkit for norm-4 lattice frames and their symmetry.
 
-Everything is integer or Fraction arithmetic: integral lattices and their
-discriminant groups, binary and Z4 glue codes, frame classification and
-stabilizer orders for the rank-8 even unimodular lattice, sign-cocycle
-central extensions with lifted isometries and involution bookkeeping,
-even unimodular overlattices glued from isotropic subgroups, and the
-orbit classification of odd Lagrangians in split quadratic spaces over
-GF(2).  The ``vftk`` command line emits the same results as JSON reports
-with built-in cross-checks.
+Everything is exact: matrices and lattices live on Python integers, and
+Fraction is kept for values that are rational themselves (parsed input,
+torus phases, rational row bases, discriminant-group generators).  The
+package covers integral lattices and their discriminant groups, binary and
+Z4 glue codes, frame classification and stabilizer orders for the rank-8
+even unimodular lattice, sign-cocycle central extensions with lifted
+isometries and involution bookkeeping, even unimodular overlattices glued
+from isotropic subgroups, and the orbit classification of odd Lagrangians
+in split quadratic spaces over GF(2).  The ``vftk`` command line emits the
+same results as JSON reports with built-in cross-checks.
 """
 
 from .abelian import type_string

@@ -169,9 +169,6 @@ class LiftedAutomorphism:
 
     def inverse(self):
         winv = inverse(self.matrix)
-        if any(f.denominator != 1 for row in winv for f in row):
-            raise ValueError("matrix is not invertible over the integers")
-        winv = tuple(tuple(int(f) for f in row) for row in winv)
         bits = tuple(self.mu_exponent(row) for row in winv)
         return lift_automorphism(self.cocycle, winv, bits)
 

@@ -1,12 +1,11 @@
-"""Exact matrix arithmetic over Z and Q.
+"""Exact matrix arithmetic over Z.
 
 Matrices are tuples/lists of row tuples; vectors are row tuples.  Row
 convention throughout the package: a vector acts on the left, v @ M.
-Everything is arbitrary precision (int / fractions.Fraction); nothing here
-ever touches floating point.
+Everything is arbitrary-precision int; nothing here ever touches floating
+point or fractions.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from . import budget
@@ -45,81 +44,54 @@ def vec_mat(v, m):
 
 
 def det(a):
-    """Exact determinant; Bareiss for int matrices, Gauss over Q otherwise."""
-    n = len(a)
-    if n == 0:
-        return 1
-    if all(isinstance(x, int) for row in a for x in row):
-        return _det_bareiss([list(r) for r in a])
-    return _det_gauss([[Fraction(x) for x in r] for r in a])
+    """Exact determinant of a square int matrix; TypeError on any other
+    entry, where the floor division of `_bareiss` would not be exact."""
+    if not all(isinstance(x, int) for row in a for x in row):
+        raise TypeError("det needs int entries")
+    swaps, pivots, _ = _bareiss(a)
+    if len(pivots) < len(a):
+        return 0
+    return (-1) ** swaps * pivots[-1] if pivots else 1
 
 
-def _det_bareiss(m):
+def _bareiss(a):
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): (swaps, pivots, cols).
+
+    Step k swaps up the first row at or below k with a nonzero column-k
+    entry, or stops with fewer than n pivots if there is none.  pivots[k]
+    is the (k+1)-th leading minor of the swapped matrix, so each division
+    is exact (Sylvester's identity); cols[k] holds the entries below it.
+    """
+    m = [list(row) for row in a]
     n = len(m)
-    sign = 1
+    swaps, pivots, cols = 0, [], []
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _det_gauss(m):
-    n = len(m)
-    sign = 1
-    out = Fraction(1)
     for k in range(n):
-        pivot = None
-        for r in range(k, n):
-            if m[r][k] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        out *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k]:
-                f = m[i][k] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return sign * out
+        r = next((r for r in range(k, n) if m[r][k]), None)
+        if r is None:
+            break
+        if r != k:
+            m[k], m[r] = m[r], m[k]
+            swaps += 1
+        top = m[k]
+        p = top[k]
+        for row in m[k + 1 :]:
+            c = row[k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - c * top[j]) // prev
+        pivots.append(p)
+        cols.append(tuple(row[k] for row in m[k + 1 :]))
+        prev = p
+    return swaps, pivots, cols
 
 
 def inverse(a):
-    """Exact inverse as a Fraction matrix; raises ValueError if singular."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+    """Inverse of a unimodular int matrix: its HNF U a = H is the identity,
+    so U = a^-1.  ValueError when H is not, i.e. a is not invertible over Z."""
+    h, u = hnf(a)
+    if h != identity(len(a)):
+        raise ValueError("matrix is not invertible over the integers")
+    return u
 
 
 def hnf(rows):

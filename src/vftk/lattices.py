@@ -1,5 +1,5 @@
-"""Exact integral lattices: Gram arithmetic, duals, short vectors,
-discriminant forms, and the code-to-lattice construction.
+"""Exact integral lattices: Gram arithmetic, short vectors, discriminant
+groups, and the code-to-lattice construction.
 
 A lattice of rank n is Z^n with an inner product given by a Gram matrix.
 To keep everything integer we store gram2 = 2 * Gram: the lattice is
@@ -7,7 +7,8 @@ integral iff every gram2 entry is even, and even iff additionally the
 diagonal of gram2 is divisible by 4.  Vectors are coordinate row tuples in
 the lattice's own basis; the dual lattice is G^{-1} Z^n in the same
 coordinates.  No floating point anywhere: definiteness and short vectors
-both come from one fraction-free LDL^T of gram2 (`_ldl`).
+both come from one fraction-free LDL^T of gram2 (`_ldl`, read off the
+package's one Bareiss elimination).
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from operator import mul
 
 from . import budget
 from .abelian import _hnf_coords, quotient_divisors
-from .intmat import det, hnf_basis, identity, inverse, mat_mul, snf, transpose
+from .intmat import _bareiss, det, hnf_basis, identity, mat_mul, snf, transpose
 
 __all__ = [
     "IntegralLattice",
@@ -26,7 +27,7 @@ __all__ = [
     "lattice_from_code",
     "e8_lattice",
     "short_vectors",
-    "short_vectors_box",
+    "pair_reduced",
     "discriminant_group",
     "sublattice_quotient",
     "direct_sum",
@@ -36,7 +37,7 @@ __all__ = [
 class IntegralLattice:
     """Rank-n lattice with exact doubled Gram matrix gram2 = 2*Gram."""
 
-    __slots__ = ("rank", "gram2", "ambient_rows", "_gram_inv")
+    __slots__ = ("rank", "gram2", "ambient_rows")
 
     def __init__(self, gram2, ambient_rows=None):
         gram2 = tuple(tuple(int(x) for x in row) for row in gram2)
@@ -50,7 +51,6 @@ class IntegralLattice:
         self.gram2 = gram2
         # for lattices built from a code: basis rows in ambient coordinates
         self.ambient_rows = ambient_rows
-        self._gram_inv = None
 
     @classmethod
     def from_gram(cls, gram):
@@ -93,9 +93,6 @@ class IntegralLattice:
         """
         return tuple(sum(map(mul, row, v)) for row in self.gram2)
 
-    def gram(self):
-        return tuple(tuple(Fraction(x, 2) for x in row) for row in self.gram2)
-
     def is_isometry(self, w):
         """True if the square matrix w (rows = basis images) keeps the form:
         W gram2 W^T == gram2."""
@@ -109,24 +106,8 @@ class IntegralLattice:
         d = Fraction(det(self.gram2), 2**self.rank)
         return int(d) if d.denominator == 1 else d
 
-    def gram_inverse(self):
-        if self._gram_inv is None:
-            self._gram_inv = inverse(self.gram())
-        return self._gram_inv
-
-    def dual_basis_rows(self):
-        """Rows spanning the dual lattice in these coordinates (= G^{-1})."""
-        return self.gram_inverse()
-
     def rescale(self, s):
         return IntegralLattice(tuple(tuple(x * s for x in row) for row in self.gram2))
-
-    def in_dual(self, v):
-        """True if the rational row v pairs integrally with the lattice."""
-        return all(
-            sum(Fraction(x) * Fraction(g, 2) for x, g in zip(v, col)).denominator == 1
-            for col in zip(*self.gram2)
-        )
 
     def __eq__(self, other):
         return isinstance(other, IntegralLattice) and self.gram2 == other.gram2
@@ -185,35 +166,18 @@ def e8_lattice():
     return lattice_from_code(hamming_code(8))
 
 
-def _floor_sqrt_frac(fr):
-    """floor(sqrt(p/q)) for a nonnegative Fraction."""
-    if fr < 0:
-        raise ValueError("negative radicand")
-    p, q = fr.numerator, fr.denominator
-    return isqrt(p * q) // q
-
-
 def _ldl(gram2):
-    """Fraction-free LDL^T of gram2: Bareiss elimination with no row swaps.
+    """Fraction-free LDL^T of gram2, or None unless gram2 is positive definite.
 
-    Returns (pivots, cols) with pivots[k] the leading (k+1)-minor M_{k+1}
-    and cols[k] the entries B[j][k], j > k, below it; None at the first
-    pivot <= 0, i.e. unless gram2 is positive definite.
+    gram2 is definite iff every leading minor is > 0 (Sylvester's
+    criterion), i.e. iff `_bareiss` swaps no row and every pivot is > 0.
+    Then it returns (pivots, cols) with pivots[k] the leading (k+1)-minor
+    M_{k+1} and cols[k] the entries B[j][k], j > k, below it.
     """
-    n = len(gram2)
-    a = [list(row) for row in gram2]
-    pivots = []
-    prev = 1
-    for k in range(n):
-        p = a[k][k]
-        if p <= 0:
-            return None
-        for i in range(k + 1, n):
-            for j in range(k + 1, i + 1):  # exact by Sylvester's identity
-                a[i][j] = (p * a[i][j] - a[i][k] * a[j][k]) // prev
-        pivots.append(p)
-        prev = p
-    return pivots, [tuple(a[j][k] for j in range(k + 1, n)) for k in range(n)]
+    swaps, pivots, cols = _bareiss(gram2)
+    if swaps or len(pivots) < len(gram2) or not all(p > 0 for p in pivots):
+        return None
+    return pivots, cols
 
 
 def short_vectors(lattice, norm, deadline=None):
@@ -265,39 +229,41 @@ def short_vectors(lattice, norm, deadline=None):
     return out
 
 
-def short_vectors_box(lattice, norm):
-    """Naive box-bound enumeration oracle (use only for small ranks).
+def pair_reduced(lattice, deadline=None):
+    """The lattice in a basis with every |2 (b_i, b_j)| <= (b_j, b_j).
 
-    Coordinate bounds come from x_i^2 <= norm * (G^{-1})_ii, which holds
-    for every v with (v,v) <= norm.
+    While some pair breaks that bound, b_i -= q b_j with q the nearest
+    integer to (b_i, b_j) / (b_j, b_j), which lowers the positive integer
+    (b_i, b_i) of a definite lattice, so the loop ends; each sweep over the
+    pairs polls the deadline.  The change of basis is unimodular, so
+    short-vector counts are unchanged, while a skewed basis, like the glue
+    basis of a large determinant, gets small Fincke-Pohst ranges.
     """
-    norm = Fraction(norm)
     if not lattice.is_definite:
-        raise ValueError("needs a definite lattice")
-    n = lattice.rank
-    ginv = lattice.gram_inverse()
-    bounds = [_floor_sqrt_frac(norm * ginv[i][i]) for i in range(n)]
-    out = []
-
-    def rec(i, v):
-        if i == n:
-            if any(v) and lattice.norm(v) == norm:
-                out.append(tuple(v))
-            return
-        for x in range(-bounds[i], bounds[i] + 1):
-            rec(i + 1, v + [x])
-
-    rec(0, [])
-    return out
+        raise ValueError("pair reduction needs a definite lattice")
+    g = [list(row) for row in lattice.gram2]
+    n = len(g)
+    changed = True
+    while changed:
+        budget.check(deadline)
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                if i != j and 2 * abs(g[i][j]) > g[j][j]:
+                    q = (2 * g[i][j] + g[j][j]) // (2 * g[j][j])
+                    g[i] = [x - q * y for x, y in zip(g[i], g[j])]
+                    for row in g:
+                        row[i] -= q * row[j]
+                    changed = True
+    return IntegralLattice(g)
 
 
 @dataclass(frozen=True)
 class DiscriminantGroup:
-    """L*/L with its torsion quadratic and bilinear forms.
+    """L*/L as generators and orders.
 
     generators are rational rows (dual-lattice coordinates in the lattice
-    basis); orders are the matching elementary divisors (> 1).  q is the
-    norm mod 2 (even lattices), b the inner product mod 1.
+    basis); orders are the matching elementary divisors (> 1).
     """
 
     lattice: IntegralLattice
@@ -308,28 +274,20 @@ class DiscriminantGroup:
     def order(self):
         return prod(self.orders) if self.orders else 1
 
-    def q(self, v):
-        return Fraction(self.lattice.norm(v)) % 2
+    def p_primary_generators(self, deadline=None):
+        """dict p -> list of (generator row, p-power order), largest first.
 
-    def b(self, u, v):
-        return Fraction(self.lattice.inner(u, v)) % 1
-
-    def element(self, coeffs):
-        """Sum of coeffs[i] * generators[i] as a rational row."""
-        n = self.lattice.rank
-        out = [Fraction(0)] * n
-        for c, g in zip(coeffs, self.generators):
-            for i in range(n):
-                out[i] += c * g[i]
-        return tuple(out)
-
-    def p_primary_generators(self):
-        """dict p -> list of (generator row, p-power order), largest first."""
+        Trial division of each order stops once p^2 exceeds what is left,
+        which is then prime, and polls the deadline once per 4096 trial
+        factors (BudgetExceeded once it has passed).
+        """
         out = {}
         for g, d in zip(self.generators, self.orders):
             left = d
             p = 2
             while left > 1:
+                if p * p > left:
+                    p = left
                 if left % p == 0:
                     a = 0
                     while left % p == 0:
@@ -338,6 +296,8 @@ class DiscriminantGroup:
                     comp = tuple(x * (d // p**a) for x in g)
                     out.setdefault(p, []).append((comp, p**a))
                 p += 1 if p == 2 else 2
+                if p % 8192 == 1:
+                    budget.check(deadline)
         for comps in out.values():
             comps.sort(key=lambda t: -t[1])
         return out

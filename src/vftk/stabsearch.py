@@ -34,8 +34,6 @@ __all__ = [
     "StabilizerResult",
     "stabilizer",
     "orbit",
-    "brute_force_monomials",
-    "brute_force_perms",
 ]
 
 CHECK_EVERY = 4096  # nodes between deadline polls
@@ -192,35 +190,3 @@ def stabilizer(words, n, modulus, signed=True, deadline=None):
         orbit_sizes=tuple(orbit_sizes),
         generators=tuple(generators),
     )
-
-
-def apply_monomial(word, sigma, signs, modulus):
-    out = [0] * len(word)
-    for p, v in enumerate(word):
-        out[sigma[p]] = (signs[p] * v) % modulus
-    return tuple(out)
-
-
-def brute_force_monomials(words, n, modulus):
-    """All (sigma, signs) stabilizing the word set; oracle for small n."""
-    from itertools import permutations, product
-
-    wordset = frozenset(tuple(w) for w in words)
-    out = []
-    for sigma in permutations(range(n)):
-        for signs in product((1, -1), repeat=n):
-            if all(apply_monomial(w, sigma, signs, modulus) in wordset for w in wordset):
-                out.append((sigma, signs))
-    return out
-
-
-def brute_force_perms(words, n):
-    """All coordinate permutations stabilizing a set of binary words."""
-    from itertools import permutations
-
-    wordset = frozenset(tuple(w) for w in words)
-    out = []
-    for sigma in permutations(range(n)):
-        if all(apply_monomial(w, sigma, [1] * n, 2) in wordset for w in wordset):
-            out.append(sigma)
-    return out

@@ -71,25 +71,30 @@ def _input_det(l):
     return d
 
 
-def sum_two_squares_mod(p, r):
+def sum_two_squares_mod(p, r, deadline=None):
     """(a, b) with a^2 + b^2 == -1 mod p^r, for an odd prime p.
 
     A solution mod p always exists because {a^2} and {-1 - b^2} each take
-    (p+1)/2 values.  It lifts one power at a time: if a^2 + b^2 + 1 is
-    m * p^j, adding (x*p^j, y*p^j) changes the sum by 2(ax + by)p^j mod
-    p^{j+1}, so it suffices to solve 2(ax + by) == -m mod p.
+    (p+1)/2 values.  Euler's criterion finds one: for p == 1 mod 4, a = 0
+    and b = c^((p-1)/4) for the first non-residue c; for p == 3 mod 4, a is
+    the first a >= 1 with -1 - a^2 a square and b = (-1 - a^2)^((p+1)/4);
+    b is the smaller of its two roots.  It lifts one power at a time: if
+    a^2 + b^2 + 1 is m * p^j, adding (x*p^j, y*p^j) changes the sum by
+    2(ax + by)p^j mod p^{j+1}, so it suffices to solve 2(ax + by) == -m
+    mod p.  The primality test polls the deadline.
     """
-    if p == 2 or not _is_prime(p):
+    if p == 2 or not _is_prime(p, deadline):
         raise ValueError("p must be an odd prime")
     if r < 1:
         raise ValueError("r must be positive")
-    a = b = None
-    for a0 in range(p):
-        rest = (-1 - a0 * a0) % p
-        b0 = next((t for t in range(p) if t * t % p == rest), None)
-        if b0 is not None:
-            a, b = a0, b0
-            break
+    half = (p - 1) // 2
+    if p % 4 == 1:
+        c = next(c for c in range(2, p) if pow(c, half, p) == p - 1)
+        a, b = 0, pow(c, half // 2, p)
+    else:
+        a = next(a for a in range(1, p) if pow(-1 - a * a, half, p) == 1)
+        b = pow(-1 - a * a, (p + 1) // 4, p)
+    b = min(b, p - b)
     for j in range(1, r):
         pj = p**j
         m = ((a * a + b * b + 1) // pj) % p
@@ -257,13 +262,14 @@ def unimodularize(l, deadline=None):
     the first copy embeds primitively, i.e. the projection of the glue
     off the first copy keeps its order; and the result is positive
     definite when l is.  The deadline bounds the Smith form of l's
-    discriminant group.
+    discriminant group and the factoring of its orders.
     """
     d = _input_det(l)
     copies = 4 if d % 2 else 8
     base = direct_sum(*[l] * copies)
     gens = []
-    for p, comps in sorted(discriminant_group(l, deadline).p_primary_generators().items()):
+    primary = discriminant_group(l, deadline).p_primary_generators(deadline)
+    for p, comps in sorted(primary.items()):
         a1 = _p_exponent(p, comps[0][1])  # orders come largest-first
         if p == 2:
             # 2^(a1+1) - 1 is 3 mod 4, so exactly one entry is even; at r or
@@ -276,7 +282,7 @@ def unimodularize(l, deadline=None):
                 (0, -1, 0, 0, s, -r, u, -t),
             ]
         else:
-            r, s = sum_two_squares_mod(p, a1)
+            r, s = sum_two_squares_mod(p, a1, deadline)
             pats = [(r, s, 0, 1), (s, -r, 1, 0)]
             if copies == 8:
                 pats = [q + (0,) * 4 for q in pats] + [(0,) * 4 + q for q in pats]

@@ -1,0 +1,170 @@
+"""Slow, independent routes the tests check the library against: the
+definitions computed over Fraction or by exhaustive search, for small inputs
+only."""
+
+from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations, product
+from math import isqrt
+
+
+def det_gauss(a):
+    """Determinant by Gaussian elimination over Q, with row swaps."""
+    m = [[Fraction(x) for x in r] for r in a]
+    n = len(m)
+    sign = 1
+    out = Fraction(1)
+    for k in range(n):
+        pivot = None
+        for r in range(k, n):
+            if m[r][k] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        out *= m[k][k]
+        inv = 1 / m[k][k]
+        for i in range(k + 1, n):
+            if m[i][k]:
+                f = m[i][k] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return sign * out
+
+
+def inverse_gauss_jordan(a):
+    """Exact inverse as a Fraction matrix; raises ValueError if singular."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if m[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def gram(lattice):
+    return tuple(tuple(Fraction(x, 2) for x in row) for row in lattice.gram2)
+
+
+@lru_cache(maxsize=None)
+def gram_inverse(lattice):
+    return inverse_gauss_jordan(gram(lattice))
+
+
+def dual_basis_rows(lattice):
+    """Rows spanning the dual lattice in the lattice's coordinates (= G^{-1})."""
+    return gram_inverse(lattice)
+
+
+def in_dual(lattice, v):
+    """True if the rational row v pairs integrally with the lattice."""
+    return all(
+        sum(Fraction(x) * Fraction(g, 2) for x, g in zip(v, col)).denominator == 1
+        for col in zip(*lattice.gram2)
+    )
+
+
+def q(dg, v):
+    """The discriminant quadratic form: the norm mod 2."""
+    return Fraction(dg.lattice.norm(v)) % 2
+
+
+def b(dg, u, v):
+    """The discriminant bilinear form: the inner product mod 1."""
+    return Fraction(dg.lattice.inner(u, v)) % 1
+
+
+def element(dg, coeffs):
+    """Sum of coeffs[i] * generators[i] as a rational row."""
+    n = dg.lattice.rank
+    out = [Fraction(0)] * n
+    for c, g in zip(coeffs, dg.generators):
+        for i in range(n):
+            out[i] += c * g[i]
+    return tuple(out)
+
+
+def _floor_sqrt_frac(fr):
+    """floor(sqrt(p/q)) for a nonnegative Fraction."""
+    if fr < 0:
+        raise ValueError("negative radicand")
+    p, q = fr.numerator, fr.denominator
+    return isqrt(p * q) // q
+
+
+def short_vectors_box(lattice, norm):
+    """Naive box-bound enumeration oracle (use only for small ranks).
+
+    Coordinate bounds come from x_i^2 <= norm * (G^{-1})_ii, which holds
+    for every v with (v,v) <= norm.
+    """
+    norm = Fraction(norm)
+    if not lattice.is_definite:
+        raise ValueError("needs a definite lattice")
+    n = lattice.rank
+    ginv = gram_inverse(lattice)
+    bounds = [_floor_sqrt_frac(norm * ginv[i][i]) for i in range(n)]
+    out = []
+
+    def rec(i, v):
+        if i == n:
+            if any(v) and lattice.norm(v) == norm:
+                out.append(tuple(v))
+            return
+        for x in range(-bounds[i], bounds[i] + 1):
+            rec(i + 1, v + [x])
+
+    rec(0, [])
+    return out
+
+
+def apply_monomial(word, sigma, signs, modulus):
+    out = [0] * len(word)
+    for p, v in enumerate(word):
+        out[sigma[p]] = (signs[p] * v) % modulus
+    return tuple(out)
+
+
+def brute_force_monomials(words, n, modulus):
+    """All (sigma, signs) stabilizing the word set; oracle for small n."""
+    wordset = frozenset(tuple(w) for w in words)
+    out = []
+    for sigma in permutations(range(n)):
+        for signs in product((1, -1), repeat=n):
+            if all(apply_monomial(w, sigma, signs, modulus) in wordset for w in wordset):
+                out.append((sigma, signs))
+    return out
+
+
+def brute_force_perms(words, n):
+    """All coordinate permutations stabilizing a set of binary words."""
+    wordset = frozenset(tuple(w) for w in words)
+    out = []
+    for sigma in permutations(range(n)):
+        if all(apply_monomial(w, sigma, [1] * n, 2) in wordset for w in wordset):
+            out.append(sigma)
+    return out
+
+
+def sum_two_squares_scan(p):
+    """The first (a0, b0) in residue order with a0^2 + b0^2 == -1 mod p."""
+    for a0 in range(p):
+        rest = (-1 - a0 * a0) % p
+        b0 = next((t for t in range(p) if t * t % p == rest), None)
+        if b0 is not None:
+            return a0, b0

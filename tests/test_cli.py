@@ -66,6 +66,8 @@ def gram_files(tmp_path_factory):
     grams.update(
         skew6=IntegralLattice.from_gram(SKEW6),
         a1=IntegralLattice.from_gram([[2]]),
+        big_prime=IntegralLattice.from_gram([[2 * (10**9 + 7)]]),
+        two_big_primes=IntegralLattice.from_gram([[2 * (10**9 + 7) * (10**9 + 9)]]),
         degenerate=IntegralLattice.from_gram([[2, 2], [2, 2]]),
     )
     for name, lat in grams.items():
@@ -219,6 +221,17 @@ def test_unimodularize_all_modes_on_skewed_grams(monkeypatch, gram_files, name, 
 
 
 @pytest.mark.parametrize("mode", ["definite", "hyperbolic", "prime-power"])
+def test_unimodularize_all_modes_on_a_large_prime_determinant(monkeypatch, gram_files, mode):
+    # det 2 (10^9 + 7): trial division of the glue order stops at its square
+    # root, the square root of -1 - a^2 mod p comes from Euler's criterion,
+    # and the norm-2 count of the rank-8 result runs on a pair-reduced basis
+    monkeypatch.setenv("VFTK_BUDGET_SECONDS", "20")
+    start = time.monotonic()
+    _passing(["unimodularize", "--gram", gram_files["big_prime"], "--mode", mode])
+    assert time.monotonic() - start < 1
+
+
+@pytest.mark.parametrize("mode", ["definite", "hyperbolic", "prime-power"])
 def test_unimodularize_rejects_degenerate_gram(gram_files, mode):
     # det 0: no discriminant group to glue along, so bad input (exit 3),
     # not a failed self-check or a ZeroDivisionError in the twist prime search
@@ -302,6 +315,12 @@ def test_budget_binds_in_twist_prime_search(gram_files):
     # ~5 * 10^8 trial divisions to certify
     argv = ["unimodularize", "--gram", gram_files["a1"], "--mode", "prime-power"]
     _assert_budget_binds(argv + ["--min-prime", str(10**18)])
+
+
+def test_budget_binds_factoring_two_large_primes(gram_files):
+    # det 2 (10^9 + 7)(10^9 + 9): trial division of the glue order runs to
+    # 10^9 + 7, ~5 * 10^8 steps, until a faster factorization replaces it
+    _assert_budget_binds(["unimodularize", "--gram", gram_files["two_big_primes"]])
 
 
 def test_exit_code_failed_check(monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import random
 
+from oracles import brute_force_perms
 from vftk.f2codes import (
     BinaryCode,
     Marking,
@@ -11,7 +12,6 @@ from vftk.f2codes import (
     hamming_code,
     rm1_subcode,
 )
-from vftk.stabsearch import brute_force_perms
 
 
 def test_hamming8_parameters():

@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+from oracles import apply_monomial, brute_force_monomials, short_vectors_box
 from vftk import frames
 from vftk.budget import BudgetExceeded
 from vftk.f2codes import Marking, classify_markings, hamming_code
@@ -28,8 +29,7 @@ from vftk.frames import (
     monomial_to_isometry,
     order_sym_wr_agl,
 )
-from vftk.lattices import IntegralLattice, e8_lattice, short_vectors, short_vectors_box
-from vftk.stabsearch import apply_monomial, brute_force_monomials
+from vftk.lattices import IntegralLattice, e8_lattice, short_vectors
 
 D4 = IntegralLattice.from_gram(
     [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]

@@ -6,6 +6,7 @@ from math import gcd, prod
 
 import pytest
 
+from oracles import det_gauss, inverse_gauss_jordan
 from vftk.budget import BudgetExceeded, deadline_in
 from vftk.intmat import (
     det,
@@ -185,17 +186,71 @@ def test_det_vs_fraction_gauss():
     for _ in range(40):
         n = rng.randint(1, 5)
         a = random_matrix(rng, n, n)
-        exact = det(tuple(tuple(Fraction(x) for x in r) for r in a))
+        exact = det_gauss(a)
         assert det(a) == exact
 
 
+def test_det_vs_fraction_gauss_with_swaps():
+    # singular matrices, and zero leading pivots that need a row swap
+    rng = random.Random(7)
+    swapped = singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a = [list(row) for row in random_oracle_matrix(rng, n, n)]
+        for i in rng.sample(range(n), rng.randint(0, n)):
+            a[i][i] = 0
+        if rng.randrange(3) == 0:  # a zero block atop the first column
+            for row in a[: rng.randint(1, n)]:
+                row[0] = 0
+        exact = det_gauss(a)
+        assert det(a) == exact
+        singular += exact == 0
+        swapped += a[0][0] == 0 and exact != 0
+    assert det(()) == 1 and det([[0]]) == 0
+    assert det(((0, 1), (1, 0))) == -1 and det(((0, 0, 1), (0, 1, 0), (1, 0, 0))) == -1
+    assert singular >= 50 and swapped >= 30
+
+
+def test_det_rejects_non_int_entries():
+    with pytest.raises(TypeError):
+        det(((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))))
+    with pytest.raises(TypeError):
+        det(((2, Fraction(1, 2)), (0, 1)))
+
+
 def test_inverse_roundtrip():
+    # unimodular products of elementary matrices, each with a sign flip and
+    # a row swap half the time, against the Fraction Gauss-Jordan inverse
     rng = random.Random(6)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        a = [list(row) for row in random_unimodular(rng, n)]
+        if rng.randrange(2):
+            i = rng.randrange(n)
+            a[i] = [-x for x in a[i]]
+        if n > 1 and rng.randrange(2):
+            i, j = rng.sample(range(n), 2)
+            a[i], a[j] = a[j], a[i]
+        a = tuple(map(tuple, a))
+        inv = inverse(a)
+        assert mat_mul(a, inv) == identity(n)
+        assert mat_mul(inv, a) == identity(n)
+        assert inv == inverse_gauss_jordan(a)
+    assert inverse(()) == ()
+
+
+def test_inverse_rejects_non_unimodular():
+    rng = random.Random(8)
     done = 0
     while done < 20:
         n = rng.randint(1, 4)
         a = random_matrix(rng, n, n)
-        if det(a) == 0:
+        if abs(det(a)) < 2:
             continue
-        assert mat_mul(a, inverse(a)) == identity(n)
+        inverse_gauss_jordan(a)  # invertible over Q
+        with pytest.raises(ValueError):
+            inverse(a)
         done += 1
+    for a in (((2, 0), (0, 1)), ((1, 2), (2, 4)), ((0,),), ((1, 0, 0), (0, 1, 0))):
+        with pytest.raises(ValueError):
+            inverse(a)

@@ -1,10 +1,14 @@
 """Lattice core: Gram arithmetic, construction A, short vectors, discriminants."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+import oracles
+from oracles import short_vectors_box
+from vftk.budget import BudgetExceeded
 from vftk.f2codes import BinaryCode, hamming_code
 from vftk.intmat import det, vec_mat
 from vftk.lattices import (
@@ -14,8 +18,8 @@ from vftk.lattices import (
     discriminant_group,
     e8_lattice,
     lattice_from_code,
+    pair_reduced,
     short_vectors,
-    short_vectors_box,
     sublattice_quotient,
 )
 from vftk.unimodular import definite_automorphisms
@@ -96,28 +100,28 @@ def test_ambient_coordinates():
 
 def test_dual_membership():
     for lat in (A1, A2, e8_lattice()):
-        for row in lat.dual_basis_rows():
-            assert lat.in_dual(row)
-    assert not A1.in_dual((Fraction(1, 3),))
+        for row in oracles.dual_basis_rows(lat):
+            assert oracles.in_dual(lat, row)
+    assert not oracles.in_dual(A1, (Fraction(1, 3),))
 
 
 def test_discriminant_a1():
     dg = discriminant_group(A1)
     assert dg.orders == (2,)
     (g,) = dg.generators
-    assert dg.q(g) == Fraction(1, 2)
-    assert A1.in_dual(g)
+    assert oracles.q(dg, g) == Fraction(1, 2)
+    assert oracles.in_dual(A1, g)
 
 
 def test_discriminant_a2():
     dg = discriminant_group(A2)
     assert dg.orders == (3,)
     (g,) = dg.generators
-    assert A2.in_dual(g)
+    assert oracles.in_dual(A2, g)
     assert tuple(3 * x for x in g) == (3 * g[0], 3 * g[1])
     assert all((3 * x).denominator == 1 for x in g)
-    assert dg.q(g) in (Fraction(2, 3), Fraction(4, 3))
-    assert dg.b(g, g) == dg.q(g) % 1
+    assert oracles.q(dg, g) in (Fraction(2, 3), Fraction(4, 3))
+    assert oracles.b(dg, g, g) == oracles.q(dg, g) % 1
 
 
 def test_discriminant_rescaled():
@@ -125,13 +129,13 @@ def test_discriminant_rescaled():
     dg = discriminant_group(lat)
     assert dg.orders == (4, 4)
     for g in dg.generators:
-        assert dg.q(g) == Fraction(1, 4)
+        assert oracles.q(dg, g) == Fraction(1, 4)
     # all sixteen elements, with exact q values
     vals = {}
     for a in range(4):
         for b in range(4):
-            v = dg.element((a, b))
-            vals[(a, b)] = dg.q(v)
+            v = oracles.element(dg, (a, b))
+            vals[(a, b)] = oracles.q(dg, v)
     assert vals[(0, 0)] == 0
     assert vals[(2, 2)] == 2 % 2
 
@@ -147,6 +151,60 @@ def test_p_primary_generators():
     assert o2 == 4 and o3 == 3
     assert all((4 * x).denominator == 1 for x in g2)
     assert all((3 * x).denominator == 1 for x in g3)
+
+
+def _trial_factor(d):
+    """dict p -> exponent, trial-dividing by every p up to d's largest prime."""
+    out, p = {}, 2
+    while d > 1:
+        while d % p == 0:
+            out[p] = out.get(p, 0) + 1
+            d //= p
+        p += 1
+    return out
+
+
+def test_p_primary_generators_match_trial_division():
+    rng = random.Random(29)
+    for _ in range(40):
+        diag = [rng.randrange(1, 20000) for _ in range(rng.randint(1, 3))]
+        lat = IntegralLattice.from_gram([[d * (i == j) for j in range(len(diag))] for i, d in enumerate(diag)])
+        dg = discriminant_group(lat)
+        expected = {}
+        for g, d in zip(dg.generators, dg.orders):
+            for p, a in _trial_factor(d).items():
+                expected.setdefault(p, []).append((tuple(x * (d // p**a) for x in g), p**a))
+        for comps in expected.values():
+            comps.sort(key=lambda t: -t[1])
+        assert dg.p_primary_generators() == expected
+
+
+def test_p_primary_generators_of_large_primes():
+    p, q = 10**9 + 7, 10**9 + 9
+    dg = discriminant_group(IntegralLattice.from_gram([[2 * p]]))
+    assert {r: [o for _, o in comps] for r, comps in dg.p_primary_generators().items()} == {2: [2], p: [p]}
+    dg = discriminant_group(IntegralLattice.from_gram([[2 * p * q]]))
+    with pytest.raises(BudgetExceeded):
+        dg.p_primary_generators(deadline=time.monotonic() - 1)
+
+
+def test_pair_reduced_keeps_short_vector_counts():
+    rng = random.Random(31)
+    for _ in range(30):
+        n = rng.randrange(1, 6)
+        b = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        g2 = [[2 * sum(b[i][k] * b[j][k] for k in range(n)) + 2 * (i == j) for j in range(n)]
+              for i in range(n)]
+        lat = IntegralLattice(g2)
+        red = pair_reduced(lat)
+        assert red.determinant() == lat.determinant()
+        for i in range(n):
+            for j in range(n):
+                assert i == j or 2 * abs(red.gram2[i][j]) <= red.gram2[j][j]
+        for norm in (1, 2, 3):
+            assert len(short_vectors(red, norm)) == len(short_vectors(lat, norm))
+    with pytest.raises(ValueError):
+        pair_reduced(IntegralLattice.from_gram([[2, 0], [0, -2]]))
 
 
 def test_discriminant_generators_generate():
@@ -165,7 +223,7 @@ def test_discriminant_generators_generate():
         assert dg.order == abs(lat.determinant())
         seen = set()
         for coeffs in _all_coeffs(dg.orders):
-            v = dg.element(coeffs)
+            v = oracles.element(dg, coeffs)
             key = tuple(x % 1 for x in v)
             assert key not in seen
             seen.add(key)

@@ -2,15 +2,10 @@
 
 import random
 
+from oracles import apply_monomial, brute_force_monomials, brute_force_perms
 from vftk.f2codes import BinaryCode, all_markings
 from vftk.frames import Z4Code
-from vftk.stabsearch import (
-    apply_monomial,
-    brute_force_monomials,
-    brute_force_perms,
-    orbit,
-    stabilizer,
-)
+from vftk.stabsearch import orbit, stabilizer
 
 # two blocks of three coordinates: the group S3 wr S2 of order 72
 BLOCKS = BinaryCode.from_rows(6, [0b000111, 0b111000])
