@@ -13,7 +13,7 @@ same results as JSON reports with built-in cross-checks.
 """
 
 from .abelian import type_string
-from .budget import BudgetExceeded, deadline_from_env, deadline_in
+from .budget import BudgetExceeded, limit
 from .f2codes import (
     BinaryCode,
     Marking,
@@ -79,8 +79,7 @@ __version__ = "0.1.0"
 __all__ = [
     "type_string",
     "BudgetExceeded",
-    "deadline_from_env",
-    "deadline_in",
+    "limit",
     "BinaryCode",
     "Marking",
     "all_markings",

@@ -21,8 +21,8 @@ import random
 import sys
 from math import factorial
 
+from . import budget
 from .abelian import type_string
-from .budget import BudgetExceeded, check as budget_check, deadline_from_env
 from .f2codes import classify_markings, hamming_code, rm1_subcode
 from .f2quad import (
     left_stabilizer_order,
@@ -118,16 +118,16 @@ def _invariant_fields(inv):
     }
 
 
-def _cmd_e8_frames(args, deadline):
-    lattice_reps = e8_frame_representatives(deadline)
-    census = classify_e8_frames(deadline=deadline) if args.census else None
+def _cmd_e8_frames(args):
+    lattice_reps = e8_frame_representatives()
+    census = classify_e8_frames() if args.census else None
     by_k = {c.four_rank: c for c in census.classes} if census else {}
     rows = []
     checks = []
     e8 = e8_lattice()
     for k in sorted(lattice_reps):
-        budget_check(deadline)
-        inv = frame_invariants(e8, lattice_reps[k], deadline=deadline)
+        budget.check()
+        inv = frame_invariants(e8, lattice_reps[k])
         l, e, delta, wx, dx, gc, count = E8_TABLE[k]
         delta_type, orders = _invariant_fields(inv)
         rows.append({"k": k, "l": inv.two_rank, "e": inv.sign_log2, "delta_type": delta_type, **orders})
@@ -175,10 +175,10 @@ def _cmd_e8_frames(args, deadline):
 # --- frame-invariants --------------------------------------------------------
 
 
-def _cmd_frame_invariants(args, deadline):
+def _cmd_frame_invariants(args):
     lattice = load_gram(args.gram)
     frame = load_frame(args.frame, lattice)
-    inv = frame_invariants(lattice, frame, deadline=deadline)
+    inv = frame_invariants(lattice, frame)
     n, l, k, e = inv.pair_count, inv.two_rank, inv.four_rank, inv.sign_log2
     delta_type, orders = _invariant_fields(inv)
     results = {"delta_type": delta_type, "l": l, "k": k, "e": e, **orders}
@@ -209,9 +209,9 @@ def _cmd_frame_invariants(args, deadline):
 # --- markings ----------------------------------------------------------------
 
 
-def _cmd_markings(args, deadline):
+def _cmd_markings(args):
     code = hamming_code(8)
-    orbits, aut_order = classify_markings(code, deadline=deadline)
+    orbits, aut_order = classify_markings(code)
     sizes = [size for _, size in orbits]
     results = {
         "code": args.code,
@@ -239,13 +239,13 @@ def _cmd_markings(args, deadline):
 # --- stabilizer-orders -------------------------------------------------------
 
 
-def _cmd_stabilizer_orders(args, deadline):
+def _cmd_stabilizer_orders(args):
     ks = [args.k] if args.k else [1, 2, 3, 4, 5]
     rows = []
     checks = []
     for k in ks:
-        budget_check(deadline)
-        g = frame_group_order(k, deadline)
+        budget.check()
+        g = frame_group_order(k)
         wreath = order_sym_wr_agl(k)
         gc = g // wreath
         rows.append(
@@ -272,12 +272,12 @@ def _cmd_stabilizer_orders(args, deadline):
 # --- miyamoto ----------------------------------------------------------------
 
 
-def _cmd_miyamoto(args, deadline):
+def _cmd_miyamoto(args):
     ks = [args.k] if args.k else [1, 2, 3, 4, 5]
     rows = []
     checks = []
     for k in ks:
-        budget_check(deadline)
+        budget.check()
         invs = miyamoto_involutions(k)
         cols = frame_index_characters(k)
         all_chis = [
@@ -335,20 +335,20 @@ def _lattice_json(lattice):
     }
 
 
-def _cmd_unimodularize(args, deadline):
+def _cmd_unimodularize(args):
     lattice = load_gram(args.gram)
     inputs = {"gram": args.gram, "mode": args.mode, "min_prime": args.min_prime}
     checks = []
     if args.mode == "definite":
-        over = unimodularize(lattice, deadline=deadline)
+        over = unimodularize(lattice)
         checks.append(_check("determinant", 1, abs(over.result.determinant()), DEFINITION))
     elif args.mode == "hyperbolic":
-        over = hyperbolic_unimodularize(lattice, deadline)
+        over = hyperbolic_unimodularize(lattice)
         checks.append(_check("determinant", 1, abs(over.result.determinant()), DEFINITION))
         checks.append(_check("indefinite", False, over.result.is_definite, COMPUTED))
     else:
-        s = dirichlet_prime(lattice, args.min_prime, deadline)
-        over = prime_power_twist(lattice, s, deadline)
+        s = dirichlet_prime(lattice, args.min_prime)
+        over = prime_power_twist(lattice, s)
         inputs["twist_prime"] = str(s)
         checks.append(
             _check("determinant is the twist power", s**lattice.rank, over.result.determinant(), DEFINITION)
@@ -376,7 +376,7 @@ def _cmd_unimodularize(args, deadline):
             _check(
                 "norm-2 vector count",
                 240,
-                len(short_vectors(pair_reduced(result, deadline), 2, deadline)),
+                len(short_vectors(pair_reduced(result), 2)),
                 COMPUTED,
             )
         )
@@ -394,12 +394,12 @@ def _cmd_unimodularize(args, deadline):
 # --- f2quad ------------------------------------------------------------------
 
 
-def _cmd_f2quad(args, deadline):
+def _cmd_f2quad(args):
     n = args.n
     if n < 1:
         raise ValueError("n must be positive")
-    budget_check(deadline)
-    census = orbit_census(n, exhaustive=True if args.exhaustive else None, deadline=deadline)
+    budget.check()
+    census = orbit_census(n, exhaustive=True if args.exhaustive else None)
     orbits = [
         {
             "j": row.overlap,
@@ -448,7 +448,7 @@ def _cmd_f2quad(args, deadline):
 # --- hat-verify --------------------------------------------------------------
 
 
-def _cmd_hat_verify(args, deadline):
+def _cmd_hat_verify(args):
     lattice = load_gram(args.gram)
     cocycle = standard_cocycle(lattice)
     n = lattice.rank
@@ -463,7 +463,7 @@ def _cmd_hat_verify(args, deadline):
     samples = 60
     squares = commutators = bilinear = 0
     for _ in range(samples):
-        budget_check(deadline)
+        budget.check()
         x, y, z = vec(), vec(), vec()
         squares += cocycle.epsilon(x, x) == (-1) ** (lattice.norm(x) // 2 % 2)
         commutators += cocycle.epsilon(x, y) * cocycle.epsilon(y, x) == (-1) ** (
@@ -481,7 +481,7 @@ def _cmd_hat_verify(args, deadline):
     lift_total = lift_ok = 0
     for w in (ident, neg):
         for lift in all_lifts(cocycle, w):
-            budget_check(deadline)
+            budget.check()
             lift_total += 1
             lift_ok += all(
                 lift.apply(cocycle.product(a, b))
@@ -564,8 +564,9 @@ def run(argv=None):
     except SystemExit as exc:
         return None, (exc.code if isinstance(exc.code, int) else 2)
     try:
-        report = args.func(args, deadline_from_env())
-    except BudgetExceeded as exc:
+        with budget.limit(budget.seconds_from_env()):
+            report = args.func(args)
+    except budget.BudgetExceeded as exc:
         return {"schema": 1, "command": args.command, "error": str(exc)}, 4
     except VerificationError as exc:
         return {"schema": 1, "command": args.command, "error": str(exc)}, 1

@@ -105,13 +105,13 @@ def rm1_subcode(k):
     return BinaryCode.from_rows(16, _rm1_rows(16)[:k])
 
 
-def code_automorphisms(c, deadline=None):
+def code_automorphisms(c):
     """Coordinate permutations preserving the code.
 
     Returns (generators, order): generators are permutation tuples, order
     is the exact group order from the stabilizer chain.
     """
-    res = stabilizer(c.word_tuples(), c.length, 2, signed=False, deadline=deadline)
+    res = stabilizer(c.word_tuples(), c.length, 2, signed=False)
     gens = tuple(sigma for sigma, _ in res.generators)
     return gens, res.order
 
@@ -157,13 +157,13 @@ def all_markings(length):
     return [Marking.from_pairs(p) for p in rec(tuple(range(length)))]
 
 
-def classify_markings(c, deadline=None):
+def classify_markings(c):
     """Orbits of all markings of c's coordinates under Aut(c).
 
     Returns (orbit list, aut_order); orbits are (representative, size)
     pairs with sizes summing to (length-1)!!.
     """
-    gens, order = code_automorphisms(c, deadline=deadline)
+    gens, order = code_automorphisms(c)
     todo = set(all_markings(c.length))
     orbits = []
     while todo:

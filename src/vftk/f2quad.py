@@ -139,7 +139,7 @@ def standard_odd_lagrangian(n, overlap):
     return _canonical(rows)
 
 
-def enumerate_odd_lagrangians(n, deadline=None):
+def enumerate_odd_lagrangians(n):
     """Every odd Lagrangian, exhaustively.
 
     Enumerates RREF bases of totally isotropic n-subspaces directly:
@@ -153,7 +153,7 @@ def enumerate_odd_lagrangians(n, deadline=None):
     each row still missing.  This is sound because f2_orth keeps the
     leading bit of every basis vector it does not drop, so every later
     pivot leads a vector of the child's perp.  The pruned nodes are the
-    ones with no leaf below them; the deadline is polled every
+    ones with no leaf below them; the budget is polled every
     CHECK_EVERY recursive calls.
     """
     if not 1 <= n <= 5:
@@ -166,7 +166,7 @@ def enumerate_odd_lagrangians(n, deadline=None):
         nonlocal calls
         calls += 1
         if calls % CHECK_EVERY == 0:
-            budget.check(deadline)
+            budget.check()
         need = n - len(rows)
         if need == 0:
             if any(quad_value(n, r) for r in rows):
@@ -525,7 +525,7 @@ def stabilizer_structure(n, member):
     return StabilizerInfo(j, order, u_order, levi)
 
 
-def orbit_census(n, exhaustive=None, deadline=None):
+def orbit_census(n, exhaustive=None):
     """One row per orbit of the left-half stabilizer on odd Lagrangians.
 
     exhaustive=None enumerates and partitions for n <= 3 and uses the
@@ -534,13 +534,12 @@ def orbit_census(n, exhaustive=None, deadline=None):
     certifies each member with an explicit witness h that fixes the left
     half, preserves Q and carries the standard representative of the
     member's left overlap onto the member.  A failed check raises
-    VerificationError.  The deadline bounds the enumeration and the
-    certification of its members.
+    VerificationError.
     """
     if exhaustive is None:
         exhaustive = n <= 3
     if exhaustive:
-        members = enumerate_odd_lagrangians(n, deadline)
+        members = enumerate_odd_lagrangians(n)
         verify(len(members) == total_odd_count(n), "enumeration missed the closed-form count")
         if n <= 3:
             orbits = orbit_partition(n, members)
@@ -556,7 +555,7 @@ def orbit_census(n, exhaustive=None, deadline=None):
             sizes = {j: 0 for j in range(n)}
             reps = {j: standard_odd_lagrangian(n, j) for j in range(n)}
             for member in members:
-                budget.check(deadline)
+                budget.check()
                 j = left_overlap(n, member)
                 _verify_witness(n, _witness(n, j, member), reps[j], member)
                 sizes[j] += 1

@@ -10,9 +10,8 @@ subgroup, pointwise stabilizer, torus-intersection types, wreath-product
 order formulas) is bookkeeping on top of that search.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import cache
 from math import factorial, prod
 from operator import mul
 
@@ -175,16 +174,16 @@ class _Norm4Graph:
         return LatticeFrame(self.lattice, [self.reps[i] for i in clique], validate=False)
 
 
-def _norm4_graph(lattice, deadline=None):
+def _norm4_graph(lattice):
     """Build the _Norm4Graph of a definite lattice from its Gram rows."""
     reps = sorted(
-        {max(v, tuple(-c for c in v)) for v in short_vectors(lattice, 4, deadline=deadline)},
+        {max(v, tuple(-c for c in v)) for v in short_vectors(lattice, 4)},
         reverse=True,
     )
     rows = [lattice.gram_row(v) for v in reps]
     adj = [0] * len(reps)
     for i, row in enumerate(rows):
-        budget.check(deadline)
+        budget.check()
         for j in range(i):
             if not sum(map(mul, row, reps[j])):
                 adj[i] |= 1 << j
@@ -194,7 +193,7 @@ def _norm4_graph(lattice, deadline=None):
     return _Norm4Graph(lattice, tuple(reps), tuple(adj), masks)
 
 
-def _walk_frames(graph, deadline=None, stats=None):
+def _walk_frames(graph, stats=None):
     """Yield (clique, k) for every frame of the graph's lattice.
 
     A clique is rank-many pairwise orthogonal vertices in descending order,
@@ -238,7 +237,7 @@ def _walk_frames(graph, deadline=None, stats=None):
         chosen[depth] = v
         nodes += 1
         if not nodes & 4095:
-            budget.check(deadline)
+            budget.check()
         basis = bases[depth]
         m = masks[v]
         for b in basis:  # descending leading bits: Gaussian elimination over F2
@@ -253,7 +252,7 @@ def _walk_frames(graph, deadline=None, stats=None):
         stats["nodes"] = nodes
 
 
-def find_frames(lattice, deadline=None):
+def find_frames(lattice):
     """All frames of a definite even lattice (small lattices only).
 
     Walks the orthogonality graph of norm-4 sign-pairs and returns every
@@ -261,8 +260,8 @@ def find_frames(lattice, deadline=None):
     (E8 has 382185 frames): classify_e8_frames counts them instead of
     keeping them.
     """
-    graph = _norm4_graph(lattice, deadline)
-    return [graph.frame(clique) for clique, _ in _walk_frames(graph, deadline)]
+    graph = _norm4_graph(lattice)
+    return [graph.frame(clique) for clique, _ in _walk_frames(graph)]
 
 
 # --- glue code and invariants ---------------------------------------------
@@ -291,17 +290,17 @@ def abelian_type(code):
     return counts[2], counts[4]
 
 
-def frame_stabilizer(lattice, frame, deadline=None):
+def frame_stabilizer(lattice, frame):
     """Monomial stabilizer of the glue code: all of W_X, exactly.
 
     Returns the search result: order = |W_X|, sign_order = |D_X| (the
     sign-only monomials), with generators as (sigma, signs) pairs.
     """
-    return _code_stabilizer(glue_code(lattice, frame), deadline)
+    return _code_stabilizer(glue_code(lattice, frame))
 
 
-def _code_stabilizer(code, deadline):
-    return stabilizer(code.sorted_words(), code.length, 4, signed=True, deadline=deadline)
+def _code_stabilizer(code):
+    return stabilizer(code.sorted_words(), code.length, 4, signed=True)
 
 
 def frame_torus_divisors(lattice, frame, denom):
@@ -343,11 +342,11 @@ class FrameInvariants:
     full_order: int
 
 
-def frame_invariants(lattice, frame, deadline=None):
+def frame_invariants(lattice, frame):
     """Compute every FrameInvariants field for a frame (search included)."""
     code = glue_code(lattice, frame)
     two_rank, four_rank = abelian_type(code)
-    stab = _code_stabilizer(code, deadline)
+    stab = _code_stabilizer(code)
     sign_log2 = stab.sign_order.bit_length() - 1
     verify(1 << sign_log2 == stab.sign_order, "sign subgroup order must be a power of two")
     n = frame.pair_count
@@ -401,60 +400,35 @@ def monomial_to_isometry(lattice, frame, sigma, signs):
 
 # --- the E8 table and census ----------------------------------------------
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+# The E8 builds below are cached for the process once a call completes; a
+# build that runs out of budget raises, so it caches nothing.
 
 
-def _cache_completed(build):
-    """Keep build(deadline)'s result for the process once a call completes.
-
-    The deadline is not part of the key: a build that runs out of budget
-    caches nothing, and the next call starts afresh.  cache_info() reads
-    like functools.lru_cache's.
-    """
-    done = []
-    hits = misses = 0
-
-    @wraps(build)
-    def cached(deadline=None):
-        nonlocal hits, misses
-        if done:
-            hits += 1
-        else:
-            misses += 1
-            done.append(build(deadline))
-        return done[0]
-
-    cached.cache_info = lambda: _CacheInfo(hits, misses, 1, len(done))
-    return cached
-
-
-@_cache_completed
-def _e8_graph(deadline=None):
+@cache
+def _e8_graph():
     """The norm-4 graph of E8, shared by the representatives and the census."""
-    return _norm4_graph(e8_lattice(), deadline)
+    return _norm4_graph(e8_lattice())
 
 
-@_cache_completed
-def e8_frame_representatives(deadline=None):
+@cache
+def e8_frame_representatives():
     """One E8 frame per glue-code class, keyed by four_rank k in 1..4.
 
     k = 1, 2, 3 come from the three marking classes of the [8,4] Hamming
     code; k = 4 is the first frame of the walk with pair-mask rank 4 (it
-    is not realized by any marking).  The deadline bounds the marking
-    classification, the graph build and that search; the first call that
-    completes is kept for the process.
+    is not realized by any marking).
     """
     e8 = e8_lattice()
     out = {}
-    orbits, _ = classify_markings(hamming_code(8), deadline=deadline)
+    orbits, _ = classify_markings(hamming_code(8))
     for rep, _size in orbits:
         frame = frame_from_marking(e8, rep)
         _, k = abelian_type(glue_code(e8, frame))
         out[k] = frame
     missing = {1, 2, 3, 4} - set(out)
     verify(missing == {4}, f"marking classes gave unexpected ranks {sorted(out)}")
-    graph = _e8_graph(deadline)
-    found = next((c for c, k in _walk_frames(graph, deadline) if k == 4), None)
+    graph = _e8_graph()
+    found = next((c for c, k in _walk_frames(graph) if k == 4), None)
     verify(found is not None, "no rank-4 glue class found in E8")
     out[4] = graph.frame(found)
     return out
@@ -481,7 +455,7 @@ class FrameCensus:
     nodes: int
 
 
-def classify_e8_frames(deadline=None):
+def classify_e8_frames():
     """Exhaustive census of E8 frames, partitioned by glue-code class.
 
     Every frame is visited (symmetry is not quotiented) and classified by
@@ -492,11 +466,11 @@ def classify_e8_frames(deadline=None):
     frame_stabilizer on the representative.
     """
     e8 = e8_lattice()
-    graph = _e8_graph(deadline)
+    graph = _e8_graph()
     counts = {}
     first = {}
     stats = {}
-    for clique, k in _walk_frames(graph, deadline, stats):
+    for clique, k in _walk_frames(graph, stats):
         counts[k] = counts.get(k, 0) + 1
         if k not in first:
             first[k] = clique
@@ -549,25 +523,24 @@ def order_sym_wr_agl(k):
     return factorial(d) ** (1 << (k - 1)) * agl2_order(k - 1)
 
 
-@_cache_completed
-def _e8_gc_orders(deadline=None):
+@cache
+def _e8_gc_orders():
     e8 = e8_lattice()
     out = {}
-    for k, frame in e8_frame_representatives(deadline).items():
-        inv = frame_invariants(e8, frame, deadline)
+    for k, frame in e8_frame_representatives().items():
+        inv = frame_invariants(e8, frame)
         out[k] = inv.pointwise_order
     return out
 
 
-def frame_group_order(k, deadline=None):
+def frame_group_order(k):
     """Full stabilizer order of the k-th standard 16-pair frame.
 
     The pointwise part is the computed E8 value for k <= 4 and 2^5 for
     k = 5 (where the pointwise and sign groups coincide); the quotient is
-    the wreath product counted by order_sym_wr_agl.  The deadline bounds
-    the E8 computation, which the first call that completes keeps.
+    the wreath product counted by order_sym_wr_agl.
     """
     if not 1 <= k <= 5:
         raise ValueError("k must be in 1..5")
-    gc = 32 if k == 5 else _e8_gc_orders(deadline)[k]
+    gc = 32 if k == 5 else _e8_gc_orders()[k]
     return gc * order_sym_wr_agl(k)

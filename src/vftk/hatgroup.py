@@ -267,7 +267,7 @@ class LiftedFrameStabilizer:
     samples_checked: int
 
 
-def lifted_frame_stabilizer(lattice, frame, stab=None, deadline=None):
+def lifted_frame_stabilizer(lattice, frame, stab=None):
     """Stabilizer of the 2n-symbol frame inside the lifted monomial group.
 
     A lifted monomial stabilizes every symbol pair iff its underlying
@@ -280,7 +280,7 @@ def lifted_frame_stabilizer(lattice, frame, stab=None, deadline=None):
     from .frames import frame_stabilizer, monomial_to_isometry
 
     if stab is None:
-        stab = frame_stabilizer(lattice, frame, deadline=deadline)
+        stab = frame_stabilizer(lattice, frame)
     n = frame.pair_count
     cocycle = standard_cocycle(lattice)
     checked = 0

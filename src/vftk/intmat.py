@@ -144,7 +144,7 @@ def hnf_basis(rows):
     return tuple(r for r in h if any(r))
 
 
-def snf(a, deadline=None):
+def snf(a):
     """Smith normal form with transforms: returns (d, u, v), u @ a @ v = d.
 
     d is diagonal (rectangular allowed) with nonnegative entries satisfying
@@ -152,13 +152,13 @@ def snf(a, deadline=None):
     column HNFs alternate until the matrix is diagonal, so every entry stays
     reduced (Kannan & Bachem, SIAM J. Comput. 8(4), 1979); then a 2x2
     gcd/lcm step per pair d_i, d_j with d_i not dividing d_j restores the
-    chain.  Each pass polls the deadline (BudgetExceeded once it has passed).
+    chain.  Each pass polls the budget.
     """
     n = len(a[0]) if a else 0
     s, u = hnf(a)
     v = identity(n)
     while any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
-        budget.check(deadline)
+        budget.check()
         t, w = hnf(transpose(s))
         s, v = transpose(t), mat_mul(v, transpose(w))
         s, w = hnf(s)

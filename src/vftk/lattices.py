@@ -180,7 +180,7 @@ def _ldl(gram2):
     return pivots, cols
 
 
-def short_vectors(lattice, norm, deadline=None):
+def short_vectors(lattice, norm):
     """All v with (v, v) == norm, exactly; closed under negation.
 
     Fincke-Pohst recursion on `_ldl(gram2)`: with M_0 = 1 and
@@ -210,7 +210,7 @@ def short_vectors(lattice, norm, deadline=None):
         nonlocal nodes
         nodes += 1
         if nodes % 4096 == 0:
-            budget.check(deadline)
+            budget.check()
         if k < 0:
             if left == 0:
                 v = tuple(coords)
@@ -229,13 +229,13 @@ def short_vectors(lattice, norm, deadline=None):
     return out
 
 
-def pair_reduced(lattice, deadline=None):
+def pair_reduced(lattice):
     """The lattice in a basis with every |2 (b_i, b_j)| <= (b_j, b_j).
 
     While some pair breaks that bound, b_i -= q b_j with q the nearest
     integer to (b_i, b_j) / (b_j, b_j), which lowers the positive integer
     (b_i, b_i) of a definite lattice, so the loop ends; each sweep over the
-    pairs polls the deadline.  The change of basis is unimodular, so
+    pairs polls the budget.  The change of basis is unimodular, so
     short-vector counts are unchanged, while a skewed basis, like the glue
     basis of a large determinant, gets small Fincke-Pohst ranges.
     """
@@ -245,7 +245,7 @@ def pair_reduced(lattice, deadline=None):
     n = len(g)
     changed = True
     while changed:
-        budget.check(deadline)
+        budget.check()
         changed = False
         for i in range(n):
             for j in range(n):
@@ -274,12 +274,12 @@ class DiscriminantGroup:
     def order(self):
         return prod(self.orders) if self.orders else 1
 
-    def p_primary_generators(self, deadline=None):
+    def p_primary_generators(self):
         """dict p -> list of (generator row, p-power order), largest first.
 
         Trial division of each order stops once p^2 exceeds what is left,
-        which is then prime, and polls the deadline once per 4096 trial
-        factors (BudgetExceeded once it has passed).
+        which is then prime, and polls the budget once per 4096 trial
+        factors.
         """
         out = {}
         for g, d in zip(self.generators, self.orders):
@@ -297,22 +297,19 @@ class DiscriminantGroup:
                     out.setdefault(p, []).append((comp, p**a))
                 p += 1 if p == 2 else 2
                 if p % 8192 == 1:
-                    budget.check(deadline)
+                    budget.check()
         for comps in out.values():
             comps.sort(key=lambda t: -t[1])
         return out
 
 
-def discriminant_group(lattice, deadline=None):
-    """Smith-form presentation of L*/L for an integral lattice.
-
-    The Smith form polls the deadline (BudgetExceeded once it has passed).
-    """
+def discriminant_group(lattice):
+    """Smith-form presentation of L*/L for an integral lattice."""
     if not lattice.is_integral:
         raise ValueError("discriminant group needs an integral lattice")
     gram = tuple(tuple(x // 2 for x in row) for row in lattice.gram2)
     n = lattice.rank
-    d, u, _ = snf(gram, deadline)
+    d, u, _ = snf(gram)
     # U G V = D, so L* = Z^n G^{-1} = Z^n D^{-1} U: generators are rows of
     # U scaled by 1/d_i, of order exactly d_i (unimodular rows have gcd 1).
     gens = []

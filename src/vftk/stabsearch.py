@@ -36,7 +36,7 @@ __all__ = [
     "orbit",
 ]
 
-CHECK_EVERY = 4096  # nodes between deadline polls
+CHECK_EVERY = 4096  # nodes between budget polls
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,10 @@ def orbit(seeds, images):
 
 
 class _Search:
-    def __init__(self, words, n, modulus, signed, deadline):
+    def __init__(self, words, n, modulus, signed):
         self.words = [tuple(w) for w in words]
         self.n = n
         self.modulus = modulus
-        self.deadline = deadline
         self.nodes = 0
         # sign on position p can only matter if some word has a value there
         # that differs from its own negation mod m
@@ -121,7 +120,7 @@ class _Search:
     def _dfs(self, depth, fixed, target, flip, used, tpos, signs):
         self.nodes += 1
         if self.nodes % CHECK_EVERY == 0:
-            budget.check(self.deadline)
+            budget.check()
         if depth == self.n:
             return tpos, signs
         if depth < fixed:
@@ -151,9 +150,9 @@ class _Search:
         return None
 
 
-def stabilizer(words, n, modulus, signed=True, deadline=None):
+def stabilizer(words, n, modulus, signed=True):
     """Full (signed) permutation stabilizer of a set of words in (Z/m)^n."""
-    search = _Search(words, n, modulus, signed, deadline)
+    search = _Search(words, n, modulus, signed)
     sign_order = 1
     if signed:
         # a position whose sign never matters contributes a free factor of 2;

@@ -42,8 +42,8 @@ __all__ = [
 ]
 
 
-def _is_prime(m, deadline=None):
-    """Trial division; polls the deadline once per 4096 odd trial factors."""
+def _is_prime(m):
+    """Trial division; polls the budget once per 4096 odd trial factors."""
     if m < 2:
         return False
     if m < 4:
@@ -56,7 +56,7 @@ def _is_prime(m, deadline=None):
             return False
         f += 2
         if f % 8192 == 1:
-            budget.check(deadline)
+            budget.check()
     return True
 
 
@@ -71,7 +71,7 @@ def _input_det(l):
     return d
 
 
-def sum_two_squares_mod(p, r, deadline=None):
+def sum_two_squares_mod(p, r):
     """(a, b) with a^2 + b^2 == -1 mod p^r, for an odd prime p.
 
     A solution mod p always exists because {a^2} and {-1 - b^2} each take
@@ -81,9 +81,9 @@ def sum_two_squares_mod(p, r, deadline=None):
     b is the smaller of its two roots.  It lifts one power at a time: if
     a^2 + b^2 + 1 is m * p^j, adding (x*p^j, y*p^j) changes the sum by
     2(ax + by)p^j mod p^{j+1}, so it suffices to solve 2(ax + by) == -m
-    mod p.  The primality test polls the deadline.
+    mod p.
     """
-    if p == 2 or not _is_prime(p, deadline):
+    if p == 2 or not _is_prime(p):
         raise ValueError("p must be an odd prime")
     if r < 1:
         raise ValueError("r must be positive")
@@ -245,7 +245,7 @@ def _p_exponent(p, order):
     return e
 
 
-def unimodularize(l, deadline=None):
+def unimodularize(l):
     """Even unimodular overlattice of 4 or 8 orthogonal copies of l.
 
     4 copies when det(l) is odd, 8 when even.  For each prime p dividing
@@ -261,14 +261,18 @@ def unimodularize(l, deadline=None):
     the index squared is det(base), the result is even and |det| is 1;
     the first copy embeds primitively, i.e. the projection of the glue
     off the first copy keeps its order; and the result is positive
-    definite when l is.  The deadline bounds the Smith form of l's
-    discriminant group and the factoring of its orders.
+    definite when l is.
+
+    over.result is written in the glue HNF basis (glue.basis / glue.den),
+    which can be badly skewed when det(l) is large: on [[2000000014]] its
+    Gram entries are near 5 * 10^9.  Callers who enumerate on the result
+    (short vectors, automorphisms) should use pair_reduced(over.result).
     """
     d = _input_det(l)
     copies = 4 if d % 2 else 8
     base = direct_sum(*[l] * copies)
     gens = []
-    primary = discriminant_group(l, deadline).p_primary_generators(deadline)
+    primary = discriminant_group(l).p_primary_generators()
     for p, comps in sorted(primary.items()):
         a1 = _p_exponent(p, comps[0][1])  # orders come largest-first
         if p == 2:
@@ -282,7 +286,7 @@ def unimodularize(l, deadline=None):
                 (0, -1, 0, 0, s, -r, u, -t),
             ]
         else:
-            r, s = sum_two_squares_mod(p, a1, deadline)
+            r, s = sum_two_squares_mod(p, a1)
             pats = [(r, s, 0, 1), (s, -r, 1, 0)]
             if copies == 8:
                 pats = [q + (0,) * 4 for q in pats] + [(0,) * 4 + q for q in pats]
@@ -302,14 +306,13 @@ def unimodularize(l, deadline=None):
     return over
 
 
-def hyperbolic_unimodularize(l, deadline=None):
+def hyperbolic_unimodularize(l):
     """Indefinite even unimodular overlattice of rank <= 2*rank(l) + 2.
 
     For |det| = 1 this is l plus one hyperbolic plane.  Otherwise l and
     its sign-flip are glued along the diagonal of their discriminant
     groups, with a hyperbolic plane added to force indefiniteness.
-    Purely algebraic: no short-vector enumeration is involved.  The
-    deadline bounds the Smith form of l's discriminant group.
+    Purely algebraic: no short-vector enumeration is involved.
     """
     d = _input_det(l)
     plane = IntegralLattice.from_gram(((0, 1), (1, 0)))
@@ -320,7 +323,7 @@ def hyperbolic_unimodularize(l, deadline=None):
     else:
         base = direct_sum(l, l.rescale(-1), plane)
         pad = (Fraction(0), Fraction(0))
-        gens = [g + g + pad for g in discriminant_group(l, deadline).generators]
+        gens = [g + g + pad for g in discriminant_group(l).generators]
         glue = isotropic_subgroup(base, gens)
         over = overlattice_from_isotropic(base, glue, diagonal_copies=2, tail_rank=2)
         verify(first_block_primitive(over, l.rank), "first block does not embed primitively")
@@ -330,21 +333,20 @@ def hyperbolic_unimodularize(l, deadline=None):
     return over
 
 
-def prime_power_twist(l, s, deadline=None):
+def prime_power_twist(l, s):
     """Overlattice of l + l(s) with determinant s^rank(l).
 
     Requires s prime with s == -1 mod 2*det(l); the glue is the diagonal
     {(x, x)} of the two discriminant groups.  Definiteness is preserved,
-    l embeds primitively, and isometries of l extend diagonally.  The
-    deadline bounds the Smith form of l's discriminant group.
+    l embeds primitively, and isometries of l extend diagonally.
     """
     d = _input_det(l)
-    if not _is_prime(s, deadline):
+    if not _is_prime(s):
         raise ValueError("s must be prime")
     if (s + 1) % (2 * d):
         raise ValueError("s must be -1 mod 2*det(l)")
     base = direct_sum(l, l.rescale(s))
-    gens = [g + g for g in discriminant_group(l, deadline).generators]
+    gens = [g + g for g in discriminant_group(l).generators]
     glue = isotropic_subgroup(base, gens)
     over = overlattice_from_isotropic(base, glue, diagonal_copies=2)
     verify(over.result.determinant() == s**l.rank, "twisted lattice determinant is not s^rank")
@@ -354,17 +356,17 @@ def prime_power_twist(l, s, deadline=None):
     return over
 
 
-def dirichlet_prime(l, lower, deadline=None):
+def dirichlet_prime(l, lower):
     """Smallest prime >= lower that is -1 mod 2*det(l), for l as in prime_power_twist.
 
     Steps through the residue class only; each candidate and every 4096
-    trial factors poll the deadline (BudgetExceeded once it has passed).
+    trial factors poll the budget.
     """
     m = 2 * _input_det(l)
     s = max(2, lower)
     s += (-1 - s) % m
-    while not _is_prime(s, deadline):
-        budget.check(deadline)
+    while not _is_prime(s):
+        budget.check()
         s += m
     return s
 
@@ -422,24 +424,24 @@ def strong_extension_check(l, over, gens):
     return tuple(verdicts)
 
 
-def definite_automorphisms(l, deadline=None):
+def definite_automorphisms(l):
     """All isometries of a small positive definite lattice.
 
     Backtracks over images of the basis vectors among vectors of equal
     norm, pruning on inner products with images already chosen.  Cost
     grows with the short-vector counts, so keep the rank small.  Each
-    node polls the deadline (BudgetExceeded once it has passed).
+    node polls the budget.
     """
     if not l.is_definite:
         raise ValueError("needs a positive definite lattice")
     n = l.rank
     norms = [Fraction(l.gram2[i][i], 2) for i in range(n)]
-    candidates = {nv: short_vectors(l, nv, deadline) for nv in set(norms)}
+    candidates = {nv: short_vectors(l, nv) for nv in set(norms)}
     out = []
     img = []
 
     def rec(i):
-        budget.check(deadline)
+        budget.check()
         if i == n:
             out.append(tuple(img))
             return

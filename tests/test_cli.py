@@ -268,7 +268,7 @@ def test_exit_code_budget(monkeypatch):
     assert code == 4 and "error" in report
 
 
-@pytest.mark.parametrize("value", ["abc", "nan"])
+@pytest.mark.parametrize("value", ["abc", "nan", "-1", "-0.5"])
 def test_exit_code_bad_budget_value(monkeypatch, value):
     monkeypatch.setenv("VFTK_BUDGET_SECONDS", value)
     report, code = cli.run(["markings"])
@@ -306,7 +306,7 @@ def test_budget_binds_on_stabilizer_orders():
 
 
 def test_budget_binds_on_f2quad_exhaustive():
-    # the odd-Lagrangian enumeration and its certification poll the deadline
+    # the odd-Lagrangian enumeration and its certification poll the budget
     _assert_budget_binds(["f2quad", "--n", "5", "--exhaustive"])
 
 
@@ -328,7 +328,7 @@ def test_exit_code_failed_check(monkeypatch):
     class FakeRep:
         pairs = ()
 
-    monkeypatch.setattr(cli, "classify_markings", lambda c, deadline=None: ([(FakeRep, 105)], 999))
+    monkeypatch.setattr(cli, "classify_markings", lambda c: ([(FakeRep, 105)], 999))
     report, code = cli.run(["markings"])
     assert code == 1
     failed = [c for c in report["checks"] if not c["pass"]]

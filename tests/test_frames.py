@@ -1,5 +1,6 @@
 """Frame engine: markings to frames, glue codes, stabilizers, order formulas."""
 
+import functools
 import random
 import time
 from itertools import combinations
@@ -9,6 +10,7 @@ import pytest
 
 from oracles import apply_monomial, brute_force_monomials, short_vectors_box
 from vftk import frames
+from vftk import budget
 from vftk.budget import BudgetExceeded
 from vftk.f2codes import Marking, classify_markings, hamming_code
 from vftk.frames import (
@@ -332,26 +334,27 @@ def test_frame_group_order(e8_table):
 
 
 def test_frame_group_order_deadline_reaches_cold_e8_build(monkeypatch):
-    # with every E8 cache cold, an expired deadline stops the build, and the
+    # with every E8 cache cold, an expired budget stops the build, and the
     # build that ran out of budget leaves nothing cached
     for name in ("_e8_graph", "e8_frame_representatives", "_e8_gc_orders"):
-        cold = frames._cache_completed(getattr(frames, name).__wrapped__)
+        cold = functools.cache(getattr(frames, name).__wrapped__)
         monkeypatch.setattr(frames, name, cold)
-    with pytest.raises(BudgetExceeded):
-        frame_group_order(1, deadline=time.monotonic() - 1)
+    with pytest.raises(BudgetExceeded), budget.limit(0):
+        frame_group_order(1)
     assert frames._e8_gc_orders.cache_info().currsize == 0
     # k = 5 needs no E8 computation
-    assert frame_group_order(5, deadline=time.monotonic() - 1) == 2**9 * 20160
+    with budget.limit(0):
+        assert frame_group_order(5) == 2**9 * 20160
 
 
 def test_frame_group_order_deadline_binds_soon_on_cold_e8_build(monkeypatch):
-    # a deadline that passes during the cold build stops it soon after:
+    # a budget that runs out during the cold build stops it soon after:
     # no step between two polls, the short-vector search included, runs long
     for name in ("_e8_graph", "e8_frame_representatives", "_e8_gc_orders"):
-        cold = frames._cache_completed(getattr(frames, name).__wrapped__)
+        cold = functools.cache(getattr(frames, name).__wrapped__)
         monkeypatch.setattr(frames, name, cold)
     start = time.monotonic()
-    with pytest.raises(BudgetExceeded):
-        frame_group_order(1, deadline=start + 0.05)
+    with pytest.raises(BudgetExceeded), budget.limit(0.05):
+        frame_group_order(1)
     assert time.monotonic() - start < 0.15
     assert frames._e8_gc_orders.cache_info().currsize == 0

@@ -7,7 +7,8 @@ from math import gcd, prod
 import pytest
 
 from oracles import det_gauss, inverse_gauss_jordan
-from vftk.budget import BudgetExceeded, deadline_in
+from vftk import budget
+from vftk.budget import BudgetExceeded
 from vftk.intmat import (
     det,
     hnf,
@@ -47,8 +48,9 @@ def random_oracle_matrix(rng, m, n):
 
 
 def verify_snf(a):
-    # the deadline turns a stalled Smith form into a failure, not a hang
-    d, u, v = snf(a, deadline_in(2))
+    # the budget turns a stalled Smith form into a failure, not a hang
+    with budget.limit(2):
+        d, u, v = snf(a)
     m, n = len(a), len(a[0]) if a else 0
     assert len(d) == m and all(len(row) == n for row in d)
     assert len(u) == m and len(v) == n
@@ -141,15 +143,16 @@ def test_snf_rectangular():
 
 def test_snf_stalling_input_finishes():
     start = time.monotonic()
-    d, u, v = snf(STALLS_PIVOT_SNF, deadline_in(1))
+    with budget.limit(1):
+        d, u, v = snf(STALLS_PIVOT_SNF)
     assert time.monotonic() - start < 1
     assert verify_snf(STALLS_PIVOT_SNF) == [1, 1, 1, 1, 1, 1940100]
     assert abs(det(STALLS_PIVOT_SNF)) == 1940100
 
 
 def test_snf_passed_deadline_raises():
-    with pytest.raises(BudgetExceeded):
-        snf(STALLS_PIVOT_SNF, deadline=time.monotonic() - 1)
+    with pytest.raises(BudgetExceeded), budget.limit(0):
+        snf(STALLS_PIVOT_SNF)
 
 
 def test_hnf_random():

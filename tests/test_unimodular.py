@@ -13,7 +13,8 @@ import pytest
 
 import oracles
 import vftk.unimodular as unimodular
-from vftk.budget import BudgetExceeded, deadline_in
+from vftk import budget
+from vftk.budget import BudgetExceeded
 from vftk.f2codes import hamming_code
 from vftk.intmat import identity, mat_mul
 from vftk.lattices import (
@@ -417,13 +418,14 @@ def test_definite_automorphisms():
 
 
 def test_definite_automorphisms_deadline():
-    # an expired deadline stops the search at its first node
-    with pytest.raises(BudgetExceeded):
-        definite_automorphisms(A2, deadline=time.monotonic() - 1)
+    # an expired budget stops the search at its first node
+    with pytest.raises(BudgetExceeded), budget.limit(0):
+        definite_automorphisms(A2)
     # |W(E8)| = 696729600 isometries: the backtrack must stop soon after 0.3 s
     start = time.monotonic()
     with pytest.raises(BudgetExceeded):
-        definite_automorphisms(e8_lattice(), deadline=deadline_in(0.3))
+        with budget.limit(0.3):
+            definite_automorphisms(e8_lattice())
     assert time.monotonic() - start < 1.3
 
 
