@@ -28,8 +28,7 @@ def f2_echelon(rows):
     """Row-echelon basis (descending leading bits) of the span of `rows`."""
     basis = []  # kept sorted by leading bit, descending
     for r in rows:
-        for b in basis:
-            r = min(r, r ^ b)
+        r = f2_reduce(r, basis)
         if r:
             basis.append(r)
             basis.sort(reverse=True)
@@ -39,7 +38,8 @@ def f2_echelon(rows):
 def f2_reduce(v, basis):
     """Reduce v against an echelon basis; 0 iff v lies in the span."""
     for b in basis:
-        v = min(v, v ^ b)
+        if v ^ b < v:  # v has b's leading bit
+            v ^= b
     return v
 
 

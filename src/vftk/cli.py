@@ -398,7 +398,6 @@ def _cmd_f2quad(args):
     n = args.n
     if n < 1:
         raise ValueError("n must be positive")
-    budget.check()
     census = orbit_census(n, exhaustive=True if args.exhaustive else None)
     orbits = [
         {
@@ -565,6 +564,7 @@ def run(argv=None):
         return None, (exc.code if isinstance(exc.code, int) else 2)
     try:
         with budget.limit(budget.seconds_from_env()):
+            budget.check()
             report = args.func(args)
     except budget.BudgetExceeded as exc:
         return {"schema": 1, "command": args.command, "error": str(exc)}, 4

@@ -17,6 +17,7 @@ from operator import mul
 
 from . import budget
 from .abelian import group_order, quotient_divisors, type_string
+from .bits import f2_rank
 from .f2codes import classify_markings, hamming_code
 from .intmat import identity
 from .lattices import IntegralLattice, ambient_to_basis, e8_lattice, short_vectors
@@ -198,15 +199,13 @@ def _walk_frames(graph, stats=None):
 
     A clique is rank-many pairwise orthogonal vertices in descending order,
     so the walk meets frames in ascending order of their sign-pair reps;
-    k is the F2-rank of their pair masks.  Each depth keeps the candidates
-    it has not tried, all below the vertex chosen last, and the reduced
-    basis of the masks chosen above it, so backtracking restores nothing.
-    A candidate is skipped unless enough of the candidates after it are
-    orthogonal to it to finish the clique.  At the last depth each
-    candidate is reduced and yielded directly; in a definite lattice there
-    is at most one, since rank - 1 orthogonal pairs fix the last up to
-    sign.  A completed walk stores the number of cliques it entered,
-    leaves included, in stats["nodes"].
+    k is the F2-rank of their pair masks, computed at the frames only.
+    Each depth keeps its untried candidates, all below the vertex chosen
+    last, so backtracking restores nothing.  A completion through a
+    candidate v is `need` vertices of `below`, the later candidates
+    orthogonal to v.  When `below` has exactly `need`, it is the only one:
+    it is yielded if it is a clique, and only larger `below`s are entered.
+    stats["nodes"] gets the cliques entered plus the exact fits tested.
     """
     size = graph.lattice.rank
     if not size:  # the zero lattice has one frame, the empty one
@@ -215,7 +214,6 @@ def _walk_frames(graph, stats=None):
     adj, masks = graph.adj, graph.masks
     rest = [0] * size
     chosen = [0] * size
-    bases = [()] * size
     rest[0] = (1 << len(adj)) - 1
     nodes = 0
     depth = 0
@@ -228,26 +226,31 @@ def _walk_frames(graph, stats=None):
             cands ^= 1 << v
             left -= 1
             below = cands & adj[v]
-            if below.bit_count() >= need:
+            fit = below.bit_count()
+            if fit < need:
+                continue
+            nodes += 1
+            if not nodes & 4095:
+                budget.check()
+            if fit > need:  # never at need 0: nothing in a definite L is orthogonal to a frame
                 break
+            clique = chosen[:depth] + [v]
+            rem = below
+            while rem:  # a clique iff each vertex has need - 1 neighbours in it
+                u = rem.bit_length() - 1
+                if (below & adj[u]).bit_count() < need - 1:
+                    break
+                clique.append(u)
+                rem ^= 1 << u
+            else:
+                yield tuple(clique), f2_rank([masks[i] for i in clique])
         else:
             depth -= 1
             continue
         rest[depth] = cands
         chosen[depth] = v
-        nodes += 1
-        if not nodes & 4095:
-            budget.check()
-        basis = bases[depth]
-        m = masks[v]
-        for b in basis:  # descending leading bits: Gaussian elimination over F2
-            m = min(m, m ^ b)
-        if not need:
-            yield tuple(chosen), len(basis) + (m > 0)
-            continue
         depth += 1
         rest[depth] = below
-        bases[depth] = tuple(sorted(basis + (m,), reverse=True)) if m else basis
     if stats is not None:
         stats["nodes"] = nodes
 
@@ -255,8 +258,8 @@ def _walk_frames(graph, stats=None):
 def find_frames(lattice):
     """All frames of a definite even lattice (small lattices only).
 
-    Walks the orthogonality graph of norm-4 sign-pairs and returns every
-    maximal-rank configuration as a LatticeFrame.  The list can be huge
+    Returns every rank-many clique of norm-4 sign-pairs that _walk_frames
+    meets, exact fits included, as a LatticeFrame.  The list can be huge
     (E8 has 382185 frames): classify_e8_frames counts them instead of
     keeping them.
     """
@@ -282,12 +285,10 @@ def abelian_type(code):
     gens = [tuple(int(x) for x in g) for g in code.generators]
     four = [tuple(4 * int(i == j) for j in range(n)) for i in range(n)]
     divisors = quotient_divisors(gens + four, four)
-    counts = {2: 0, 4: 0}
-    for d in divisors:
-        if d not in counts:
-            raise ValueError(f"unexpected elementary divisor {d}")
-        counts[d] += 1
-    return counts[2], counts[4]
+    unexpected = set(divisors) - {2, 4}
+    if unexpected:
+        raise ValueError(f"unexpected elementary divisor {min(unexpected)}")
+    return divisors.count(2), divisors.count(4)
 
 
 def frame_stabilizer(lattice, frame):
@@ -425,8 +426,7 @@ def e8_frame_representatives():
         frame = frame_from_marking(e8, rep)
         _, k = abelian_type(glue_code(e8, frame))
         out[k] = frame
-    missing = {1, 2, 3, 4} - set(out)
-    verify(missing == {4}, f"marking classes gave unexpected ranks {sorted(out)}")
+    verify(set(out) == {1, 2, 3}, f"marking classes gave unexpected ranks {sorted(out)}")
     graph = _e8_graph()
     found = next((c for c, k in _walk_frames(graph) if k == 4), None)
     verify(found is not None, "no rank-4 glue class found in E8")
@@ -447,7 +447,7 @@ class FrameClass:
 
 @dataclass(frozen=True)
 class FrameCensus:
-    """Census classes, the frame total, and the walk's node count."""
+    """Census classes, frame total, and walk nodes (cliques entered + exact fits)."""
 
     classes: tuple
     total: int

@@ -168,3 +168,45 @@ def sum_two_squares_scan(p):
         b0 = next((t for t in range(p) if t * t % p == rest), None)
         if b0 is not None:
             return a0, b0
+
+
+def walk_frames_reference(graph):
+    """Yield (clique, k) for every frame, in the order frames._walk_frames
+    must meet them: the walk that enters every clique and carries the
+    reduced F2 basis of the pair masks chosen so far down each depth."""
+    size = graph.lattice.rank
+    if not size:
+        yield (), 0
+        return
+    adj, masks = graph.adj, graph.masks
+    rest = [0] * size
+    chosen = [0] * size
+    bases = [()] * size
+    rest[0] = (1 << len(adj)) - 1
+    depth = 0
+    while depth >= 0:
+        cands = rest[depth]
+        need = size - depth - 1
+        left = cands.bit_count()
+        while left > need:
+            v = cands.bit_length() - 1
+            cands ^= 1 << v
+            left -= 1
+            below = cands & adj[v]
+            if below.bit_count() >= need:
+                break
+        else:
+            depth -= 1
+            continue
+        rest[depth] = cands
+        chosen[depth] = v
+        basis = bases[depth]
+        m = masks[v]
+        for b in basis:  # descending leading bits: Gaussian elimination over F2
+            m = min(m, m ^ b)
+        if not need:
+            yield tuple(chosen), len(basis) + (m > 0)
+            continue
+        depth += 1
+        rest[depth] = below
+        bases[depth] = tuple(sorted(basis + (m,), reverse=True)) if m else basis

@@ -1,5 +1,6 @@
 """Driver-level tests: report shape, check outcomes, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -274,6 +275,35 @@ def test_exit_code_bad_budget_value(monkeypatch, value):
     report, code = cli.run(["markings"])
     assert code == 3
     assert report["command"] == "markings" and "VFTK_BUDGET_SECONDS" in report["error"]
+
+
+def _valid_argv(files):
+    """One valid invocation of each subcommand, keyed by subcommand."""
+    return {
+        "e8-frames": ["e8-frames"],
+        "frame-invariants": ["frame-invariants", "--gram", files["e8"], "--frame", files["frame"]],
+        "markings": ["markings"],
+        "stabilizer-orders": ["stabilizer-orders"],
+        "miyamoto": ["miyamoto"],
+        "unimodularize": ["unimodularize", "--gram", files["a2"]],
+        "f2quad": ["f2quad", "--n", "2"],
+        "hat-verify": ["hat-verify", "--gram", files["a2"]],
+    }
+
+
+(_SUBCOMMANDS,) = (
+    a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+)
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_zero_budget_stops_every_subcommand(monkeypatch, gram_files, command):
+    # a budget of 0 has run out before the command starts, however little
+    # work the command would do between two polls of its own
+    monkeypatch.setenv("VFTK_BUDGET_SECONDS", "0")
+    report, code = cli.run(_valid_argv(gram_files)[command])
+    assert code == 4
+    assert report["command"] == command and "error" in report
 
 
 def _assert_budget_binds(argv):

@@ -3,12 +3,13 @@
 import functools
 import random
 import time
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, islice
 from math import factorial
 
 import pytest
 
-from oracles import apply_monomial, brute_force_monomials, short_vectors_box
+from oracles import apply_monomial, brute_force_monomials, short_vectors_box, walk_frames_reference
 from vftk import frames
 from vftk import budget
 from vftk.budget import BudgetExceeded
@@ -19,6 +20,7 @@ from vftk.frames import (
     Z4Code,
     abelian_type,
     agl2_order,
+    classify_e8_frames,
     e8_frame_representatives,
     find_frames,
     frame_from_marking,
@@ -33,12 +35,16 @@ from vftk.frames import (
 )
 from vftk.lattices import IntegralLattice, e8_lattice, short_vectors
 
-D4 = IntegralLattice.from_gram(
-    [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
-)
-D5 = IntegralLattice.from_gram(
-    [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1], [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]]
-)
+
+def _d_lattice(n):
+    """D_n from its Dynkin diagram: the path 0, ..., n-2 and node n-1 joined to n-3."""
+    gram = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]:
+        gram[i][j] = gram[j][i] = -1
+    return IntegralLattice.from_gram(gram)
+
+
+D4, D5, D6, D7 = (_d_lattice(n) for n in (4, 5, 6, 7))
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +214,63 @@ def test_find_frames_matches_brute_force(lattice, count):
     assert {frozenset(f.vectors) for f in frames} == brute
 
 
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        IntegralLattice([]),
+        IntegralLattice.from_gram([[4]]),
+        IntegralLattice.from_gram([[4, 0], [0, 4]]),
+        D4,
+        D5,
+        D6,
+        D7,
+    ],
+    ids=["zero", "4", "4I2", "D4", "D5", "D6", "D7"],
+)
+def test_walk_matches_reference_walker(lattice):
+    # D6 and D7 have 8 and 1704 exact fits that are not cliques
+    graph = frames._norm4_graph(lattice)
+    assert list(frames._walk_frames(graph)) == list(walk_frames_reference(graph))
+
+
+@pytest.fixture(scope="module")
+def e8_walk_prefix():
+    """The first 20000 (clique, k) of the E8 walk: all four classes occur."""
+    return list(islice(frames._walk_frames(_e8_graph()), 20000))
+
+
+def test_walk_matches_reference_walker_on_e8(e8_walk_prefix):
+    reference = islice(walk_frames_reference(_e8_graph()), len(e8_walk_prefix))
+    assert e8_walk_prefix == list(reference)
+
+
+def test_pair_masks_give_k_a_second_way(e8_walk_prefix):
+    """A class-k frame of E8 has 2^(k-1) distinct pair masks, each shared by
+    2^(4-k) of its pairs.
+
+    Proof.  Reading v -> ((v, x_i) mod 4)_i on the frame x_1..x_8 maps E8
+    onto its glue code C in (Z/4)^8, and E8 is C's construction A scaled
+    by 1/2; E8 is even unimodular, so C is a Type II Z4 code of length 8.
+    Its residue code R = C mod 2 is doubly even and contains the all-ones
+    vector 1 (Harada-Sole-Gaborit 1998), and has dimension k, the 4-rank
+    of C.  Bit j of masks[x_i] over i is the residue of the glue word of
+    the basis vector e_j; these words generate C, so the mask columns span
+    R.  Hence pairs i and i' share a mask iff every word of R agrees on
+    coordinates i and i', i.e. iff columns i and i' of a generator matrix
+    of R are equal.  Up to coordinate order the doubly even codes of
+    length 8 with 1 and k <= 4 are <1>, <1, u> with wt u = 4, <1, u, w>
+    with wt u = wt w = 4 and |u & w| = 2, and the [8,4,4] Hamming code,
+    which is self-dual with minimum weight 4, so no two of its columns
+    are equal.  Their generator matrices have 1, 2, 4 and 8 distinct
+    columns, each 8, 4, 2 and 1 times.
+    """
+    masks = _e8_graph().masks
+    for clique, k in e8_walk_prefix:
+        shared = Counter(masks[i] for i in clique)
+        assert len(shared) == 2 ** (k - 1)
+        assert set(shared.values()) == {2 ** (4 - k)}
+
+
 def test_e8_graph_matches_inner():
     e8 = e8_lattice()
     graph = _e8_graph()
@@ -358,3 +421,11 @@ def test_frame_group_order_deadline_binds_soon_on_cold_e8_build(monkeypatch):
         frame_group_order(1)
     assert time.monotonic() - start < 0.15
     assert frames._e8_gc_orders.cache_info().currsize == 0
+
+
+def test_budget_binds_inside_the_census_walk():
+    _e8_graph()  # warm, so the budget runs out in the walk, not in the graph build
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded), budget.limit(0.3):
+        classify_e8_frames()
+    assert time.monotonic() - start < 0.8
