@@ -306,41 +306,39 @@ def _adapted_frame(n, member):
     and the p's complete the t's to hyperbolic pairs.  The Gram/Q data of
     this list depends only on (n, overlap), which is what makes the
     witness isometry exist.  The member must be in canonical RREF.
+
+    The member is fully reduced, so the frame is read off its rows (a
+    left s pairs with x as the parity of s & (x >> n)).  A u row, with
+    right pivot p_k + n, has bit p_l + n equal to delta_kl, so e_{p_k}
+    is its left dual.  For w_1 = u_a with Q(u_a) = 1 and w_i = u_i +
+    Q(u_i) w_1, the dual of w_1 is the sum of e_{p_i} over the u_i with
+    Q = 1, and the dual of each other w_i is still e_{p_i}.  A t row,
+    with left pivot c_l, is the only row with bit c_l set, so f_{c_l}
+    pairs delta with the t's and 0 with the w's.  Adding w_k wherever
+    f_{c_l} pairs 1 with s_k, then t_l if Q = 1, gives p_l.  Neither step
+    moves a pairing with the isotropic member or with the left-half s's,
+    so two p's pair as each f does with the other's additions: 0.
     """
     t_rows = [r for r in member if r < (1 << n)]
     u_rows = [r for r in member if r >> n]
-    j = len(t_rows)
-    m = n - j
     qs = [quad_value(n, r) for r in u_rows]
     if 1 not in qs:
         raise ValueError("member is singular (not an odd Lagrangian)")
     w1 = u_rows[qs.index(1)]
+    duals = [1 << (u.bit_length() - 1 - n) for u in u_rows]
     ws = [w1] + [u ^ (w1 if q else 0) for u, q in zip(u_rows, qs) if u != w1]
-    # left vectors pairing as delta against the w's: columns of the inverse
-    # of a completion of the right parts
-    high = [w >> n for w in ws]
-    pivots = {u.bit_length() - 1 - n for u in u_rows}  # RREF: u_rows' right parts are echelon
-    full = high + [1 << pos for pos in range(n) if pos not in pivots]
-    finv = f2_mat_inverse(full, n)
-    ss = [sum(((finv[row] >> i) & 1) << row for row in range(n)) for i in range(m)]
-    # hyperbolic partners of the t's: inside the perp of the w's and s's,
-    # orthogonal to the other t's and pairing to 1 with t (v pairs to 0
-    # with x iff v has even overlap with x's halves swapped)
-    ws_ss_perp = []
-    if j:
-        ws_ss_perp = f2_orth(f2_identity(2 * n)[::-1], [_swap_halves(n, x) for x in ws + ss])
+    ss = [sum(d for d, q in zip(duals, qs) if q)]
+    ss += [d for u, d in zip(u_rows, duals) if u != w1]
     ps = []
     for t in t_rows:
-        others = f2_orth(ws_ss_perp, [_swap_halves(n, x) for x in t_rows if x != t])
-        p = next((b for b in others if pairing(n, b, t)), None)
-        verify(p is not None, "no hyperbolic partner for a left-overlap vector")
+        f = 1 << (n + t.bit_length() - 1)
+        p = f
+        for w, s in zip(ws, ss):
+            if ((f >> n) & s).bit_count() & 1:
+                p ^= w
         if quad_value(n, p):
             p ^= t
         ps.append(p)
-    for l in range(j):
-        for l2 in range(l + 1, j):
-            if pairing(n, ps[l], ps[l2]):
-                ps[l2] ^= t_rows[l]
     return ws + t_rows + ss + ps
 
 
@@ -556,7 +554,8 @@ def orbit_census(n, exhaustive=None):
             reps = {j: standard_odd_lagrangian(n, j) for j in range(n)}
             for member in members:
                 budget.check()
-                j = left_overlap(n, member)
+                # canonical RREF: the rows below 1 << n span the left overlap
+                j = sum(r < (1 << n) for r in member)
                 _verify_witness(n, _witness(n, j, member), reps[j], member)
                 sizes[j] += 1
         verify(

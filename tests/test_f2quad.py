@@ -12,6 +12,7 @@ import pytest
 import vftk.f2quad as f2quad
 from vftk.bits import (
     f2_identity,
+    f2_mat_inverse,
     f2_mat_mul,
     f2_rank,
     f2_reduce,
@@ -247,6 +248,56 @@ def test_witness_failure_raises(monkeypatch):
     assert member != rep
     with pytest.raises(VerificationError, match="misses its target"):
         same_orbit_witness(n, member, rep)
+
+
+def _frame_data(n, rows):
+    """Q of every row and the pairing of every pair, computed entry by entry."""
+    qs = [quad_value(n, r) for r in rows]
+    pairs = [pairing(n, a, b) for i, a in enumerate(rows) for b in rows[i + 1 :]]
+    return qs, pairs
+
+
+def _members_for_frame_tests():
+    for n in (1, 2, 3, 4):
+        for member in enumerate_odd_lagrangians(n):
+            yield n, member
+    for member in sample_odd_lagrangians(5, count=500, seed=14):
+        yield 5, member
+    for j in range(5):  # the samples miss the smallest class
+        yield 5, standard_odd_lagrangian(5, j)
+
+
+def test_adapted_frame_by_definition():
+    # a second route beside _verify_witness: the frame is a basis whose
+    # first n rows span the member and whose Q values and pairings are
+    # those of the standard frame of the member's overlap
+    standard = {}
+    for n, member in _members_for_frame_tests():
+        j = left_overlap(n, member)
+        if (n, j) not in standard:
+            frame = f2_mat_inverse(f2quad._standard_frame_inverse(n, j), 2 * n)
+            standard[n, j] = _frame_data(n, frame)
+        rows = f2quad._adapted_frame(n, member)
+        assert len(rows) == 2 * n and f2_rank(rows) == 2 * n
+        assert tuple(f2_rref(rows[:n])) == member
+        assert _frame_data(n, rows) == standard[n, j]
+    assert len(standard) == 1 + 2 + 3 + 4 + 5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_left_overlap_is_the_count_of_left_rows(n):
+    # orbit_census reads j off the canonical member this way
+    for member in enumerate_odd_lagrangians(n):
+        assert sum(r < (1 << n) for r in member) == left_overlap(n, member)
+
+
+def test_adapted_frame_refuses_singular_members():
+    n = 3
+    right_half = tuple(f2_rref([1 << (n + i) for i in range(n)]))
+    mixed = tuple(f2_rref([1, 1 << (n + 1), 1 << (n + 2)]))  # e0, f1, f2
+    for member in (right_half, mixed, tuple(f2_rref(f2_identity(n)))):
+        with pytest.raises(ValueError, match="member is singular"):
+            f2quad._adapted_frame(n, member)
 
 
 def test_census_certification_survives_optimize():
