@@ -14,7 +14,14 @@ of positions, pruned by comparing the multiset of (signed) word
 restrictions on the source prefix with the multiset of word restrictions
 on the candidate target prefix.  At full depth the multiset condition is
 equivalent to actual stabilization, so every accepted leaf is a witness.
-Restriction multisets are memoized across all the questions.
+
+Each word is stored once with its negation appended, so a signed source
+position p reads column p (sign +1) or column n + p (sign -1), and a
+restriction is one byte per column.  A multiset of restrictions is kept,
+memoized across all the questions, as the sorted concatenation of its
+restrictions: all of them have the same width, so two such byte strings
+are equal exactly when the multisets are.  The byte encoding bounds the
+modulus by 256; words must have length n and entries in range(m).
 
 The sign part is elementary abelian, a subspace of F2^n, so its dimension
 is the number of positions p that are the first -1 of some stabilizing
@@ -25,7 +32,6 @@ Signless searches (m = 2, or signed=False) are the same with the sign
 machinery switched off.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 from . import budget
@@ -75,38 +81,30 @@ def orbit(seeds, images):
 
 class _Search:
     def __init__(self, words, n, modulus, signed):
-        self.words = [tuple(w) for w in words]
+        if not 1 <= modulus <= 256:
+            raise ValueError(f"modulus must be in 1..256, got {modulus}")
+        values = range(modulus)
+        rows = []
+        for w in words:
+            w = tuple(w)
+            if len(w) != n or not all(x in values for x in w):
+                raise ValueError(f"word {w} is not in (Z/{modulus})^{n}")
+            # position n + p holds the negation of position p
+            rows.append(w + tuple(-x % modulus for x in w))
+        self.rows = rows
         self.n = n
-        self.modulus = modulus
         self.nodes = 0
         # sign on position p can only matter if some word has a value there
         # that differs from its own negation mod m
-        self.sign_matters = [
-            signed and any((-w[p]) % modulus != w[p] for w in self.words)
-            for p in range(n)
-        ]
-        self._tmemo = {}
-        self._smemo = {}
+        self.sign_matters = [signed and any(r[p] != r[n + p] for r in rows) for p in range(n)]
+        self._memo = {}
 
-    # --- restriction multisets ----------------------------------------
-    def tcount(self, tpos):
-        """Counter of word restrictions to target positions tpos."""
-        got = self._tmemo.get(tpos)
+    def multiset(self, idx):
+        """Sorted join of the row restrictions to columns idx."""
+        got = self._memo.get(idx)
         if got is None:
-            got = Counter(tuple(w[p] for p in tpos) for w in self.words)
-            self._tmemo[tpos] = got
-        return got
-
-    def scount(self, signs):
-        """Counter of signed word restrictions to source prefix 0..len-1."""
-        got = self._smemo.get(signs)
-        if got is None:
-            m = self.modulus
-            got = Counter(
-                tuple((s * w[p]) % m for p, s in enumerate(signs))
-                for w in self.words
-            )
-            self._smemo[signs] = got
+            got = b"".join(sorted(bytes([r[i] for i in idx]) for r in self.rows))
+            self._memo[idx] = got
         return got
 
     # --- existence query ------------------------------------------------
@@ -117,33 +115,36 @@ class _Search:
         used = [False] * self.n
         return self._dfs(0, fixed, target, flip, used, (), ())
 
-    def _dfs(self, depth, fixed, target, flip, used, tpos, signs):
+    def _dfs(self, depth, fixed, target, flip, used, tpos, spos):
+        """tpos are the target positions of source positions 0..depth-1,
+        spos their columns: p for sign +1, n + p for sign -1."""
         self.nodes += 1
         if self.nodes % CHECK_EVERY == 0:
             budget.check()
-        if depth == self.n:
-            return tpos, signs
+        n = self.n
+        if depth == n:
+            return tpos, tuple(1 if c < n else -1 for c in spos)
         if depth < fixed:
             candidates = (depth,)
         elif depth == fixed:
             candidates = (target,)
         else:
-            candidates = tuple(q for q in range(self.n) if not used[q])
+            candidates = tuple(q for q in range(n) if not used[q])
         if flip is not None and depth <= flip:
-            sign_options = (-1,) if depth == flip else (1,)
+            columns = (n + depth,) if depth == flip else (depth,)
         else:
-            sign_options = (1, -1) if self.sign_matters[depth] else (1,)
+            columns = (depth, n + depth) if self.sign_matters[depth] else (depth,)
         for q in candidates:
             if used[q]:
                 continue
             new_tpos = tpos + (q,)
-            tcnt = self.tcount(new_tpos)
-            for s in sign_options:
-                new_signs = signs + (s,)
-                if self.scount(new_signs) != tcnt:
+            want = self.multiset(new_tpos)
+            for c in columns:
+                new_spos = spos + (c,)
+                if self.multiset(new_spos) != want:
                     continue
                 used[q] = True
-                got = self._dfs(depth + 1, fixed, target, flip, used, new_tpos, new_signs)
+                got = self._dfs(depth + 1, fixed, target, flip, used, new_tpos, new_spos)
                 used[q] = False
                 if got is not None:
                     return got
@@ -151,7 +152,11 @@ class _Search:
 
 
 def stabilizer(words, n, modulus, signed=True):
-    """Full (signed) permutation stabilizer of a set of words in (Z/m)^n."""
+    """Full (signed) permutation stabilizer of a set of words in (Z/m)^n.
+
+    Raises ValueError unless 1 <= modulus <= 256 and every word has length
+    n and entries in range(modulus).
+    """
     search = _Search(words, n, modulus, signed)
     sign_order = 1
     if signed:

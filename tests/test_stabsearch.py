@@ -1,10 +1,15 @@
 """Orbit closure and the stabilizer search, checked against whole-group enumeration."""
 
 import random
+import tracemalloc
 
+import pytest
+
+import vftk.stabsearch
 from oracles import apply_monomial, brute_force_monomials, brute_force_perms
 from vftk.f2codes import BinaryCode, all_markings
-from vftk.frames import Z4Code
+from vftk.frames import Z4Code, e8_frame_representatives, glue_code
+from vftk.lattices import e8_lattice
 from vftk.stabsearch import orbit, stabilizer
 
 # two blocks of three coordinates: the group S3 wr S2 of order 72
@@ -39,9 +44,12 @@ def test_orbit_without_images_is_the_seeds():
     assert orbit(set(), lambda q: (q + 1,)) == set()
 
 
-def _random_words(rng, n, modulus):
-    """A few random words, closed under one random monomial map."""
+def _random_words(rng, n, modulus, edges=False):
+    """A few random words, closed under one random monomial map.  With
+    edges, one more word takes its entries from 0, m // 2 and m - 1."""
     words = {tuple(rng.randrange(modulus) for _ in range(n)) for _ in range(rng.randint(1, 4))}
+    if edges:
+        words.add(tuple(rng.choice((0, modulus // 2, modulus - 1)) for _ in range(n)))
     sigma = list(range(n))
     rng.shuffle(sigma)
     signs = [rng.choice((1, -1)) for _ in range(n)]
@@ -82,6 +90,23 @@ def test_stabilizer_matches_brute_force_monomials():
     # only the search over sign-relevant positions can find
     assert free_sign >= 20 and sign_dim_2 >= 10
 
+    # up to the byte edge of the restriction encoding, with n small enough
+    # for brute force
+    edge_words = 0
+    for case in range(60):
+        modulus = (5, 8, 256)[case % 3]
+        n = rng.randint(1, 4)
+        words = sorted(_random_words(rng, n, modulus, edges=True))
+        brute = brute_force_monomials(words, n, modulus)
+        res = stabilizer(words, n, modulus)
+        identity = tuple(range(n))
+        assert res.order == len(brute)
+        assert res.sign_order == sum(sigma == identity for sigma, _ in brute)
+        assert set(res.generators) <= set(brute)
+        entries = {x for w in words for x in w}
+        edge_words += {0, modulus - 1} <= entries
+    assert edge_words >= 30
+
 
 def test_signless_stabilizer_matches_brute_force_perms():
     rng = random.Random(12)
@@ -92,3 +117,89 @@ def test_signless_stabilizer_matches_brute_force_perms():
         res = stabilizer(words, n, 2, signed=False)
         assert res.order == len(brute) and res.sign_order == 1
         assert all(sigma in brute and signs == (1,) * n for sigma, signs in res.generators)
+
+
+def test_stabilizer_rejects_unreduced_and_misshapen_words():
+    # (1, 5) is (1, 1) mod 4, whose stabilizer has order 2, not 1
+    assert stabilizer([(1, 1)], 2, 4).order == 2
+    with pytest.raises(ValueError):
+        stabilizer([(1, 5)], 2, 4)
+    with pytest.raises(ValueError):
+        stabilizer([(1, -1)], 2, 4)
+    # a word longer or shorter than n
+    with pytest.raises(ValueError):
+        stabilizer([(1, 1, 7)], 2, 4)
+    with pytest.raises(ValueError):
+        stabilizer([(0, 1), (1,)], 2, 4)
+    # a modulus outside 1..256, the range of one byte per entry
+    for modulus in (0, -4, 257):
+        with pytest.raises(ValueError):
+            stabilizer([(0, 0)], 2, modulus)
+    assert stabilizer([(0, 255)], 2, 256).order == 2
+    assert stabilizer([(0, 0)], 2, 1).order == 8
+
+
+# (order, sign_order, orbit_sizes, generators) of the glue-code stabilizer of
+# each E8 frame class k, and the search's node count; a generator is written
+# as sigma's images and the signs, one character per position
+E8_SEARCHES = {
+    1: (5160960, 128, (8, 7, 6, 5, 4, 3, 2, 1), 323, (
+        ("10234567", "++++++++"), ("20134567", "++++++++"), ("30124567", "++++++++"),
+        ("40123567", "++++++++"), ("50123467", "++++++++"), ("60123457", "++++++++"),
+        ("70123456", "++++++++"), ("02134567", "++++++++"), ("03124567", "++++++++"),
+        ("04123567", "++++++++"), ("05123467", "++++++++"), ("06123457", "++++++++"),
+        ("07123456", "++++++++"), ("01324567", "++++++++"), ("01423567", "++++++++"),
+        ("01523467", "++++++++"), ("01623457", "++++++++"), ("01723456", "++++++++"),
+        ("01243567", "++++++++"), ("01253467", "++++++++"), ("01263457", "++++++++"),
+        ("01273456", "++++++++"), ("01235467", "++++++++"), ("01236457", "++++++++"),
+        ("01237456", "++++++++"), ("01234657", "++++++++"), ("01234756", "++++++++"),
+        ("01234576", "++++++++"),
+    )),
+    2: (73728, 64, (8, 3, 2, 1, 4, 3, 2, 1), 287, (
+        ("10234567", "++++++++"), ("20134567", "++++++++"), ("30124567", "++++++++"),
+        ("45670123", "++++++++"), ("02134567", "++++++++"), ("03124567", "++++++++"),
+        ("01324567", "++++++++"), ("01235467", "++++++++"), ("01236457", "++++++++"),
+        ("01237456", "++++++++"), ("01234657", "++++++++"), ("01234756", "++++++++"),
+        ("01234576", "++++++++"),
+    )),
+    3: (6144, 16, (8, 1, 6, 1, 4, 1, 2, 1), 319, (
+        ("10234567", "++++++++"), ("23014567", "+++++-+-"), ("45012367", "+++-+-++"),
+        ("67012345", "++++++++"), ("01324567", "++++++++"), ("01456723", "+++-+-++"),
+        ("01235467", "++++++++"), ("01236745", "+-+-++++"), ("01234576", "++++++++"),
+    )),
+    4: (2688, 2, (8, 7, 6, 4, 1, 1, 1, 1), 424, (
+        ("10243567", "+++----+"), ("20153467", "++++++++"), ("30176524", "++++-+-+"),
+        ("02135467", "+++----+"), ("03167524", "++++--++"), ("04162573", "+++-++-+"),
+        ("01365724", "+++-++-+"), ("01465273", "++++--++"), ("01243657", "++------"),
+        ("01256347", "+-+-----"),
+    )),
+}
+
+
+def test_e8_glue_code_searches_are_pinned(monkeypatch):
+    searches = []
+
+    class Recorded(vftk.stabsearch._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(vftk.stabsearch, "_Search", Recorded)
+    e8 = e8_lattice()
+    for k, frame in sorted(e8_frame_representatives().items()):
+        words = glue_code(e8, frame).sorted_words()
+        tracemalloc.start()
+        try:
+            res = stabilizer(words, 8, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        order, sign_order, orbit_sizes, nodes, gens = E8_SEARCHES[k]
+        assert (res.order, res.sign_order, res.orbit_sizes) == (order, sign_order, orbit_sizes)
+        assert res.generators == tuple(
+            (tuple(map(int, sigma)), tuple(1 if c == "+" else -1 for c in signs)) for sigma, signs in gens
+        )
+        assert searches[-1].nodes == nodes
+        if k == 4:
+            # the memoized restriction multisets of the largest search
+            assert peak < 2_000_000
