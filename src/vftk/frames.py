@@ -113,6 +113,9 @@ class Z4Code:
         for g in gens:
             if len(g) != length:
                 raise ValueError("generator length mismatch")
+            # words is a subgroup, so a generator inside it adds nothing
+            if g in words:
+                continue
             words = {
                 tuple((w[i] + m * g[i]) % 4 for i in range(length))
                 for w in words
@@ -462,8 +465,8 @@ def classify_e8_frames():
     the F2-rank k of its pair-mask matrix, which determines the glue type
     2^(8-2k) x 4^k here, which the glue code of each class's first frame
     cross-checks.  The census runs no stabilizer search: callers check
-    class size x |W_X| against the E8 isometry group order with
-    frame_stabilizer on the representative.
+    class size x |W_X| against the E8 isometry group order with the
+    monomial_order of frame_invariants on the representative.
     """
     e8 = e8_lattice()
     graph = _e8_graph()

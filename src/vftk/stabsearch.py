@@ -16,12 +16,26 @@ on the candidate target prefix.  At full depth the multiset condition is
 equivalent to actual stabilization, so every accepted leaf is a witness.
 
 Each word is stored once with its negation appended, so a signed source
-position p reads column p (sign +1) or column n + p (sign -1), and a
-restriction is one byte per column.  A multiset of restrictions is kept,
-memoized across all the questions, as the sorted concatenation of its
-restrictions: all of them have the same width, so two such byte strings
-are equal exactly when the multisets are.  The byte encoding bounds the
-modulus by 256; words must have length n and entries in range(m).
+position p reads column p (sign +1) or column n + p (sign -1).  The
+multisets come from partition refinement (McKay, Practical Graph
+Isomorphism, 1981), memoized across all the questions by column tuple.
+For each prefix idx the memo holds one label per row, naming the class of
+the row's restriction to idx, and a key.  A child idx + (c,) pairs each
+row's parent label with its entry in column c, as the integer
+value * rows + label; its key is the sorted sequence of these pairs, and a
+row's label is the position of the last copy of its pair in that key.  A
+label depends only on the multiset and on the row's own restriction, so
+prefixes with equal multisets label equal restrictions alike.  Two
+children's keys are therefore equal exactly when their multisets are,
+provided their parents' multisets are equal.  That is the only comparison
+the search makes: both sides start at the empty prefix, and a pair is
+extended only after it compared equal.  Keys whose parents differ may
+collide and are never compared.
+
+Labels and keys are packed into bytes, each value in the narrowest
+unsigned C type that holds it, so the encoding does not bound the
+modulus; the input check still asks for 1 <= m <= 256, and words of
+length n with entries in range(m).
 
 The sign part is elementary abelian, a subspace of F2^n, so its dimension
 is the number of positions p that are the first -1 of some stabilizing
@@ -33,6 +47,8 @@ machinery switched off.
 """
 
 from dataclasses import dataclass
+from operator import add
+from struct import Struct, calcsize
 
 from . import budget
 
@@ -60,6 +76,11 @@ class StabilizerResult:
     sign_order: int
     orbit_sizes: tuple
     generators: tuple
+
+
+def _value_code(bound):
+    """Smallest unsigned struct code holding every value below bound."""
+    return next(t for t in "BHILQ" if bound <= 1 << 8 * calcsize(t))
 
 
 def orbit(seeds, images):
@@ -91,19 +112,36 @@ class _Search:
                 raise ValueError(f"word {w} is not in (Z/{modulus})^{n}")
             # position n + p holds the negation of position p
             rows.append(w + tuple(-x % modulus for x in w))
-        self.rows = rows
         self.n = n
         self.nodes = 0
         # sign on position p can only matter if some word has a value there
         # that differs from its own negation mod m
         self.sign_matters = [signed and any(r[p] != r[n + p] for r in rows) for p in range(n)]
-        self._memo = {}
+        # a label is below len(rows), so value * len(rows) + label encodes
+        # the pair (value, label) without collisions; the m scaled values
+        # are shared, not one int object per row
+        size = len(rows)
+        scaled = [v * size for v in range(modulus)]
+        self._columns = [[scaled[r[c]] for r in rows] for c in range(2 * n)]
+        self._label_code = _value_code(size)
+        self._labels = Struct(f"{size}{self._label_code}")
+        self._keys = Struct(f"{size}{_value_code(modulus * size)}")
+        self._memo = {(): (bytes(self._labels.size), None)}
 
     def multiset(self, idx):
-        """Sorted join of the row restrictions to columns idx."""
+        """Key of the multiset of row restrictions to columns idx; see the
+        module docstring for when two keys may be compared."""
+        return self._entry(idx)[1]
+
+    def _entry(self, idx):
+        """(labels, key) of columns idx, refined from those of idx[:-1]."""
         got = self._memo.get(idx)
         if got is None:
-            got = b"".join(sorted(bytes([r[i] for i in idx]) for r in self.rows))
+            labels = memoryview(self._entry(idx[:-1])[0]).cast(self._label_code)
+            pairs = list(map(add, labels, self._columns[idx[-1]]))
+            ordered = sorted(pairs)
+            last = dict(zip(ordered, range(len(ordered))))
+            got = self._labels.pack(*map(last.__getitem__, pairs)), self._keys.pack(*ordered)
             self._memo[idx] = got
         return got
 

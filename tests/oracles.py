@@ -161,6 +161,15 @@ def brute_force_perms(words, n):
     return out
 
 
+def z4_closure(length, generators):
+    """Span of Z/4 generators: every generator, in turn, added 0..3 times
+    to every word found so far."""
+    words = {(0,) * length}
+    for g in generators:
+        words = {tuple((w[i] + m * g[i]) % 4 for i in range(length)) for w in words for m in range(4)}
+    return frozenset(words)
+
+
 def sum_two_squares_scan(p):
     """The first (a0, b0) in residue order with a0^2 + b0^2 == -1 mod p."""
     for a0 in range(p):

@@ -9,7 +9,7 @@ from math import factorial
 
 import pytest
 
-from oracles import apply_monomial, brute_force_monomials, short_vectors_box, walk_frames_reference
+from oracles import apply_monomial, brute_force_monomials, short_vectors_box, walk_frames_reference, z4_closure
 from vftk import frames
 from vftk import budget
 from vftk.budget import BudgetExceeded
@@ -80,6 +80,28 @@ def test_z4_code_closure():
     zero = Z4Code.from_generators(3, [])
     assert zero.order == 1
     assert abelian_type(zero) == (0, 0)
+
+
+def test_z4_code_closure_matches_oracle():
+    rng = random.Random(16)
+    dependent = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        gens = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        # repeat a generator, or add a combination of two, or a multiple of one
+        for _ in range(rng.randint(0, 2)):
+            g, h = rng.choice(gens), rng.choice(gens)
+            gens.insert(rng.randint(0, len(gens)), rng.choice((
+                g,
+                tuple((x + y) % 4 for x, y in zip(g, h)),
+                tuple(rng.choice((2, 3)) * x for x in g),
+            )))
+        code = Z4Code.from_generators(n, gens)
+        assert code.words == z4_closure(n, gens)
+        assert code.generators == tuple(tuple(x % 4 for x in g) for g in gens)
+        # cases where the closure skips a generator already in the span
+        dependent += any(g in z4_closure(n, gens[:i]) for i, g in enumerate(code.generators))
+    assert dependent >= 100
 
 
 def test_glue_code_of_frame_lattice_is_zero():

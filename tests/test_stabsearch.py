@@ -2,6 +2,8 @@
 
 import random
 import tracemalloc
+from itertools import product
+from math import factorial
 
 import pytest
 
@@ -90,7 +92,7 @@ def test_stabilizer_matches_brute_force_monomials():
     # only the search over sign-relevant positions can find
     assert free_sign >= 20 and sign_dim_2 >= 10
 
-    # up to the byte edge of the restriction encoding, with n small enough
+    # moduli up to 256, the largest accepted, with n small enough
     # for brute force
     edge_words = 0
     for case in range(60):
@@ -131,12 +133,30 @@ def test_stabilizer_rejects_unreduced_and_misshapen_words():
         stabilizer([(1, 1, 7)], 2, 4)
     with pytest.raises(ValueError):
         stabilizer([(0, 1), (1,)], 2, 4)
-    # a modulus outside 1..256, the range of one byte per entry
+    # a modulus outside 1..256, the accepted range
     for modulus in (0, -4, 257):
         with pytest.raises(ValueError):
             stabilizer([(0, 0)], 2, modulus)
     assert stabilizer([(0, 255)], 2, 256).order == 2
     assert stabilizer([(0, 0)], 2, 1).order == 8
+
+
+def test_more_words_than_one_byte_labels():
+    """Row labels wider than one byte (over 256 words), and keys wider than
+    two bytes (modulus times the word count over 2^16)."""
+    space = list(product(range(4), repeat=5))
+    res = stabilizer(space, 5, 4)
+    assert (res.order, res.sign_order) == (2**5 * factorial(5), 2**5)
+    rng = random.Random(1602)
+    for _ in range(3):
+        # closed under (a, b) -> (-b, -a), so the stabilizer is not trivial
+        words = {(rng.randrange(256), rng.randrange(256)) for _ in range(600)}
+        words = sorted(words | {(-b % 256, -a % 256) for a, b in words})
+        assert len(words) * 256 > 1 << 16
+        brute = brute_force_monomials(words, 2, 256)
+        res = stabilizer(words, 2, 256)
+        assert res.order == len(brute) >= 2
+        assert set(res.generators) <= set(brute)
 
 
 # (order, sign_order, orbit_sizes, generators) of the glue-code stabilizer of
@@ -201,5 +221,31 @@ def test_e8_glue_code_searches_are_pinned(monkeypatch):
         )
         assert searches[-1].nodes == nodes
         if k == 4:
-            # the memoized restriction multisets of the largest search
-            assert peak < 2_000_000
+            # the memoized row labels and keys of the largest search
+            assert peak < 600_000
+
+
+def test_generators_stabilize_codes_beyond_brute_force():
+    """Codes of length 8 and 10: every generator maps the word set onto
+    itself, and moving the coordinates by a random monomial map and
+    shuffling the words keeps |Stab| and the sign part's order."""
+    e8 = e8_lattice()
+    codes = [glue_code(e8, frame).sorted_words() for frame in e8_frame_representatives().values()]
+    rng = random.Random(1601)
+    codes += [sorted(_random_z4_code(rng, 10)) for _ in range(30)]
+    moving = 0
+    for words in codes:
+        n = len(words[0])
+        wordset = set(words)
+        res = stabilizer(words, n, 4)
+        for sigma, signs in res.generators:
+            assert {apply_monomial(w, sigma, signs, 4) for w in wordset} == wordset
+        moving += len(res.generators) > 0
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        moved = [apply_monomial(w, sigma, signs, 4) for w in words]
+        rng.shuffle(moved)
+        again = stabilizer(moved, n, 4)
+        assert (again.order, again.sign_order) == (res.order, res.sign_order)
+    assert moving >= 30
