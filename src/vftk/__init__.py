@@ -2,7 +2,7 @@
 
 Everything is exact: matrices and lattices live on Python integers, and
 Fraction is kept for values that are rational themselves (parsed input,
-torus phases, rational row bases, discriminant-group generators).  The
+rational row bases, glue and discriminant-group generators).  The
 package covers integral lattices and their discriminant groups, binary and
 Z4 glue codes, frame classification and stabilizer orders for the rank-8
 even unimodular lattice, sign-cocycle central extensions with lifted
@@ -10,6 +10,13 @@ isometries and involution bookkeeping, even unimodular overlattices glued
 from isotropic subgroups, and the orbit classification of odd Lagrangians
 in split quadratic spaces over GF(2).  The ``vftk`` command line emits the
 same results as JSON reports with built-in cross-checks.
+
+Results are immutable records, each a subclass of a collections.namedtuple
+with empty __slots__: tuples with named fields, whose repr is
+Name(field=value, ...) and whose hash is that of the field tuple.  Being
+tuples they also iterate, order with < and equal a plain tuple of their
+fields, except Z4Code, which compares (length, words) and only with another
+Z4Code.
 """
 
 from .abelian import type_string
@@ -48,7 +55,6 @@ from .hatgroup import (
     HatElement,
     all_lifts,
     lift_automorphism,
-    lifted_frame_stabilizer,
     miyamoto_involutions,
     standard_cocycle,
 )
@@ -107,7 +113,6 @@ __all__ = [
     "HatElement",
     "all_lifts",
     "lift_automorphism",
-    "lifted_frame_stabilizer",
     "miyamoto_involutions",
     "standard_cocycle",
     "DiscriminantGroup",

@@ -5,7 +5,7 @@ identified with its row space; the stored generators are the canonical
 reduced row-echelon basis, so equal codes compare equal.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
 from .bits import f2_identity, f2_in_span, f2_orth, f2_rref, f2_span
@@ -23,12 +23,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BinaryCode:
+class BinaryCode(namedtuple("BinaryCode", "length rows")):
     """Row space of `rows` inside F2^length (rows canonical RREF)."""
 
-    length: int
-    rows: tuple
+    __slots__ = ()
 
     @classmethod
     def from_rows(cls, length, rows):
@@ -116,11 +114,10 @@ def code_automorphisms(c):
     return gens, res.order
 
 
-@dataclass(frozen=True)
-class Marking:
+class Marking(namedtuple("Marking", "pairs")):
     """A perfect matching of the coordinates {0..length-1}."""
 
-    pairs: tuple
+    __slots__ = ()
 
     @classmethod
     def from_pairs(cls, pairs):

@@ -17,7 +17,7 @@ as in the bits module.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import prod
 
@@ -367,12 +367,10 @@ def _witness(n, j, member):
     return tuple(f2_mat_mul(_standard_frame_inverse(n, j), _adapted_frame(n, member)))
 
 
-@dataclass(frozen=True)
-class OrbitWitness:
+class OrbitWitness(namedtuple("OrbitWitness", "matrix overlaps")):
     """Either an explicit witness isometry or an invariant refutation."""
 
-    matrix: tuple
-    overlaps: tuple
+    __slots__ = ()
 
     @property
     def same_orbit(self):
@@ -435,21 +433,12 @@ def total_odd_count(n):
     return sum(orbit_size(n, j) for j in range(n))
 
 
-@dataclass(frozen=True)
-class StabilizerInfo:
-    overlap: int
-    order: int
-    unipotent_order: int
-    levi: str
+class StabilizerInfo(namedtuple("StabilizerInfo", "overlap order unipotent_order levi")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OrbitClass:
-    overlap: int
-    size: int
-    stabilizer_order: int
-    unipotent_order: int
-    levi: str
+class OrbitClass(namedtuple("OrbitClass", "overlap size stabilizer_order unipotent_order levi")):
+    __slots__ = ()
 
 
 def _full_left_stabilizer(n):

@@ -10,7 +10,7 @@ subgroup, pointwise stabilizer, torus-intersection types, wreath-product
 order formulas) is bookkeeping on top of that search.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache
 from math import factorial, prod
 from operator import mul
@@ -20,7 +20,7 @@ from .abelian import group_order, quotient_divisors, type_string
 from .bits import f2_rank
 from .f2codes import classify_markings, hamming_code
 from .intmat import identity
-from .lattices import IntegralLattice, ambient_to_basis, e8_lattice, short_vectors
+from .lattices import ambient_to_basis, e8_lattice, short_vectors
 from .stabsearch import stabilizer
 from .verify import verify
 
@@ -95,16 +95,23 @@ class LatticeFrame:
         return f"LatticeFrame({self.pair_count} pairs)"
 
 
-@dataclass(frozen=True)
-class Z4Code:
+class Z4Code(namedtuple("Z4Code", "length words generators")):
     """Additive subgroup of (Z/4)^n, stored as the full word set.
 
-    generators span the words; they are not compared.
+    generators span the words; they are not compared, so ==, != and hash
+    read (length, words) only, and only another Z4Code compares equal.
     """
 
-    length: int
-    words: frozenset
-    generators: tuple = field(compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is Z4Code and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
     @classmethod
     def from_generators(cls, length, generators):
@@ -159,8 +166,7 @@ def frame_from_marking(lattice, marking):
 # --- frame enumeration ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Norm4Graph:
+class _Norm4Graph(namedtuple("_Norm4Graph", "lattice reps adj masks")):
     """Orthogonality graph on the sign-pairs of norm-4 vectors.
 
     reps holds one vector per sign-pair in descending order; vertex i is
@@ -169,10 +175,7 @@ class _Norm4Graph:
     reps i and j are orthogonal; bit j of masks[i] is (e_j, reps[i]) mod 2.
     """
 
-    lattice: IntegralLattice
-    reps: tuple
-    adj: tuple
-    masks: tuple
+    __slots__ = ()
 
     def frame(self, clique):
         return LatticeFrame(self.lattice, [self.reps[i] for i in clique], validate=False)
@@ -318,8 +321,14 @@ def frame_torus_divisors(lattice, frame, denom):
     return quotient_divisors([lattice.gram_row(x) for x in frame.vectors] + scale, scale)
 
 
-@dataclass(frozen=True)
-class FrameInvariants:
+class FrameInvariants(
+    namedtuple(
+        "FrameInvariants",
+        "pair_count two_rank four_rank sign_log2 glue_order monomial_order sign_order"
+        " miyamoto_order pointwise_order torus_stab_divisors torus_stab_type"
+        " torus_stab_order perm_image_order full_order",
+    )
+):
     """Exact invariants of one frame: glue-code shape and stabilizer orders.
 
     two_rank/four_rank are the (l, k) of the glue code 2^l x 4^k;
@@ -330,20 +339,7 @@ class FrameInvariants:
     ((1/8)M + L*)/L*, the frame-stabilizing part of the ambient torus.
     """
 
-    pair_count: int
-    two_rank: int
-    four_rank: int
-    sign_log2: int
-    glue_order: int
-    monomial_order: int
-    sign_order: int
-    miyamoto_order: int
-    pointwise_order: int
-    torus_stab_divisors: tuple
-    torus_stab_type: str
-    torus_stab_order: int
-    perm_image_order: int
-    full_order: int
+    __slots__ = ()
 
 
 def frame_invariants(lattice, frame):
@@ -437,25 +433,16 @@ def e8_frame_representatives():
     return out
 
 
-@dataclass(frozen=True)
-class FrameClass:
+class FrameClass(namedtuple("FrameClass", "four_rank two_rank delta_type count representative")):
     """One census class: glue-code shape, count, and its first frame."""
 
-    four_rank: int
-    two_rank: int
-    delta_type: str
-    count: int
-    representative: LatticeFrame
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FrameCensus:
+class FrameCensus(namedtuple("FrameCensus", "classes total note nodes")):
     """Census classes, frame total, and walk nodes (cliques entered + exact fits)."""
 
-    classes: tuple
-    total: int
-    note: str
-    nodes: int
+    __slots__ = ()
 
 
 def classify_e8_frames():

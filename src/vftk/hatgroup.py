@@ -1,15 +1,14 @@
 """Central extension of an even lattice by {±1}, its lifted isometries,
-the exact torus action on frame symbols, and the involution bookkeeping
-for the nested length-16 codes.
+their action on frame symbols, and the involution bookkeeping for the
+nested length-16 codes.
 
 The extension is presented by a bilinear sign cocycle on basis
-coordinates.  Everything is exact: signs are +-1 ints, torus phases are
-Fractions mod 1, and the "eigenspace dimensions" of the involution
-classifier are closed-form integers — no analytic objects anywhere.
+coordinates.  Everything is exact: signs are +-1 ints, and the
+"eigenspace dimensions" of the involution classifier are closed-form
+integers — no analytic objects anywhere.
 """
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from collections import namedtuple
 from itertools import product as iproduct
 
 from .bits import f2_vec_mat
@@ -21,14 +20,10 @@ __all__ = [
     "EpsilonCocycle",
     "HatElement",
     "LiftedAutomorphism",
-    "TorusFrameAction",
-    "LiftedFrameStabilizer",
     "standard_cocycle",
     "lift_automorphism",
     "all_lifts",
-    "torus_action_on_frame",
     "frame_symbol_action",
-    "lifted_frame_stabilizer",
     "miyamoto_involutions",
     "frame_index_characters",
     "weight_one_dim",
@@ -37,18 +32,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EpsilonCocycle:
+class EpsilonCocycle(namedtuple("EpsilonCocycle", "lattice exponents")):
     """Sign cocycle eps(x, y) = (-1)^(x E y^T) on an even lattice.
 
     The exponent matrix E has (e_i, e_j) mod 2 below the diagonal, zeros
     above, and (e_i, e_i)/2 mod 2 on the diagonal; this realizes the two
     defining relations: squares (s,x)^2 = ((-1)^((x,x)/2), 2x) and
-    commutators picking up (-1)^((x,y)).
+    commutators picking up (-1)^((x,y)).  exponents holds E as n rows of
+    n 0/1 ints.
     """
 
-    lattice: object
-    exponents: tuple  # n x n rows of 0/1 ints
+    __slots__ = ()
 
     @property
     def rank(self):
@@ -82,16 +76,15 @@ class EpsilonCocycle:
         return HatElement(1, (0,) * self.rank)
 
 
-@dataclass(frozen=True)
-class HatElement:
+class HatElement(namedtuple("HatElement", "sign vec")):
     """Element (sign, x) of the extension; sign in {+1, -1}, x in L."""
 
-    sign: int
-    vec: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __new__(cls, sign, vec):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        return tuple.__new__(cls, (sign, vec))
 
 
 def standard_cocycle(lattice):
@@ -123,8 +116,7 @@ def _lift_cmatrix(cocycle, w):
     )
 
 
-@dataclass(frozen=True)
-class LiftedAutomorphism:
+class LiftedAutomorphism(namedtuple("LiftedAutomorphism", "cocycle matrix mu_bits cmatrix")):
     """Extension automorphism (s, x) -> (s * mu(x), x W) over an isometry W.
 
     mu is determined by free sign bits on the basis plus the closed-form
@@ -132,10 +124,7 @@ class LiftedAutomorphism:
     exactly the lifts of W.
     """
 
-    cocycle: EpsilonCocycle
-    matrix: tuple
-    mu_bits: tuple
-    cmatrix: tuple
+    __slots__ = ()
 
     def mu_exponent(self, x):
         c = self.cmatrix
@@ -194,41 +183,10 @@ def lift_automorphism(cocycle, w, mu_bits=None):
 def all_lifts(cocycle, w):
     """All 2^n lifts of the isometry w."""
     base = lift_automorphism(cocycle, w)
-    return [replace(base, mu_bits=bits) for bits in iproduct((0, 1), repeat=cocycle.rank)]
+    return [base._replace(mu_bits=bits) for bits in iproduct((0, 1), repeat=cocycle.rank)]
 
 
-# --- torus action on frame symbols ------------------------------------------
-
-
-@dataclass(frozen=True)
-class TorusFrameAction:
-    """Exact phases (h, x_i) mod 1 of a torus parameter on the frame pairs.
-
-    The frame symbols are fixed iff every phase is 0 (h in (1/4)M + dual);
-    they are permuted within pairs iff every phase is 0 or 1/2 (h in
-    (1/8)M + dual), the half phases swapping the two symbols of a pair.
-    """
-
-    phases: tuple
-    fixes_frame: bool
-    stabilizes_frame: bool
-    swaps: tuple
-
-
-def torus_action_on_frame(lattice, h, frame):
-    h = tuple(Fraction(c) for c in h)
-    phases = []
-    for x in frame.vectors:
-        val = Fraction(sum(hc * g for hc, g in zip(h, lattice.gram_row(x))), 2)
-        phases.append(val % 1)
-    phases = tuple(phases)
-    half = Fraction(1, 2)
-    return TorusFrameAction(
-        phases=phases,
-        fixes_frame=all(p == 0 for p in phases),
-        stabilizes_frame=all(p == 0 or p == half for p in phases),
-        swaps=tuple(p == half for p in phases),
-    )
+# --- lifts on frame symbols --------------------------------------------------
 
 
 def frame_symbol_action(lattice, frame, lift):
@@ -253,59 +211,6 @@ def frame_symbol_action(lattice, frame, lift):
         sigma.append(index[img])
         flips.append(lift.mu(x) == -1)
     return tuple(sigma), tuple(flips)
-
-
-@dataclass(frozen=True)
-class LiftedFrameStabilizer:
-    """Order and shape of the frame stabilizer among lifted monomials."""
-
-    order: int
-    kernel_order: int
-    sign_order: int
-    monomial_order: int
-    structure: str
-    samples_checked: int
-
-
-def lifted_frame_stabilizer(lattice, frame, stab=None):
-    """Stabilizer of the 2n-symbol frame inside the lifted monomial group.
-
-    A lifted monomial stabilizes every symbol pair iff its underlying
-    isometry acts by signs alone, so the order is 2^n * (sign subgroup
-    order); the verification applies sampled lifts symbolically.  Inside
-    the full normalizer (torus included) the stabilizer is the extension
-    of the whole monomial stabilizer by the torus part, which is what the
-    reported structure string records.
-    """
-    from .frames import frame_stabilizer, monomial_to_isometry
-
-    if stab is None:
-        stab = frame_stabilizer(lattice, frame)
-    n = frame.pair_count
-    cocycle = standard_cocycle(lattice)
-    checked = 0
-    ident = tuple(range(n))
-    # sign-only monomials must fix every pair; others must move one
-    for sigma, signs in [(ident, (1,) * n)] + list(stab.generators):
-        w = monomial_to_isometry(lattice, frame, sigma, signs)
-        lift = lift_automorphism(cocycle, w)
-        got_sigma, _flips = frame_symbol_action(lattice, frame, lift)
-        verify(got_sigma == sigma, "symbol action disagrees with the monomial")
-        checked += 1
-    order = (1 << n) * stab.sign_order
-    structure = (
-        f"2^{n} kernel . sign subgroup (order {stab.sign_order}) inside the "
-        f"lifted monomial group; torus stabilizer . monomial stabilizer "
-        f"(order {stab.order}) inside the full frame normalizer"
-    )
-    return LiftedFrameStabilizer(
-        order=order,
-        kernel_order=1 << n,
-        sign_order=stab.sign_order,
-        monomial_order=stab.order,
-        structure=structure,
-        samples_checked=checked,
-    )
 
 
 # --- involutions of the nested length-16 codes -------------------------------
@@ -345,11 +250,8 @@ def weight_one_dim(k, weight):
     raise ValueError(f"no word of weight {weight} in the nested codes")
 
 
-@dataclass(frozen=True)
-class InvolutionReport:
-    minus_dim: int
-    plus_dim: int
-    label: str
+class InvolutionReport(namedtuple("InvolutionReport", "minus_dim plus_dim label")):
+    __slots__ = ()
 
 
 def involution_class(k, chi):

@@ -11,7 +11,7 @@ both come from one fraction-free LDL^T of gram2 (`_ldl`, read off the
 package's one Bareiss elimination).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm, prod
@@ -258,17 +258,14 @@ def pair_reduced(lattice):
     return IntegralLattice(g)
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(namedtuple("DiscriminantGroup", "lattice generators orders")):
     """L*/L as generators and orders.
 
     generators are rational rows (dual-lattice coordinates in the lattice
     basis); orders are the matching elementary divisors (> 1).
     """
 
-    lattice: IntegralLattice
-    generators: tuple
-    orders: tuple
+    __slots__ = ()
 
     @property
     def order(self):

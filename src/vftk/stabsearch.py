@@ -20,7 +20,8 @@ position p reads column p (sign +1) or column n + p (sign -1).  The
 multisets come from partition refinement (McKay, Practical Graph
 Isomorphism, 1981), memoized across all the questions by column tuple.
 For each prefix idx the memo holds one label per row, naming the class of
-the row's restriction to idx, and a key.  A child idx + (c,) pairs each
+the row's restriction to idx, and a key; a full-depth prefix is never
+refined, so it keeps its key alone.  A child idx + (c,) pairs each
 row's parent label with its entry in column c, as the integer
 value * rows + label; its key is the sorted sequence of these pairs, and a
 row's label is the position of the last copy of its pair in that key.  A
@@ -46,7 +47,7 @@ Signless searches (m = 2, or signed=False) are the same with the sign
 machinery switched off.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
 from struct import Struct, calcsize
 
@@ -61,8 +62,7 @@ __all__ = [
 CHECK_EVERY = 4096  # nodes between budget polls
 
 
-@dataclass(frozen=True)
-class StabilizerResult:
+class StabilizerResult(namedtuple("StabilizerResult", "order sign_order orbit_sizes generators")):
     """Order and generators of a (signed) permutation stabilizer.
 
     generators are (sigma, signs) pairs, the witnesses of the chain's
@@ -72,10 +72,7 @@ class StabilizerResult:
     of orbit_sizes.
     """
 
-    order: int
-    sign_order: int
-    orbit_sizes: tuple
-    generators: tuple
+    __slots__ = ()
 
 
 def _value_code(bound):
@@ -134,14 +131,19 @@ class _Search:
         return self._entry(idx)[1]
 
     def _entry(self, idx):
-        """(labels, key) of columns idx, refined from those of idx[:-1]."""
+        """(labels, key) of columns idx, refined from those of idx[:-1].
+        A full-depth prefix is never refined, so its labels are None."""
         got = self._memo.get(idx)
         if got is None:
             labels = memoryview(self._entry(idx[:-1])[0]).cast(self._label_code)
             pairs = list(map(add, labels, self._columns[idx[-1]]))
             ordered = sorted(pairs)
-            last = dict(zip(ordered, range(len(ordered))))
-            got = self._labels.pack(*map(last.__getitem__, pairs)), self._keys.pack(*ordered)
+            key = self._keys.pack(*ordered)
+            if len(idx) == self.n:
+                got = None, key
+            else:
+                last = dict(zip(ordered, range(len(ordered))))
+                got = self._labels.pack(*map(last.__getitem__, pairs)), key
             self._memo[idx] = got
         return got
 

@@ -13,7 +13,7 @@ primitivity of the first block are indices of integer lattices (an HNF
 and a determinant), so no glue element is ever listed.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 from operator import mul
@@ -135,8 +135,7 @@ def _index(den, rows):
     return index
 
 
-@dataclass(frozen=True)
-class IsotropicSubgroup:
+class IsotropicSubgroup(namedtuple("IsotropicSubgroup", "lattice generators den basis")):
     """Subgroup of the discriminant group L*/L on which q vanishes identically.
 
     generators are rational rows in the coordinates of the lattice L.
@@ -148,10 +147,7 @@ class IsotropicSubgroup:
     determinant, with no element listed.
     """
 
-    lattice: IntegralLattice
-    generators: tuple
-    den: int
-    basis: tuple
+    __slots__ = ()
 
     def order(self):
         """|G| = [Z^n + span(generators) : Z^n]."""
@@ -186,8 +182,9 @@ def isotropic_subgroup(lattice, generators):
     return IsotropicSubgroup(lattice, gens, den, basis)
 
 
-@dataclass(frozen=True)
-class Overlattice:
+class Overlattice(
+    namedtuple("Overlattice", "base glue result diagonal_copies tail_rank", defaults=(1, 0))
+):
     """Even overlattice base <= result <= base* given by isotropic glue.
 
     The result's basis in base coordinates is glue.basis / glue.den.
@@ -196,11 +193,7 @@ class Overlattice:
     diagonal_copies blocks and fix the tail (see strong_extension_check).
     """
 
-    base: IntegralLattice
-    glue: IsotropicSubgroup
-    result: IntegralLattice
-    diagonal_copies: int = 1
-    tail_rank: int = 0
+    __slots__ = ()
 
 
 def overlattice_from_isotropic(base, glue, diagonal_copies=1, tail_rank=0):
@@ -387,10 +380,8 @@ def _block_diagonal(w, copies, tail_rank):
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class ExtensionVerdict:
-    extends: bool
-    matrix: tuple
+class ExtensionVerdict(namedtuple("ExtensionVerdict", "extends matrix")):
+    __slots__ = ()
 
 
 def strong_extension_check(l, over, gens):

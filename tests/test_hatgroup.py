@@ -1,13 +1,11 @@
-"""Sign extension: cocycle relations, lifts, torus phases, involution sums."""
+"""Sign extension: cocycle relations, lifts, frame symbols, involution sums."""
 
 import random
-from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
-from oracles import gram_inverse
-from vftk.frames import e8_frame_representatives, frame_stabilizer
+from vftk.frames import e8_frame_representatives, frame_stabilizer, monomial_to_isometry
 from vftk.hatgroup import (
     HatElement,
     all_lifts,
@@ -15,10 +13,8 @@ from vftk.hatgroup import (
     frame_symbol_action,
     involution_class,
     lift_automorphism,
-    lifted_frame_stabilizer,
     miyamoto_involutions,
     standard_cocycle,
-    torus_action_on_frame,
     weight_one_dim,
 )
 from vftk.lattices import IntegralLattice, e8_lattice
@@ -142,49 +138,21 @@ def test_lift_compose_and_kernel():
     assert cubed.is_kernel_element()
 
 
-def test_torus_action_basic_phases():
-    e8 = e8_lattice()
-    frame = e8_frame_representatives()[1]
-    x1 = frame.vectors[0]
-    quarter = tuple(Fraction(v, 4) for v in x1)
-    act = torus_action_on_frame(e8, quarter, frame)
-    assert act.fixes_frame and act.stabilizes_frame
-    assert act.phases[0] == 0
-    eighth = tuple(Fraction(v, 8) for v in x1)
-    act = torus_action_on_frame(e8, eighth, frame)
-    assert not act.fixes_frame and act.stabilizes_frame
-    assert act.phases[0] == Fraction(1, 2)
-    assert act.swaps[0] and not any(act.swaps[1:])
-    # a dual (here: lattice) vector acts trivially
-    act = torus_action_on_frame(e8, (1, 0, 0, 0, 0, 0, 0, 0), frame)
-    assert act.fixes_frame
-    # an eighth of a sum of frame vectors stabilizes
-    h = tuple(Fraction(a + b, 8) for a, b in zip(frame.vectors[2], frame.vectors[5]))
-    assert torus_action_on_frame(e8, h, frame).stabilizes_frame
-    # something generic does not
-    ginv = gram_inverse(e8)
-    h = tuple(Fraction(1, 3) * c for c in ginv[0])
-    assert not torus_action_on_frame(e8, h, frame).stabilizes_frame
-
-
 def test_frame_symbol_action_of_sign_monomial():
+    """The lift of each frame-stabilizer generator moves the frame symbol
+    pairs by the generator's own permutation."""
     e8 = e8_lattice()
-    frame = e8_frame_representatives()[4]
-    stab = frame_stabilizer(e8, frame)
-    res = lifted_frame_stabilizer(e8, frame, stab=stab)
-    assert res.order == 2**8 * stab.sign_order
-    assert res.order == 2**8 * 2
-    assert res.kernel_order == 256
-    assert res.samples_checked >= 1
-    assert "order 2688" in res.structure
-
-
-def test_lifted_frame_stabilizer_k1():
-    e8 = e8_lattice()
-    frame = e8_frame_representatives()[1]
-    res = lifted_frame_stabilizer(e8, frame)
-    assert res.order == 2**8 * 2**7
-    assert res.sign_order == 2**7
+    reps = e8_frame_representatives()
+    cocycle = standard_cocycle(e8)
+    ident = tuple(range(8))
+    for k, sign_order, order in ((1, 2**7, 5160960), (4, 2, 2688)):
+        frame = reps[k]
+        stab = frame_stabilizer(e8, frame)
+        assert (stab.sign_order, stab.order) == (sign_order, order)
+        for sigma, signs in [(ident, (1,) * 8)] + list(stab.generators):
+            w = monomial_to_isometry(e8, frame, sigma, signs)
+            got_sigma, _flips = frame_symbol_action(e8, frame, lift_automorphism(cocycle, w))
+            assert got_sigma == sigma
 
 
 def test_frame_symbol_action_nonmonomial_raises():

@@ -1,11 +1,12 @@
 """The package source keeps to exact, dependency-free Python.
 
 No assert statement (python -O strips them; checks use verify), no
-floating point outside the wall-clock budget, and no import outside the
-standard library.
+floating point outside the wall-clock budget, no import outside the
+standard library, and no dataclasses.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,9 +49,8 @@ def test_no_floating_point(path):
     assert found == []
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_only_stdlib_imports(path):
-    found = []
+def _absolute_imports(path):
+    """(top-level module, place) of every absolute import in path."""
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
@@ -58,5 +58,29 @@ def test_only_stdlib_imports(path):
             names = [node.module]
         else:
             continue
-        found += [(n, _where(path, node)) for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+        yield from ((n.split(".")[0], _where(path, node)) for n in names)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_stdlib_imports(path):
+    found = [(n, at) for n, at in _absolute_imports(path) if n not in sys.stdlib_module_names]
     assert found == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    """Records are namedtuple subclasses; importing dataclasses (and the
+    inspect it loads) would put that cost back on every command's start."""
+    assert [(n, at) for n, at in _absolute_imports(path) if n == "dataclasses"] == []
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """A fresh interpreter (pytest itself loads both modules) without site
+    hooks, so only the package's own imports count."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import vftk.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    src = str(Path(vftk.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

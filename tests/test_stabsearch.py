@@ -220,6 +220,8 @@ def test_e8_glue_code_searches_are_pinned(monkeypatch):
             (tuple(map(int, sigma)), tuple(1 if c == "+" else -1 for c in signs)) for sigma, signs in gens
         )
         assert searches[-1].nodes == nodes
+        # a full-depth prefix is never refined, so it keeps no row labels
+        assert all((labels is None) == (len(idx) == 8) for idx, (labels, _) in searches[-1]._memo.items())
         if k == 4:
             # the memoized row labels and keys of the largest search
             assert peak < 600_000
