@@ -155,6 +155,32 @@ def test_frame_symbol_action_of_sign_monomial():
             assert got_sigma == sigma
 
 
+def test_lifted_frame_stabilizer_k1():
+    """For the k = 1 frame, the sign-only monomials found by scanning all
+    2^8 sign vectors form the stabilizer's sign subgroup (order 2^7); each
+    lift of one fixes every symbol pair, so the lifted group of pair-fixing
+    elements has order 2^8 * 2^7."""
+    e8 = e8_lattice()
+    frame = e8_frame_representatives()[1]
+    cocycle = standard_cocycle(e8)
+    ident = tuple(range(8))
+    sign_only = []
+    for signs in iproduct((1, -1), repeat=8):
+        try:
+            sign_only.append(monomial_to_isometry(e8, frame, ident, signs))
+        except ValueError:
+            continue
+    assert len(sign_only) == 2**7 == frame_stabilizer(e8, frame).sign_order
+    lifted = 0
+    for w in sign_only:
+        lifts = all_lifts(cocycle, w)
+        assert len({lift.mu_bits for lift in lifts}) == 2**8
+        got_sigma, _flips = frame_symbol_action(e8, frame, lifts[0])
+        assert got_sigma == ident
+        lifted += len(lifts)
+    assert lifted == 2**8 * 2**7
+
+
 def test_frame_symbol_action_nonmonomial_raises():
     e8 = e8_lattice()
     frame = e8_frame_representatives()[1]
