@@ -10,6 +10,8 @@ subgroup, pointwise stabilizer, torus-intersection types, wreath-product
 order formulas) is bookkeeping on top of that search.
 """
 
+import marshal
+import os
 from collections import namedtuple
 from functools import cache
 from math import factorial, prod
@@ -84,12 +86,16 @@ class LatticeFrame:
             vecs = [vecs[i] for i in order]
         return LatticeFrame(self.lattice, vecs, validate=False)
 
+    def _pairs(self):
+        return frozenset(frozenset((v, tuple(-c for c in v))) for v in self.vectors)
+
     def __eq__(self, other):
         if not isinstance(other, LatticeFrame):
             return NotImplemented
-        mine = {frozenset((v, tuple(-c for c in v))) for v in self.vectors}
-        theirs = {frozenset((v, tuple(-c for c in v))) for v in other.vectors}
-        return self.lattice == other.lattice and mine == theirs
+        return self.lattice == other.lattice and self._pairs() == other._pairs()
+
+    def __hash__(self):
+        return hash((self.lattice, self._pairs()))
 
     def __repr__(self):
         return f"LatticeFrame({self.pair_count} pairs)"
@@ -200,24 +206,32 @@ def _norm4_graph(lattice):
     return _Norm4Graph(lattice, tuple(reps), tuple(adj), masks)
 
 
-def _walk_frames(graph, stats=None):
+def _walk_frames(graph, stats=None, roots=None):
     """Yield (clique, k) for every frame of the graph's lattice.
 
     A clique is rank-many pairwise orthogonal vertices in descending order,
-    so the walk meets frames in ascending order of their sign-pair reps;
-    k is the F2-rank of their pair masks, computed at the frames only.
+    so the walk meets frames in ascending order of their sign-pair reps,
+    which is descending lexicographic order of the cliques; k is the
+    F2-rank of their pair masks, computed at the frames only.
     Each depth keeps its untried candidates, all below the vertex chosen
     last, so backtracking restores nothing.  A completion through a
     candidate v is `need` vertices of `below`, the later candidates
     orthogonal to v.  When `below` has exactly `need`, it is the only one:
     it is yielded if it is a clique, and only larger `below`s are entered.
     stats["nodes"] gets the cliques entered plus the exact fits tested.
+
+    roots, a bitset of vertices (None: all), limits the depth-0 choices to
+    its vertices; `below` and the order are as in the full walk.  So the
+    walks over disjoint roots that cover every vertex yield disjoint
+    subsequences of the full walk, and their nodes add up to its nodes.
     """
     size = graph.lattice.rank
     if not size:  # the zero lattice has one frame, the empty one
         yield (), 0
         return
     adj, masks = graph.adj, graph.masks
+    if roots is None:
+        roots = (1 << len(adj)) - 1
     rest = [0] * size
     chosen = [0] * size
     rest[0] = (1 << len(adj)) - 1
@@ -233,7 +247,7 @@ def _walk_frames(graph, stats=None):
             left -= 1
             below = cands & adj[v]
             fit = below.bit_count()
-            if fit < need:
+            if fit < need or not (depth or roots >> v & 1):
                 continue
             nodes += 1
             if not nodes & 4095:
@@ -403,6 +417,8 @@ def monomial_to_isometry(lattice, frame, sigma, signs):
 # The E8 builds below are cached for the process once a call completes; a
 # build that runs out of budget raises, so it caches nothing.
 
+_MAX_CENSUS_PROCESSES = 8  # the census walk uses at most this many processes
+
 
 @cache
 def _e8_graph():
@@ -454,16 +470,32 @@ def classify_e8_frames():
     cross-checks.  The census runs no stabilizer search: callers check
     class size x |W_X| against the E8 isometry group order with the
     monomial_order of frame_invariants on the representative.
+
+    The walk is split by depth-0 vertex v into the parts v % w, each
+    walked with _walk_frames(graph, roots=part), where w is the number of
+    CPUs this process may use, at most _MAX_CENSUS_PROCESSES;
+    _split_census says where the parts run.  The merge is exact: counts
+    and nodes add up, and each class's first clique is the largest of the
+    parts' firsts, because the walk meets cliques in descending
+    lexicographic order.  So the result does not depend on w.
     """
+    return _classify_e8_frames(_census_processes())
+
+
+def _census_processes():
+    """The CPUs this process may use, at most _MAX_CENSUS_PROCESSES."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_CENSUS_PROCESSES)
+
+
+def _classify_e8_frames(parts):
+    """classify_e8_frames with the walk split into `parts` parts."""
     e8 = e8_lattice()
     graph = _e8_graph()
-    counts = {}
-    first = {}
-    stats = {}
-    for clique, k in _walk_frames(graph, stats):
-        counts[k] = counts.get(k, 0) + 1
-        if k not in first:
-            first[k] = clique
+    counts, first, nodes = _split_census(graph, parts)
 
     classes = []
     for k in sorted(counts):
@@ -486,9 +518,128 @@ def classify_e8_frames():
         "inequivalent framings, so the frame classification above has four "
         "rows while the full framed-symmetry classification has five."
     )
-    return FrameCensus(
-        classes=tuple(classes), total=sum(counts.values()), note=note, nodes=stats["nodes"]
-    )
+    return FrameCensus(classes=tuple(classes), total=sum(counts.values()), note=note, nodes=nodes)
+
+
+def _census_part(graph, roots):
+    """(count by k, first clique by k, nodes) of the walk under roots."""
+    counts = {}
+    first = {}
+    stats = {}
+    for clique, k in _walk_frames(graph, stats, roots):
+        if k in counts:
+            counts[k] += 1
+        else:
+            counts[k] = 1
+            first[k] = clique
+    return counts, first, stats["nodes"]
+
+
+def _split_census(graph, parts):
+    """_census_part of the whole walk, merged from `parts` parts.
+
+    Part i holds the depth-0 vertices v with v % parts == i.  Part 0 runs
+    in this process.  When os.fork exists and no other thread is alive,
+    every other part runs in a forked worker, which shares this process's
+    pages copy-on-write and sends its result back over a pipe; otherwise
+    the parts run here one after another.  classify_e8_frames states the
+    merge rules.
+    """
+    n = len(graph.adj)
+    roots = [sum(1 << v for v in range(i, n, parts)) for i in range(parts)]
+    if parts > 1 and _may_fork():
+        results = _forked_parts(graph, roots)
+    else:
+        results = [_census_part(graph, part) for part in roots]
+    counts, first, nodes = {}, {}, 0
+    for part_counts, part_first, part_nodes in results:
+        for k, count in part_counts.items():
+            counts[k] = counts.get(k, 0) + count
+            first[k] = max(first.get(k, ()), part_first[k])
+        nodes += part_nodes
+    return counts, first, nodes
+
+
+def _may_fork():
+    """Whether the census may fork: os.fork exists and no other thread lives."""
+    import threading  # here, not at the top: only the census needs it
+
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _forked_parts(graph, roots):
+    """_census_part of roots[0] here and of every other part in a worker.
+
+    A worker inherits the budget deadline.  Its BudgetExceeded is raised
+    here again; any other failure, an exit without a result included, is a
+    VerificationError.  However this returns, no worker outlives it.
+    """
+    import signal
+
+    workers = []  # [pid, read end of its result pipe]
+    try:
+        for part in roots[1:]:
+            read, write = os.pipe()
+            workers.append([None, read])
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(write)
+                raise
+            if not pid:
+                os.close(read)
+                _census_worker(graph, part, write)
+            os.close(write)
+            workers[-1][0] = pid
+        results = [_census_part(graph, roots[0])]
+        for worker in workers:
+            pid, read = worker
+            with open(read, "rb") as pipe:
+                worker[1] = None
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            worker[0] = None
+            try:
+                tag, value = marshal.loads(data)
+            except (EOFError, ValueError, TypeError):
+                tag, value = "error", f"no result, exit status {os.waitstatus_to_exitcode(status)}"
+            if tag == "budget":
+                raise budget.BudgetExceeded(value)
+            verify(tag == "ok", f"census worker failed: {value}")
+            results.append(value)
+        return results
+    finally:
+        for pid, read in workers:
+            if read is not None:
+                os.close(read)
+            if pid is not None:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
+
+
+def _census_worker(graph, roots, write):
+    """In a forked worker: send (tag, value) for one part, then exit.
+
+    The worker never returns into its parent's stack: whatever happens,
+    it leaves through os._exit, and without a result on anything that
+    is not an Exception.
+    """
+    status = 1
+    try:
+        try:
+            outcome = ("ok", _census_part(graph, roots))
+        except budget.BudgetExceeded as exc:
+            outcome = ("budget", str(exc))
+        except Exception as exc:
+            outcome = ("error", f"{type(exc).__name__}: {exc}")
+        with open(write, "wb") as pipe:
+            pipe.write(marshal.dumps(outcome))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # --- order formulas ---------------------------------------------------------

@@ -1,7 +1,9 @@
 """Frame engine: markings to frames, glue codes, stabilizers, order formulas."""
 
 import functools
+import os
 import random
+import threading
 import time
 from collections import Counter
 from itertools import combinations, islice
@@ -34,6 +36,7 @@ from vftk.frames import (
     order_sym_wr_agl,
 )
 from vftk.lattices import IntegralLattice, e8_lattice, short_vectors
+from vftk.verify import VerificationError
 
 
 def _d_lattice(n):
@@ -102,6 +105,24 @@ def test_z4_code_closure_matches_oracle():
         # cases where the closure skips a generator already in the span
         dependent += any(g in z4_closure(n, gens[:i]) for i, g in enumerate(code.generators))
     assert dependent >= 100
+
+
+def test_frame_hash_agrees_with_equality():
+    # equal frames (same lattice, same sign-pairs in any order and sign)
+    # hash equal; a frame on another Gram is a different frame
+    frame = e8_frame_representatives()[2]
+    rng = random.Random(18)
+    for _ in range(5):
+        order = list(range(8))
+        rng.shuffle(order)
+        other = frame.reoriented([rng.choice((1, -1)) for _ in range(8)], order)
+        assert other == frame and hash(other) == hash(frame)
+    assert len({frame, other, e8_frame_representatives()[3]}) == 2
+    lat = IntegralLattice.from_gram([[4, 0], [0, 4]])
+    a = LatticeFrame(lat, [(1, 0), (0, 1)])
+    b = LatticeFrame(lat.rescale(1), [(0, -1), (-1, 0)])
+    assert a == b and hash(a) == hash(b)
+    assert a != LatticeFrame(IntegralLattice.from_gram([[4, 0], [0, 8]]), [(1, 0)], validate=False)
 
 
 def test_glue_code_of_frame_lattice_is_zero():
@@ -451,3 +472,132 @@ def test_budget_binds_inside_the_census_walk():
     with pytest.raises(BudgetExceeded), budget.limit(0.3):
         classify_e8_frames()
     assert time.monotonic() - start < 0.8
+
+
+def _root_parts(graph, w):
+    """The depth-0 vertex bitsets v % w == i, i < w."""
+    return [sum(1 << v for v in range(len(graph.adj)) if v % w == i) for i in range(w)]
+
+
+@pytest.mark.parametrize("lattice", [D4, D5, D6, D7], ids=["D4", "D5", "D6", "D7"])
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_walk_parts_partition_the_walk(lattice, w):
+    graph = frames._norm4_graph(lattice)
+    stats = {}
+    full = list(frames._walk_frames(graph, stats))
+    nodes = 0
+    for part in _root_parts(graph, w):
+        part_stats = {}
+        assert list(frames._walk_frames(graph, part_stats, part)) == [
+            f for f in full if part >> f[0][0] & 1
+        ]
+        nodes += part_stats["nodes"]
+    assert nodes == stats["nodes"]
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_walk_parts_partition_the_e8_walk_prefix(e8_walk_prefix, w):
+    graph = _e8_graph()
+    for part in _root_parts(graph, w):
+        expected = [f for f in e8_walk_prefix if part >> f[0][0] & 1]
+        assert expected
+        assert list(islice(frames._walk_frames(graph, roots=part), len(expected))) == expected
+
+
+@pytest.mark.parametrize("lattice", [D6, D7], ids=["D6", "D7"])
+def test_split_census_forked_or_not_merges_exactly(monkeypatch, lattice):
+    graph = frames._norm4_graph(lattice)
+    whole = frames._census_part(graph, None)
+    for parts in (2, 3):
+        assert frames._split_census(graph, parts) == whole
+    monkeypatch.setattr(frames, "_may_fork", lambda: False)
+    for parts in (1, 2, 3):
+        assert frames._split_census(graph, parts) == whole
+
+
+def test_no_fork_while_another_thread_lives():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not frames._may_fork()
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert frames._may_fork() == hasattr(os, "fork")
+
+
+def test_census_split_matches_in_process():
+    # the census does not depend on how the walk is split
+    whole = frames._classify_e8_frames(1)
+    split = frames._classify_e8_frames(2)
+    assert split == whole
+    assert [c.representative.vectors for c in split.classes] == [
+        c.representative.vectors for c in whole.classes
+    ]
+    assert [c.count for c in split.classes] == [135, 9450, 113400, 259200]
+    assert split.total == 382185
+    assert split.nodes == whole.nodes == 3_323_445
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split census forks only where os.fork exists")
+
+
+@needs_fork
+def test_no_worker_outlives_a_budget_stop():
+    _e8_graph()
+    assert frames._may_fork()
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded), budget.limit(0.3):
+        frames._classify_e8_frames(3)
+    assert time.monotonic() - start < 0.8
+    _assert_no_child_left()
+
+
+def _fail_in_workers(monkeypatch, fail):
+    """Make _census_part call fail() in a forked worker, not here."""
+    parent = os.getpid()
+    part = frames._census_part
+
+    def census_part(graph, roots):
+        if os.getpid() != parent:
+            fail()
+        return part(graph, roots)
+
+    monkeypatch.setattr(frames, "_census_part", census_part)
+
+
+@needs_fork
+def test_a_failing_worker_is_a_verification_error(monkeypatch):
+    def fail():
+        raise RuntimeError("fails on purpose")
+
+    _fail_in_workers(monkeypatch, fail)
+    with pytest.raises(VerificationError, match="RuntimeError: fails on purpose"):
+        frames._split_census(frames._norm4_graph(D7), 3)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_a_worker_that_exits_without_a_result_is_a_verification_error(monkeypatch):
+    _fail_in_workers(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(VerificationError, match="no result, exit status 3"):
+        frames._split_census(frames._norm4_graph(D7), 2)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_a_worker_budget_stop_is_raised_here(monkeypatch):
+    def fail():
+        raise BudgetExceeded("worker budget")
+
+    _fail_in_workers(monkeypatch, fail)
+    with pytest.raises(BudgetExceeded, match="worker budget"):
+        frames._split_census(frames._norm4_graph(D7), 2)
+    _assert_no_child_left()

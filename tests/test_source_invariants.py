@@ -2,7 +2,8 @@
 
 No assert statement (python -O strips them; checks use verify), no
 floating point outside the wall-clock budget, no import outside the
-standard library, and no dataclasses.
+standard library, and no dataclasses; and importing the CLI loads no
+process pool or pickle.
 """
 
 import ast
@@ -74,13 +75,27 @@ def test_no_dataclasses_import(path):
     assert [(n, at) for n, at in _absolute_imports(path) if n == "dataclasses"] == []
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
-    """A fresh interpreter (pytest itself loads both modules) without site
-    hooks, so only the package's own imports count."""
+def _loaded_by_cli_import(names):
+    """Which of names a fresh interpreter has loaded after import vftk.cli.
+
+    Fresh because pytest itself loads many modules, and without site hooks
+    (-S), so only the package's own imports count."""
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import vftk.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted(set(sys.argv[2:]) & set(sys.modules)))"
     )
     src = str(Path(vftk.__file__).parent.parent)
-    out = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, src, *names], capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    assert _loaded_by_cli_import(["dataclasses", "inspect"]) == "[]"
+
+
+def test_cli_import_skips_process_pools_and_pickle():
+    """The split census forks with os.fork and reads results with marshal,
+    so no command pays at start-up for a process pool or pickle."""
+    assert _loaded_by_cli_import(["multiprocessing", "pickle", "concurrent"]) == "[]"
