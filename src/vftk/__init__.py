@@ -26,7 +26,6 @@ from .f2codes import (
     Marking,
     all_markings,
     classify_markings,
-    dual_code,
     hamming_code,
     rm1_subcode,
 )
@@ -35,7 +34,6 @@ from .f2quad import (
     left_overlap,
     orbit_census,
     same_orbit_witness,
-    sample_odd_lagrangians,
     stabilizer_structure,
     standard_odd_lagrangian,
 )
@@ -90,14 +88,12 @@ __all__ = [
     "Marking",
     "all_markings",
     "classify_markings",
-    "dual_code",
     "hamming_code",
     "rm1_subcode",
     "enumerate_odd_lagrangians",
     "left_overlap",
     "orbit_census",
     "same_orbit_witness",
-    "sample_odd_lagrangians",
     "stabilizer_structure",
     "standard_odd_lagrangian",
     "FrameCensus",

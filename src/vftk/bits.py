@@ -5,14 +5,11 @@ sequences of row ints; there are no wrapper classes, so callers must keep
 track of widths themselves.  All routines are pure.
 """
 
-from itertools import combinations
-
 __all__ = [
     "f2_echelon",
     "f2_rank",
     "f2_rref",
     "f2_reduce",
-    "f2_in_span",
     "f2_span",
     "f2_orth",
     "f2_mat_mul",
@@ -20,7 +17,6 @@ __all__ = [
     "f2_mat_inverse",
     "f2_identity",
     "f2_transpose",
-    "f2_subspaces",
 ]
 
 
@@ -60,10 +56,6 @@ def f2_rref(rows):
             if basis[i] & pivot:
                 basis[i] ^= basis[j]
     return tuple(basis)
-
-
-def f2_in_span(v, rows):
-    return f2_reduce(v, f2_echelon(rows)) == 0
 
 
 def f2_span(rows):
@@ -141,33 +133,3 @@ def f2_mat_inverse(rows, n):
                 work[r] ^= work[col]
                 inv[r] ^= inv[col]
     return inv
-
-
-def f2_subspaces(width, dim):
-    """Yield every dim-dimensional subspace of F2^width exactly once.
-
-    Subspaces come out as RREF tuples (descending pivots).  Enumeration is
-    by choice of pivot columns plus free entries, so the count matches the
-    Gaussian binomial coefficient.
-    """
-    if dim == 0:
-        yield ()
-        return
-    for pivots in combinations(range(width - 1, -1, -1), dim):
-        # pivots descending; row i has leading bit pivots[i]
-        free_positions = []  # (row, col) pairs that may be 0/1
-        for i, p in enumerate(pivots):
-            for col in range(p - 1, -1, -1):
-                if col not in pivots:
-                    free_positions.append((i, col))
-        base = [1 << p for p in pivots]
-        nfree = len(free_positions)
-        for mask in range(1 << nfree):
-            rows = list(base)
-            m = mask
-            while m:
-                idx = (m & -m).bit_length() - 1
-                i, col = free_positions[idx]
-                rows[i] |= 1 << col
-                m &= m - 1
-            yield tuple(rows)

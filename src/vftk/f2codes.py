@@ -1,4 +1,4 @@
-"""Binary linear codes: duals, weight data, automorphisms, markings.
+"""Binary linear codes: the nested Reed-Muller codes, automorphisms, markings.
 
 Codewords are bit-packed ints (bit i = coordinate i).  A BinaryCode is
 identified with its row space; the stored generators are the canonical
@@ -8,14 +8,13 @@ reduced row-echelon basis, so equal codes compare equal.
 from collections import namedtuple
 from importlib import resources
 
-from .bits import f2_identity, f2_in_span, f2_orth, f2_rref, f2_span
+from .bits import f2_rref, f2_span
 from .stabsearch import orbit, stabilizer
 
 __all__ = [
     "BinaryCode",
     "Marking",
     "hamming_code",
-    "dual_code",
     "rm1_subcode",
     "code_automorphisms",
     "all_markings",
@@ -47,19 +46,6 @@ class BinaryCode(namedtuple("BinaryCode", "length rows")):
         """All codewords as 0/1 tuples (coordinate i = tuple index i)."""
         return [tuple((w >> i) & 1 for i in range(self.length)) for w in self.words()]
 
-    def contains(self, word):
-        return f2_in_span(word, self.rows)
-
-    def weight_enumerator(self):
-        """Tuple a where a[w] = number of codewords of Hamming weight w."""
-        counts = [0] * (self.length + 1)
-        for w in self.words():
-            counts[w.bit_count()] += 1
-        return tuple(counts)
-
-    def is_doubly_even(self):
-        return all(w.bit_count() % 4 == 0 for w in self.words())
-
     def __str__(self):
         return f"[{self.length},{self.dim}] binary code"
 
@@ -88,11 +74,6 @@ def hamming_code(length):
 
         return parse_code(resources.files("vftk").joinpath("data/h16.txt").read_text())
     raise ValueError("supported lengths are 8 and 16")
-
-
-def dual_code(c):
-    """Orthogonal complement under the standard F2 dot product."""
-    return BinaryCode.from_rows(c.length, f2_orth(f2_identity(c.length)[::-1], c.rows))
 
 
 def rm1_subcode(k):

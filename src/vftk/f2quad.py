@@ -16,7 +16,6 @@ Vectors are bit-packed ints and subspaces are canonical RREF row tuples,
 as in the bits module.
 """
 
-import random
 from collections import namedtuple
 from functools import lru_cache
 from math import prod
@@ -46,18 +45,15 @@ __all__ = [
     "quad_value",
     "pairing",
     "nonsingular_vectors",
-    "odd_lagrangian_through",
     "is_odd_lagrangian",
     "left_overlap",
     "standard_odd_lagrangian",
     "enumerate_odd_lagrangians",
-    "sample_odd_lagrangians",
     "left_stabilizer_order",
     "left_stabilizer_generators",
     "transform_member",
     "is_isometry",
     "fixes_left_half",
-    "random_isometry",
     "orbit_partition",
     "same_orbit_witness",
     "stabilizer_structure",
@@ -107,20 +103,6 @@ def is_odd_lagrangian(n, member):
     if any(pairing(n, rows[i], rows[l]) for i in range(n) for l in range(i + 1, n)):
         return False
     return any(quad_value(n, r) for r in rows)
-
-
-def odd_lagrangian_through(n, v):
-    """The member spanned by a nonsingular v and the left vectors orthogonal to v.
-
-    Its left overlap is n - 1, the maximal value.
-    """
-    if not quad_value(n, v):
-        raise ValueError("v must be nonsingular")
-    # left vectors orthogonal to v: even overlap with the right half of v
-    perp = f2_orth(f2_identity(n)[::-1], [v >> n])
-    member = _canonical(perp + [v])
-    verify(is_odd_lagrangian(n, member), "member through v is not an odd Lagrangian")
-    return member
 
 
 def left_overlap(n, member):
@@ -198,18 +180,6 @@ def enumerate_odd_lagrangians(n):
     return tuple(sorted(out))
 
 
-def sample_odd_lagrangians(n, count=32, seed=0):
-    """Constructive members: one through a random nonsingular vector, then
-    pushed around by a random isometry of the whole space."""
-    rng = random.Random(seed)
-    vecs = nonsingular_vectors(n)
-    out = []
-    for _ in range(count):
-        member = odd_lagrangian_through(n, rng.choice(vecs))
-        out.append(transform_member(n, random_isometry(n, rng), member))
-    return tuple(out)
-
-
 # --- the stabilizer of the left half ----------------------------------------
 
 
@@ -269,17 +239,6 @@ def fixes_left_half(n, g):
 
 def transform_member(n, g, member):
     return _canonical([f2_vec_mat(r, g) for r in member])
-
-
-def random_isometry(n, rng, length=None):
-    """Product of transvections x -> x + (x,u)u at random nonsingular u."""
-    vecs = nonsingular_vectors(n)
-    g = tuple(f2_identity(2 * n))
-    for _ in range(3 * n if length is None else length):
-        u = rng.choice(vecs)
-        t = tuple(b ^ (u if pairing(n, b, u) else 0) for b in f2_identity(2 * n))
-        g = tuple(f2_mat_mul(g, t))
-    return g
 
 
 def orbit_partition(n, members):
@@ -368,13 +327,9 @@ def _witness(n, j, member):
 
 
 class OrbitWitness(namedtuple("OrbitWitness", "matrix overlaps")):
-    """Either an explicit witness isometry or an invariant refutation."""
+    """A witness isometry, or matrix None with unequal left overlaps as the refutation."""
 
     __slots__ = ()
-
-    @property
-    def same_orbit(self):
-        return self.matrix is not None
 
 
 def same_orbit_witness(n, a, b):

@@ -5,8 +5,7 @@ optional second line ``scale 1/2`` marks the entries as doubled inner
 products (allowing exact half-integer forms).  Code files: first line
 ``length dim``, then dim lines of 0/1 characters with coordinate 0 first.
 Frame files: first line the number of sign pairs, then one coordinate row
-per pair in the lattice basis.  Vector lists: one vector per line with
-entries written ``p`` or ``p/q``.
+per pair in the lattice basis.
 
 Blank lines and ``#`` comments are ignored everywhere.
 """
@@ -20,13 +19,8 @@ from .lattices import IntegralLattice
 __all__ = [
     "ParseError",
     "parse_gram",
-    "format_gram",
     "parse_code",
-    "format_code",
     "parse_frame",
-    "format_frame",
-    "parse_vectors",
-    "format_vectors",
     "load_gram",
     "load_frame",
 ]
@@ -81,19 +75,6 @@ def parse_gram(text):
         raise ParseError(str(exc)) from None
 
 
-def format_gram(lattice):
-    """Gram-file text for a lattice (uses ``scale 1/2`` only when needed)."""
-    halved = any(x % 2 for row in lattice.gram2 for x in row)
-    lines = [str(lattice.rank)]
-    if halved:
-        lines.append("scale 1/2")
-        rows = lattice.gram2
-    else:
-        rows = [[x // 2 for x in row] for row in lattice.gram2]
-    lines += [" ".join(str(x) for x in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 def parse_code(text):
     """BinaryCode from code-file text."""
     lines = _content_lines(text)
@@ -119,33 +100,11 @@ def parse_code(text):
         raise ParseError(str(exc)) from None
 
 
-def format_code(code):
-    lines = [f"{code.length} {len(code.rows)}"]
-    for r in code.rows:
-        lines.append("".join("1" if (r >> i) & 1 else "0" for i in range(code.length)))
-    return "\n".join(lines) + "\n"
-
-
 def _fraction(tok, what):
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"{what}: bad rational {tok!r}") from None
-
-
-def parse_vectors(text, width=None):
-    """Tuple of Fraction coordinate rows, one per line."""
-    rows = []
-    for ln in _content_lines(text):
-        row = tuple(_fraction(tok, "vector entry") for tok in ln.split())
-        if width is not None and len(row) != width:
-            raise ParseError(f"expected {width} coordinates, found {len(row)} in {ln!r}")
-        rows.append(row)
-    return tuple(rows)
-
-
-def format_vectors(rows):
-    return "\n".join(" ".join(str(Fraction(x)) for x in row) for row in rows) + "\n"
 
 
 def parse_frame(text, lattice):
@@ -171,12 +130,6 @@ def parse_frame(text, lattice):
         return LatticeFrame(lattice, vectors)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-
-
-def format_frame(frame):
-    lines = [str(frame.pair_count)]
-    lines += [" ".join(str(x) for x in v) for v in frame.vectors]
-    return "\n".join(lines) + "\n"
 
 
 def load_gram(path):

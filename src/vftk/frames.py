@@ -34,13 +34,11 @@ __all__ = [
     "FrameCensus",
     "W_E8_ORDER",
     "frame_from_marking",
-    "find_frames",
     "glue_code",
     "abelian_type",
     "frame_stabilizer",
     "frame_invariants",
     "frame_torus_divisors",
-    "monomial_to_isometry",
     "e8_frame_representatives",
     "classify_e8_frames",
     "gl2_order",
@@ -76,15 +74,6 @@ class LatticeFrame:
     @property
     def pair_count(self):
         return len(self.vectors)
-
-    def reoriented(self, signs=None, order=None):
-        """Same frame with representatives flipped by signs and pairs permuted."""
-        vecs = list(self.vectors)
-        if signs is not None:
-            vecs = [tuple(s * c for c in v) for s, v in zip(signs, vecs)]
-        if order is not None:
-            vecs = [vecs[i] for i in order]
-        return LatticeFrame(self.lattice, vecs, validate=False)
 
     def _pairs(self):
         return frozenset(frozenset((v, tuple(-c for c in v))) for v in self.vectors)
@@ -227,6 +216,8 @@ def _walk_frames(graph, stats=None, roots=None):
     """
     size = graph.lattice.rank
     if not size:  # the zero lattice has one frame, the empty one
+        if stats is not None:
+            stats["nodes"] = 0
         yield (), 0
         return
     adj, masks = graph.adj, graph.masks
@@ -273,18 +264,6 @@ def _walk_frames(graph, stats=None, roots=None):
         rest[depth] = below
     if stats is not None:
         stats["nodes"] = nodes
-
-
-def find_frames(lattice):
-    """All frames of a definite even lattice (small lattices only).
-
-    Returns every rank-many clique of norm-4 sign-pairs that _walk_frames
-    meets, exact fits included, as a LatticeFrame.  The list can be huge
-    (E8 has 382185 frames): classify_e8_frames counts them instead of
-    keeping them.
-    """
-    graph = _norm4_graph(lattice)
-    return [graph.frame(clique) for clique, _ in _walk_frames(graph)]
 
 
 # --- glue code and invariants ---------------------------------------------
@@ -383,33 +362,6 @@ def frame_invariants(lattice, frame):
         perm_image_order=perm_image,
         full_order=pointwise * perm_image,
     )
-
-
-def monomial_to_isometry(lattice, frame, sigma, signs):
-    """Integer isometry sending x_p to signs[p] * x_{sigma[p]}.
-
-    Raises ValueError if the monomial map does not preserve the lattice
-    (equivalently, does not preserve the glue code).
-    """
-    n = lattice.rank
-    vecs = frame.vectors
-    cols = [lattice.gram_row(x) for x in vecs]  # cols[p][j] = 2 (e_j, x_p)
-    rows = []
-    for j in range(n):
-        # e_j = sum_p (e_j, x_p)/4 x_p, so row j is acc/8
-        acc = [0] * n
-        for p in range(n):
-            c = cols[p][j] * signs[p]
-            if c:
-                tgt = vecs[sigma[p]]
-                for t in range(n):
-                    acc[t] += c * tgt[t]
-        if any(x % 8 for x in acc):
-            raise ValueError("monomial map does not preserve the lattice")
-        rows.append(tuple(x // 8 for x in acc))
-    rows = tuple(rows)
-    verify(lattice.is_isometry(rows), "constructed map is not an isometry")
-    return rows
 
 
 # --- the E8 table and census ----------------------------------------------

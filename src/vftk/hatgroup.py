@@ -1,6 +1,5 @@
 """Central extension of an even lattice by {±1}, its lifted isometries,
-their action on frame symbols, and the involution bookkeeping for the
-nested length-16 codes.
+and the involution bookkeeping for the nested length-16 codes.
 
 The extension is presented by a bilinear sign cocycle on basis
 coordinates.  Everything is exact: signs are +-1 ints, and the
@@ -23,7 +22,6 @@ __all__ = [
     "standard_cocycle",
     "lift_automorphism",
     "all_lifts",
-    "frame_symbol_action",
     "miyamoto_involutions",
     "frame_index_characters",
     "weight_one_dim",
@@ -60,20 +58,6 @@ class EpsilonCocycle(namedtuple("EpsilonCocycle", "lattice exponents")):
     def product(self, a, b):
         sign = a.sign * b.sign * self.epsilon(a.vec, b.vec)
         return HatElement(sign, tuple(p + q for p, q in zip(a.vec, b.vec)))
-
-    def inverse(self, a):
-        sign = a.sign * self.epsilon(a.vec, a.vec)
-        return HatElement(sign, tuple(-p for p in a.vec))
-
-    def square(self, a):
-        return self.product(a, a)
-
-    def commutator(self, a, b):
-        ab = self.product(a, b)
-        return self.product(ab, self.product(self.inverse(a), self.inverse(b)))
-
-    def identity_element(self):
-        return HatElement(1, (0,) * self.rank)
 
 
 class HatElement(namedtuple("HatElement", "sign vec")):
@@ -184,33 +168,6 @@ def all_lifts(cocycle, w):
     """All 2^n lifts of the isometry w."""
     base = lift_automorphism(cocycle, w)
     return [base._replace(mu_bits=bits) for bits in iproduct((0, 1), repeat=cocycle.rank)]
-
-
-# --- lifts on frame symbols --------------------------------------------------
-
-
-def frame_symbol_action(lattice, frame, lift):
-    """Action of a lift on the 2n frame symbols, as (sigma, sign flips).
-
-    The lift's matrix must be monomial on the frame: x_p -> +-x_{sigma(p)}.
-    The symbol pair p goes to pair sigma[p], with the two symbols swapped
-    exactly when mu(x_p) = -1 (the +- label tracks mu, the sign of the
-    frame vector drops out).
-    """
-    vecs = frame.vectors
-    index = {}
-    for q, x in enumerate(vecs):
-        index[x] = q
-        index[tuple(-c for c in x)] = q
-    sigma = []
-    flips = []
-    for p, x in enumerate(vecs):
-        img = vec_mat(x, lift.matrix)
-        if img not in index:
-            raise ValueError("lift is not monomial on the frame")
-        sigma.append(index[img])
-        flips.append(lift.mu(x) == -1)
-    return tuple(sigma), tuple(flips)
 
 
 # --- involutions of the nested length-16 codes -------------------------------

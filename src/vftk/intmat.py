@@ -21,7 +21,6 @@ __all__ = [
     "hnf_basis",
     "snf",
     "snf_divisors",
-    "is_unimodular",
 ]
 
 
@@ -193,6 +192,3 @@ def snf_divisors(a):
     d, _, _ = snf(a)
     return tuple(row[i] for i, row in enumerate(d) if i < len(row) and row[i])
 
-
-def is_unimodular(a):
-    return abs(det(a)) == 1

@@ -14,12 +14,12 @@ package's one Bareiss elimination).
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 from operator import mul
 
 from . import budget
-from .abelian import _hnf_coords, quotient_divisors
-from .intmat import _bareiss, det, hnf_basis, identity, mat_mul, snf, transpose
+from .abelian import _hnf_coords
+from .intmat import _bareiss, det, hnf_basis, mat_mul, snf, transpose
 
 __all__ = [
     "IntegralLattice",
@@ -29,7 +29,6 @@ __all__ = [
     "short_vectors",
     "pair_reduced",
     "discriminant_group",
-    "sublattice_quotient",
     "direct_sum",
 ]
 
@@ -267,10 +266,6 @@ class DiscriminantGroup(namedtuple("DiscriminantGroup", "lattice generators orde
 
     __slots__ = ()
 
-    @property
-    def order(self):
-        return prod(self.orders) if self.orders else 1
-
     def p_primary_generators(self):
         """dict p -> list of (generator row, p-power order), largest first.
 
@@ -318,7 +313,3 @@ def discriminant_group(lattice):
             orders.append(di)
     return DiscriminantGroup(lattice, tuple(gens), tuple(orders))
 
-
-def sublattice_quotient(lattice, sub_rows):
-    """Elementary divisors (> 1) of L / span(sub_rows); ValueError unless full rank."""
-    return quotient_divisors(identity(lattice.rank), sub_rows)

@@ -1,11 +1,20 @@
 """Slow, independent routes the tests check the library against: the
 definitions computed over Fraction or by exhaustive search, for small inputs
-only."""
+only.  Also the test-side constructions the library does not need: random
+odd Lagrangians, frame isometries from monomials, reoriented frames, and
+the text of fixture files."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import isqrt
+
+from vftk import frames
+from vftk.bits import f2_identity, f2_mat_mul, f2_orth, f2_rref
+from vftk.f2quad import is_odd_lagrangian, nonsingular_vectors, pairing, quad_value, transform_member
+from vftk.intmat import vec_mat
+from vftk.verify import verify
 
 
 def det_gauss(a):
@@ -219,3 +228,153 @@ def walk_frames_reference(graph):
         depth += 1
         rest[depth] = below
         bases[depth] = tuple(sorted(basis + (m,), reverse=True)) if m else basis
+
+
+def f2_subspaces(width, dim):
+    """Yield every dim-dimensional subspace of F2^width exactly once.
+
+    Subspaces come out as RREF tuples (descending pivots).  Enumeration is
+    by choice of pivot columns plus free entries, so the count matches the
+    Gaussian binomial coefficient.
+    """
+    if dim == 0:
+        yield ()
+        return
+    for pivots in combinations(range(width - 1, -1, -1), dim):
+        # pivots descending; row i has leading bit pivots[i]
+        free_positions = []  # (row, col) pairs that may be 0/1
+        for i, p in enumerate(pivots):
+            for col in range(p - 1, -1, -1):
+                if col not in pivots:
+                    free_positions.append((i, col))
+        base = [1 << p for p in pivots]
+        nfree = len(free_positions)
+        for mask in range(1 << nfree):
+            rows = list(base)
+            m = mask
+            while m:
+                idx = (m & -m).bit_length() - 1
+                i, col = free_positions[idx]
+                rows[i] |= 1 << col
+                m &= m - 1
+            yield tuple(rows)
+
+
+def odd_lagrangian_through(n, v):
+    """The member spanned by a nonsingular v and the left vectors orthogonal to v.
+
+    Its left overlap is n - 1, the maximal value.
+    """
+    if not quad_value(n, v):
+        raise ValueError("v must be nonsingular")
+    # left vectors orthogonal to v: even overlap with the right half of v
+    perp = f2_orth(f2_identity(n)[::-1], [v >> n])
+    member = f2_rref(perp + [v])
+    verify(is_odd_lagrangian(n, member), "member through v is not an odd Lagrangian")
+    return member
+
+
+def random_isometry(n, rng):
+    """Product of 3n transvections x -> x + (x,u)u at random nonsingular u."""
+    vecs = nonsingular_vectors(n)
+    g = tuple(f2_identity(2 * n))
+    for _ in range(3 * n):
+        u = rng.choice(vecs)
+        t = tuple(b ^ (u if pairing(n, b, u) else 0) for b in f2_identity(2 * n))
+        g = tuple(f2_mat_mul(g, t))
+    return g
+
+
+def sample_odd_lagrangians(n, count=32, seed=0):
+    """Constructive members: one through a random nonsingular vector, then
+    pushed around by a random isometry of the whole space."""
+    rng = random.Random(seed)
+    vecs = nonsingular_vectors(n)
+    out = []
+    for _ in range(count):
+        member = odd_lagrangian_through(n, rng.choice(vecs))
+        out.append(transform_member(n, random_isometry(n, rng), member))
+    return tuple(out)
+
+
+def find_frames(lattice):
+    """Every frame of a small definite even lattice, as LatticeFrames."""
+    graph = frames._norm4_graph(lattice)
+    return [graph.frame(clique) for clique, _ in frames._walk_frames(graph)]
+
+
+def reoriented(frame, signs, order):
+    """The same frame with representatives flipped by signs, then permuted."""
+    vecs = [tuple(s * c for c in v) for s, v in zip(signs, frame.vectors)]
+    return frames.LatticeFrame(frame.lattice, [vecs[i] for i in order], validate=False)
+
+
+def monomial_to_isometry(lattice, frame, sigma, signs):
+    """Integer isometry sending x_p to signs[p] * x_{sigma[p]}.
+
+    Raises ValueError if the monomial map does not preserve the lattice
+    (equivalently, does not preserve the glue code).
+    """
+    n = lattice.rank
+    vecs = frame.vectors
+    cols = [lattice.gram_row(x) for x in vecs]  # cols[p][j] = 2 (e_j, x_p)
+    rows = []
+    for j in range(n):
+        # e_j = sum_p (e_j, x_p)/4 x_p, so row j is acc/8
+        acc = [0] * n
+        for p in range(n):
+            c = cols[p][j] * signs[p]
+            if c:
+                tgt = vecs[sigma[p]]
+                for t in range(n):
+                    acc[t] += c * tgt[t]
+        if any(x % 8 for x in acc):
+            raise ValueError("monomial map does not preserve the lattice")
+        rows.append(tuple(x // 8 for x in acc))
+    rows = tuple(rows)
+    verify(lattice.is_isometry(rows), "constructed map is not an isometry")
+    return rows
+
+
+def frame_symbol_action(frame, lift):
+    """Action of a lift on the 2n frame symbols, as (sigma, sign flips).
+
+    The lift's matrix must be monomial on the frame: x_p -> +-x_{sigma(p)}.
+    The symbol pair p goes to pair sigma[p], with the two symbols swapped
+    exactly when mu(x_p) = -1 (the +- label tracks mu, the sign of the
+    frame vector drops out).
+    """
+    vecs = frame.vectors
+    index = {}
+    for q, x in enumerate(vecs):
+        index[x] = q
+        index[tuple(-c for c in x)] = q
+    sigma = []
+    flips = []
+    for x in vecs:
+        img = vec_mat(x, lift.matrix)
+        if img not in index:
+            raise ValueError("lift is not monomial on the frame")
+        sigma.append(index[img])
+        flips.append(lift.mu(x) == -1)
+    return tuple(sigma), tuple(flips)
+
+
+def format_gram(lattice):
+    """Gram-file text for a lattice (uses ``scale 1/2`` only when needed)."""
+    halved = any(x % 2 for row in lattice.gram2 for x in row)
+    lines = [str(lattice.rank)]
+    if halved:
+        lines.append("scale 1/2")
+        rows = lattice.gram2
+    else:
+        rows = [[x // 2 for x in row] for row in lattice.gram2]
+    lines += [" ".join(str(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def format_frame(frame):
+    """Frame-file text: the pair count, then one coordinate row per pair."""
+    lines = [str(frame.pair_count)]
+    lines += [" ".join(str(x) for x in v) for v in frame.vectors]
+    return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ import pytest
 import vftk.cli as cli
 import vftk.f2quad as f2quad
 import vftk.unimodular as unimodular
-from vftk.fileio import format_frame, format_gram
+from oracles import format_frame, format_gram
 from vftk.frames import e8_frame_representatives
 from vftk.lattices import IntegralLattice, direct_sum, e8_lattice
 

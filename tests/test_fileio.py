@@ -1,21 +1,10 @@
 """Round trips and error paths for the plain-text exchange formats."""
 
-from fractions import Fraction
-
 import pytest
 
+from oracles import format_frame, format_gram
 from vftk.f2codes import hamming_code
-from vftk.fileio import (
-    ParseError,
-    format_code,
-    format_frame,
-    format_gram,
-    format_vectors,
-    parse_code,
-    parse_frame,
-    parse_gram,
-    parse_vectors,
-)
+from vftk.fileio import ParseError, parse_code, parse_frame, parse_gram
 from vftk.frames import e8_frame_representatives
 from vftk.lattices import IntegralLattice, e8_lattice
 
@@ -62,10 +51,10 @@ def test_gram_parse_errors(bad):
 
 
 def test_code_round_trip():
-    for code in (hamming_code(8), hamming_code(16)):
-        text = format_code(code)
-        assert parse_code(text).rows == code.rows
-        assert text.splitlines()[0] == f"{code.length} {len(code.rows)}"
+    # the RM(1,3) generators of hamming_code(8), coordinate 0 first
+    text = "# RM(1,3)\n8 4\n11111111\n11110000\n11001100\n10101010\n"
+    assert parse_code(text) == hamming_code(8)
+    assert parse_code("3 1\n100\n").rows == (1,)
 
 
 @pytest.mark.parametrize(
@@ -93,19 +82,10 @@ def test_frame_parse_errors():
         parse_frame("1\n1 0 0 0 0 0 0", e8)  # wrong width
     with pytest.raises(ParseError):
         parse_frame("1\n1/2 0 0 0 0 0 0 0", e8)  # not integral
+    for entry in ("x", "1/0"):  # not a rational
+        with pytest.raises(ParseError):
+            parse_frame(f"1\n{entry} 0 0 0 0 0 0 0", e8)
     # right shape but not a frame vector (norm != 4)
     with pytest.raises(ParseError):
         parse_frame("8\n" + "\n".join("1 0 0 0 0 0 0 0" for _ in range(8)), e8)
 
-
-def test_vectors_round_trip():
-    rows = ((Fraction(1, 2), Fraction(3)), (Fraction(-5, 4), Fraction(0)))
-    text = format_vectors(rows)
-    assert parse_vectors(text) == rows
-    assert parse_vectors(text, width=2) == rows
-    with pytest.raises(ParseError):
-        parse_vectors(text, width=3)
-    with pytest.raises(ParseError):
-        parse_vectors("1 x\n")
-    with pytest.raises(ParseError):
-        parse_vectors("1/0\n")

@@ -11,7 +11,16 @@ from math import factorial
 
 import pytest
 
-from oracles import apply_monomial, brute_force_monomials, short_vectors_box, walk_frames_reference, z4_closure
+from oracles import (
+    apply_monomial,
+    brute_force_monomials,
+    find_frames,
+    monomial_to_isometry,
+    reoriented,
+    short_vectors_box,
+    walk_frames_reference,
+    z4_closure,
+)
 from vftk import frames
 from vftk import budget
 from vftk.budget import BudgetExceeded
@@ -24,7 +33,6 @@ from vftk.frames import (
     agl2_order,
     classify_e8_frames,
     e8_frame_representatives,
-    find_frames,
     frame_from_marking,
     frame_group_order,
     frame_invariants,
@@ -32,7 +40,6 @@ from vftk.frames import (
     frame_torus_divisors,
     gl2_order,
     glue_code,
-    monomial_to_isometry,
     order_sym_wr_agl,
 )
 from vftk.lattices import IntegralLattice, e8_lattice, short_vectors
@@ -115,7 +122,7 @@ def test_frame_hash_agrees_with_equality():
     for _ in range(5):
         order = list(range(8))
         rng.shuffle(order)
-        other = frame.reoriented([rng.choice((1, -1)) for _ in range(8)], order)
+        other = reoriented(frame, [rng.choice((1, -1)) for _ in range(8)], order)
         assert other == frame and hash(other) == hash(frame)
     assert len({frame, other, e8_frame_representatives()[3]}) == 2
     lat = IntegralLattice.from_gram([[4, 0], [0, 4]])
@@ -207,7 +214,7 @@ def test_reorientation_invariance():
         signs = [rng.choice((1, -1)) for _ in range(8)]
         order = list(range(8))
         rng.shuffle(order)
-        other = frame_invariants(e8, frame.reoriented(signs, order))
+        other = frame_invariants(e8, reoriented(frame, signs, order))
         assert (other.two_rank, other.four_rank) == (base.two_rank, base.four_rank)
         assert other.monomial_order == base.monomial_order
         assert other.sign_order == base.sign_order
@@ -273,7 +280,11 @@ def test_find_frames_matches_brute_force(lattice, count):
 def test_walk_matches_reference_walker(lattice):
     # D6 and D7 have 8 and 1704 exact fits that are not cliques
     graph = frames._norm4_graph(lattice)
-    assert list(frames._walk_frames(graph)) == list(walk_frames_reference(graph))
+    reference = list(walk_frames_reference(graph))
+    assert list(frames._walk_frames(graph)) == reference
+    counts, first, _nodes = frames._census_part(graph, None)
+    assert counts == Counter(k for _, k in reference)
+    assert first == {k: next(c for c, j in reference if j == k) for k in counts}
 
 
 @pytest.fixture(scope="module")

@@ -5,12 +5,12 @@ from itertools import product as iproduct
 
 import pytest
 
-from vftk.frames import e8_frame_representatives, frame_stabilizer, monomial_to_isometry
+from oracles import frame_symbol_action, monomial_to_isometry
+from vftk.frames import e8_frame_representatives, frame_stabilizer
 from vftk.hatgroup import (
     HatElement,
     all_lifts,
     frame_index_characters,
-    frame_symbol_action,
     involution_class,
     lift_automorphism,
     miyamoto_involutions,
@@ -64,18 +64,25 @@ def test_cocycle_square_and_commutator_relations():
 def test_hat_group_law():
     c = standard_cocycle(A2)
     rng = random.Random(7)
-    e = c.identity_element()
+    e = HatElement(1, (0, 0))
+
+    def inverse(a):
+        # the one element over -vec(a) whose product with a is e
+        over = [HatElement(s, tuple(-v for v in a.vec)) for s in (1, -1)]
+        (inv,) = [h for h in over if c.product(a, h) == e]
+        assert c.product(inv, a) == e
+        return inv
+
     for _ in range(40):
         a = HatElement(rng.choice((1, -1)), random_vec(rng, 2))
         b = HatElement(rng.choice((1, -1)), random_vec(rng, 2))
         d = HatElement(rng.choice((1, -1)), random_vec(rng, 2))
         assert c.product(c.product(a, b), d) == c.product(a, c.product(b, d))
         assert c.product(a, e) == a and c.product(e, a) == a
-        assert c.product(a, c.inverse(a)) == e
-        sq = c.square(a)
+        sq = c.product(a, a)
         assert sq.vec == tuple(2 * v for v in a.vec)
         assert sq.sign == (-1) ** (A2.norm(a.vec) // 2 % 2)
-        com = c.commutator(a, b)
+        com = c.product(c.product(a, b), c.product(inverse(a), inverse(b)))
         assert com.vec == (0, 0)
         assert com.sign == (-1) ** (int(A2.inner(a.vec, b.vec)) % 2)
 
@@ -85,7 +92,8 @@ def test_hat_square_of_norm_four_vector_is_positive():
     c = standard_cocycle(e8)
     frame = e8_frame_representatives()[1]
     for x in frame.vectors:
-        assert c.square(HatElement(1, x)).sign == 1
+        h = HatElement(1, x)
+        assert c.product(h, h).sign == 1
 
 
 def test_lift_is_homomorphism_all_sign_choices():
@@ -151,7 +159,7 @@ def test_frame_symbol_action_of_sign_monomial():
         assert (stab.sign_order, stab.order) == (sign_order, order)
         for sigma, signs in [(ident, (1,) * 8)] + list(stab.generators):
             w = monomial_to_isometry(e8, frame, sigma, signs)
-            got_sigma, _flips = frame_symbol_action(e8, frame, lift_automorphism(cocycle, w))
+            got_sigma, _flips = frame_symbol_action(frame, lift_automorphism(cocycle, w))
             assert got_sigma == sigma
 
 
@@ -175,7 +183,7 @@ def test_lifted_frame_stabilizer_k1():
     for w in sign_only:
         lifts = all_lifts(cocycle, w)
         assert len({lift.mu_bits for lift in lifts}) == 2**8
-        got_sigma, _flips = frame_symbol_action(e8, frame, lifts[0])
+        got_sigma, _flips = frame_symbol_action(frame, lifts[0])
         assert got_sigma == ident
         lifted += len(lifts)
     assert lifted == 2**8 * 2**7
@@ -190,7 +198,7 @@ def test_frame_symbol_action_nonmonomial_raises():
     # two frame vectors through a non-frame basis change
     ident = tuple(tuple(int(i == j) for j in range(8)) for i in range(8))
     lift = lift_automorphism(c, ident)
-    sigma, flips = frame_symbol_action(e8, frame, lift)
+    sigma, flips = frame_symbol_action(frame, lift)
     assert sigma == tuple(range(8))
     assert not any(flips)
 

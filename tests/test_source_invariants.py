@@ -2,13 +2,15 @@
 
 No assert statement (python -O strips them; checks use verify), no
 floating point outside the wall-clock budget, no import outside the
-standard library, and no dataclasses; and importing the CLI loads no
-process pool or pickle.
+standard library, and no dataclasses; importing the CLI loads no process
+pool or pickle; and no public name is there for the tests alone.
 """
 
 import ast
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 import vftk
 
 SOURCES = sorted(Path(vftk.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 FLOAT_ALLOWED = {"budget.py"}
 
 
@@ -99,3 +102,55 @@ def test_cli_import_skips_process_pools_and_pickle():
     """The split census forks with os.fork and reads results with marshal,
     so no command pays at start-up for a process pool or pickle."""
     assert _loaded_by_cli_import(["multiprocessing", "pickle", "concurrent"]) == "[]"
+
+
+def _names_used(node):
+    """How often node mentions each name, attribute or imported name."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found[n.name.rpartition(".")[2]] += 1
+    return found
+
+
+def _public_definitions(tree):
+    """Each public top-level def or class, and each public method or
+    property of those classes, as (qualified name, node)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                        yield f"{node.name}.{m.name}", m
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    """The library is what the reports reach.
+
+    Each public def, class, method or property in src/vftk is referenced
+    from another package module (not __init__.py, whose re-exports reach
+    nothing), from its own module outside its definition, or from demos/,
+    perfbench/ or README.md.  A name only tests reach belongs in
+    tests/oracles.py, or goes.  References are matched by bare name, so
+    obj.name counts for every method called name: two names that collide
+    can hide a test-only method, but never make this test fail wrongly.
+    """
+    outside = set()
+    for path in [*ROOT.glob("demos/**/*.py"), *ROOT.glob("perfbench/**/*.py"), ROOT / "README.md"]:
+        outside.update(re.findall(r"\w+", path.read_text()))
+    trees = {path: _tree(path) for path in SOURCES}
+    used = {path: _names_used(tree) for path, tree in trees.items()}
+    unreached = []
+    for path, tree in trees.items():
+        elsewhere = set().union(*(used[p] for p in SOURCES if p != path and p.name != "__init__.py"))
+        for qualname, node in _public_definitions(tree):
+            name = node.name
+            if name in outside or name in elsewhere or (used[path] - _names_used(node))[name]:
+                continue
+            unreached.append(f"{_where(path, node)} {qualname}")
+    assert unreached == []
