@@ -9,6 +9,7 @@ the HNF pivots and takes the Smith normal form of those coordinates.
 from fractions import Fraction
 from math import lcm, prod
 
+from . import budget
 from .intmat import hnf_basis, snf_divisors
 
 __all__ = [
@@ -17,6 +18,7 @@ __all__ = [
     "group_order",
     "type_counts",
     "type_string",
+    "prime_factors",
 ]
 
 
@@ -93,3 +95,22 @@ def type_string(divisors):
         m = counts[order]
         parts.append(f"{order}^{m}" if m > 1 else f"{order}")
     return " x ".join(parts)
+
+
+def prime_factors(n):
+    """Yield (p, e) with p^e exactly dividing n, p ascending, by trial
+    division.  Lazy: a caller that stops at the least factor divides no
+    further.  Polls the budget once per 4096 odd trial factors."""
+    p = 2
+    while n > 1:
+        if p * p > n:
+            p = n  # what is left is prime
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            yield p, e
+        p += 1 if p == 2 else 2
+        if p % 8192 == 1:
+            budget.check()

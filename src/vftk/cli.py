@@ -398,7 +398,7 @@ def _cmd_f2quad(args):
     n = args.n
     if n < 1:
         raise ValueError("n must be positive")
-    census = orbit_census(n, exhaustive=True if args.exhaustive else None)
+    census = orbit_census(n, args.exhaustive)
     orbits = [
         {
             "j": row.overlap,

@@ -69,14 +69,13 @@ def quad_value(n, v):
     return ((v & ((1 << n) - 1)) & (v >> n)).bit_count() & 1
 
 
-def pairing(n, u, v):
-    """Bilinear pairing Q(u+v) + Q(u) + Q(v)."""
-    mask = (1 << n) - 1
-    return (((u & mask) & (v >> n)).bit_count() + ((v & mask) & (u >> n)).bit_count()) & 1
-
-
 def _swap_halves(n, v):
     return (v >> n) | ((v & ((1 << n) - 1)) << n)
+
+
+def pairing(n, u, v):
+    """Bilinear pairing Q(u+v) + Q(u) + Q(v)."""
+    return (_swap_halves(n, u) & v).bit_count() & 1
 
 
 def _leading_bits(basis):
@@ -89,10 +88,6 @@ def nonsingular_vectors(n):
 
 
 # --- members ---------------------------------------------------------------
-
-
-def _canonical(rows):
-    return tuple(f2_rref(rows))
 
 
 def is_odd_lagrangian(n, member):
@@ -114,11 +109,7 @@ def standard_odd_lagrangian(n, overlap):
     """Canonical orbit representative: span{e0+f0, f1..f_{m-1}, e_m..e_{n-1}}."""
     if not 0 <= overlap <= n - 1:
         raise ValueError("overlap must lie in 0..n-1")
-    m = n - overlap
-    rows = [1 | (1 << n)]
-    rows += [1 << (n + i) for i in range(1, m)]
-    rows += [1 << i for i in range(m, n)]
-    return _canonical(rows)
+    return f2_rref(_standard_frame(n, overlap)[:n])
 
 
 def enumerate_odd_lagrangians(n):
@@ -238,7 +229,7 @@ def fixes_left_half(n, g):
 
 
 def transform_member(n, g, member):
-    return _canonical([f2_vec_mat(r, g) for r in member])
+    return f2_rref([f2_vec_mat(r, g) for r in member])
 
 
 def orbit_partition(n, members):
@@ -301,12 +292,11 @@ def _adapted_frame(n, member):
     return ws + t_rows + ss + ps
 
 
-@lru_cache(maxsize=None)
-def _standard_frame_inverse(n, j):
-    """Inverse of the standard frame for left overlap j.
+def _standard_frame(n, j):
+    """The standard frame for left overlap j.
 
-    The frame is laid out as in _adapted_frame, with the Gram/Q data that
-    every adapted frame of overlap j has; its first n rows span
+    It is laid out as in _adapted_frame, with the Gram/Q data that every
+    adapted frame of overlap j has; its first n rows span
     standard_odd_lagrangian(n, j).
     """
     m = n - j
@@ -315,7 +305,12 @@ def _standard_frame_inverse(n, j):
     frame += [1 << (m + l) for l in range(j)]  # the t's
     frame += [1 << i for i in range(m)]  # the s's
     frame += [1 << (n + m + l) for l in range(j)]  # the p's
-    return tuple(f2_mat_inverse(frame, 2 * n))
+    return frame
+
+
+@lru_cache(maxsize=None)
+def _standard_frame_inverse(n, j):
+    return tuple(f2_mat_inverse(_standard_frame(n, j), 2 * n))
 
 
 def _witness(n, j, member):
@@ -342,8 +337,8 @@ def same_orbit_witness(n, a, b):
     a failed check raises VerificationError.  Unequal overlaps are
     returned as the refutation.
     """
-    a = _canonical(a)
-    b = _canonical(b)
+    a = f2_rref(a)
+    b = f2_rref(b)
     ja, jb = left_overlap(n, a), left_overlap(n, b)
     if ja != jb:
         return OrbitWitness(None, (ja, jb))
@@ -435,7 +430,7 @@ def stabilizer_structure(n, member):
     For larger n the orders come from orbit counting, with the unipotent
     order read off the same factorization.
     """
-    member = _canonical(member)
+    member = f2_rref(member)
     if not is_odd_lagrangian(n, member):
         raise ValueError("not an odd Lagrangian")
     j = left_overlap(n, member)
@@ -467,20 +462,18 @@ def stabilizer_structure(n, member):
     return StabilizerInfo(j, order, u_order, levi)
 
 
-def orbit_census(n, exhaustive=None):
+def orbit_census(n, exhaustive=False):
     """One row per orbit of the left-half stabilizer on odd Lagrangians.
 
-    exhaustive=None enumerates and partitions for n <= 3 and uses the
-    closed-form sizes otherwise; the two routes are checked against each
-    other whenever enumeration runs.  For n >= 4 the exhaustive route
-    certifies each member with an explicit witness h that fixes the left
-    half, preserves Q and carries the standard representative of the
-    member's left overlap onto the member.  A failed check raises
-    VerificationError.
+    The sizes come from the closed form.  The members are also enumerated
+    when exhaustive is true or n <= 3, and the two routes are checked
+    against each other: for n <= 3 by partitioning the members into
+    orbits, for n >= 4 by certifying each member with an explicit witness
+    h that fixes the left half, preserves Q and carries the standard
+    representative of the member's left overlap onto the member.  A
+    failed check raises VerificationError.
     """
-    if exhaustive is None:
-        exhaustive = n <= 3
-    if exhaustive:
+    if exhaustive or n <= 3:
         members = enumerate_odd_lagrangians(n)
         verify(len(members) == total_odd_count(n), "enumeration missed the closed-form count")
         if n <= 3:

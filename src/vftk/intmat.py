@@ -12,6 +12,7 @@ from . import budget
 
 __all__ = [
     "identity",
+    "block_diagonal",
     "mat_mul",
     "vec_mat",
     "transpose",
@@ -26,6 +27,16 @@ __all__ = [
 
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def block_diagonal(*blocks):
+    """Square matrix with the given square blocks down its diagonal."""
+    n = sum(len(b) for b in blocks)
+    rows = []
+    for b in blocks:
+        offset = len(rows)
+        rows += [(0,) * offset + tuple(row) + (0,) * (n - offset - len(b)) for row in b]
+    return tuple(rows)
 
 
 def transpose(a):

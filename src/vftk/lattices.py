@@ -18,8 +18,8 @@ from math import isqrt, lcm
 from operator import mul
 
 from . import budget
-from .abelian import _hnf_coords
-from .intmat import _bareiss, det, hnf_basis, mat_mul, snf, transpose
+from .abelian import _hnf_coords, prime_factors
+from .intmat import _bareiss, block_diagonal, det, hnf_basis, mat_mul, snf, transpose
 
 __all__ = [
     "IntegralLattice",
@@ -120,14 +120,7 @@ class IntegralLattice:
 
 def direct_sum(*lattices):
     """Orthogonal sum; block-diagonal doubled Gram."""
-    n = sum(l.rank for l in lattices)
-    rows = []
-    offset = 0
-    for lat in lattices:
-        for row in lat.gram2:
-            rows.append((0,) * offset + tuple(row) + (0,) * (n - offset - lat.rank))
-        offset += lat.rank
-    return IntegralLattice(rows)
+    return IntegralLattice(block_diagonal(*(l.gram2 for l in lattices)))
 
 
 def lattice_from_code(code):
@@ -269,27 +262,14 @@ class DiscriminantGroup(namedtuple("DiscriminantGroup", "lattice generators orde
     def p_primary_generators(self):
         """dict p -> list of (generator row, p-power order), largest first.
 
-        Trial division of each order stops once p^2 exceeds what is left,
-        which is then prime, and polls the budget once per 4096 trial
-        factors.
+        Each order is split into its prime powers by one sweep of
+        prime_factors, which polls the budget.
         """
         out = {}
         for g, d in zip(self.generators, self.orders):
-            left = d
-            p = 2
-            while left > 1:
-                if p * p > left:
-                    p = left
-                if left % p == 0:
-                    a = 0
-                    while left % p == 0:
-                        left //= p
-                        a += 1
-                    comp = tuple(x * (d // p**a) for x in g)
-                    out.setdefault(p, []).append((comp, p**a))
-                p += 1 if p == 2 else 2
-                if p % 8192 == 1:
-                    budget.check()
+            for p, a in prime_factors(d):
+                comp = tuple(x * (d // p**a) for x in g)
+                out.setdefault(p, []).append((comp, p**a))
         for comps in out.values():
             comps.sort(key=lambda t: -t[1])
         return out

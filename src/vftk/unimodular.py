@@ -19,8 +19,8 @@ from math import isqrt
 from operator import mul
 
 from . import budget
-from .abelian import _hnf_coords, _scaled_hnf
-from .intmat import det, hnf_basis, identity, mat_mul, transpose
+from .abelian import _hnf_coords, _scaled_hnf, prime_factors
+from .intmat import block_diagonal, det, hnf_basis, identity, mat_mul, transpose
 from .lattices import IntegralLattice, direct_sum, discriminant_group, short_vectors
 from .verify import verify
 
@@ -43,21 +43,8 @@ __all__ = [
 
 
 def _is_prime(m):
-    """Trial division; polls the budget once per 4096 odd trial factors."""
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-        if f % 8192 == 1:
-            budget.check()
-    return True
+    """Whether m is prime: its least prime factor is m itself."""
+    return m >= 2 and next(prime_factors(m)) == (m, 1)
 
 
 def _input_det(l):
@@ -364,22 +351,6 @@ def dirichlet_prime(l, lower):
     return s
 
 
-def _block_diagonal(w, copies, tail_rank):
-    n = len(w)
-    total = copies * n + tail_rank
-    rows = []
-    for c in range(copies):
-        for r in range(n):
-            row = [0] * total
-            row[c * n : (c + 1) * n] = list(w[r])
-            rows.append(tuple(row))
-    for t in range(tail_rank):
-        row = [0] * total
-        row[copies * n + t] = 1
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 class ExtensionVerdict(namedtuple("ExtensionVerdict", "extends matrix")):
     __slots__ = ()
 
@@ -405,7 +376,7 @@ def strong_extension_check(l, over, gens):
         w = tuple(tuple(int(x) for x in row) for row in w)
         if not l.is_isometry(w):
             raise ValueError("generator is not an isometry of l")
-        amb = _block_diagonal(w, over.diagonal_copies, over.tail_rank)
+        amb = block_diagonal(*[w] * over.diagonal_copies, identity(over.tail_rank))
         mat = tuple(_hnf_coords(b, row) for row in mat_mul(b, amb))
         if None not in mat:
             verify(over.result.is_isometry(mat), "extended map is not an isometry")

@@ -193,14 +193,21 @@ def test_frame_symbol_action_nonmonomial_raises():
     e8 = e8_lattice()
     frame = e8_frame_representatives()[1]
     c = standard_cocycle(e8)
-    # identity matrix is monomial, fine; a generic isometry between two
-    # DIFFERENT frames is not monomial on this frame: build one by mixing
-    # two frame vectors through a non-frame basis change
+    # the identity is monomial on the frame: every symbol stays put
     ident = tuple(tuple(int(i == j) for j in range(8)) for i in range(8))
     lift = lift_automorphism(c, ident)
     sigma, flips = frame_symbol_action(frame, lift)
     assert sigma == tuple(range(8))
     assert not any(flips)
+    # the reflection x -> x - (x, r) r in this root is not: it moves some
+    # frame vector off +-frame (128 of the 240 root reflections do)
+    root = (0, -1, -1, 1, -1, 1, 1, 2)
+    assert e8.norm(root) == 2
+    twice = e8.gram_row(root)  # entry i is 2 (e_i, r)
+    reflection = tuple(tuple(int(i == j) - twice[i] // 2 * root[j] for j in range(8)) for i in range(8))
+    assert e8.is_isometry(reflection)
+    with pytest.raises(ValueError, match="not monomial"):
+        frame_symbol_action(frame, lift_automorphism(c, reflection))
 
 
 def test_miyamoto_counts_and_coset():

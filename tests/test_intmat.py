@@ -10,6 +10,7 @@ from oracles import det_gauss, inverse_gauss_jordan
 from vftk import budget
 from vftk.budget import BudgetExceeded
 from vftk.intmat import (
+    block_diagonal,
     det,
     hnf,
     hnf_basis,
@@ -106,6 +107,16 @@ def verify_hnf(a):
         assert h[i][lead] > 0
         assert all(0 <= h[r][lead] < h[i][lead] for r in range(i))
     return h
+
+
+def test_block_diagonal():
+    a, b = ((1, 2), (3, 4)), ((5,),)
+    expected = ((1, 2, 0), (3, 4, 0), (0, 0, 5))
+    assert block_diagonal(a, b) == expected
+    # an empty identity tail adds nothing
+    assert block_diagonal(a, b, identity(0)) == expected
+    assert block_diagonal(a, identity(2)) == ((1, 2, 0, 0), (3, 4, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert block_diagonal() == ()
 
 
 def test_snf_random_square():

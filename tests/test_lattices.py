@@ -9,6 +9,7 @@ import pytest
 import oracles
 from oracles import short_vectors_box
 from vftk import budget
+from vftk.abelian import prime_factors
 from vftk.budget import BudgetExceeded
 from vftk.f2codes import BinaryCode, hamming_code
 from vftk.intmat import det, vec_mat
@@ -162,6 +163,25 @@ def _trial_factor(d):
             d //= p
         p += 1
     return out
+
+
+def test_prime_factors_match_trial_division():
+    rng = random.Random(37)
+    special = [1, 2, 3, 4, 9, 2**20, 3**13, 7919, 65537, 7919**2, 2 * 3 * 5 * 7 * 11 * 13]
+    for n in special + [rng.randrange(1, 10**5) for _ in range(300)]:
+        got = list(prime_factors(n))
+        assert [p for p, _ in got] == sorted({p for p, _ in got})
+        assert dict(got) == _trial_factor(n)
+
+
+def test_prime_factors_is_lazy():
+    # the least factor comes before any budget poll; the sweep for the
+    # large cofactor is what a second next() would start
+    factors = prime_factors(3 * (10**9 + 7))
+    with budget.limit(0):
+        assert next(factors) == (3, 1)
+        with pytest.raises(BudgetExceeded):
+            next(factors)
 
 
 def test_p_primary_generators_match_trial_division():
