@@ -5,6 +5,8 @@ sequences of row ints; there are no wrapper classes, so callers must keep
 track of widths themselves.  All routines are pure.
 """
 
+from math import prod
+
 __all__ = [
     "f2_echelon",
     "f2_rank",
@@ -17,6 +19,7 @@ __all__ = [
     "f2_mat_inverse",
     "f2_identity",
     "f2_transpose",
+    "gl2_order",
 ]
 
 
@@ -115,21 +118,18 @@ def f2_transpose(rows, width):
 
 
 def f2_mat_inverse(rows, n):
-    """Inverse of an n x n bit matrix; raises ValueError if singular."""
-    work = list(rows)
-    inv = f2_identity(n)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular over GF(2)")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        for r in range(n):
-            if r != col and ((work[r] >> col) & 1):
-                work[r] ^= work[col]
-                inv[r] ^= inv[col]
-    return inv
+    """Inverse of an n x n bit matrix; raises ValueError if singular.
+
+    The RREF of [A | I], with A in the high n bits, is [I | A^-1] (rows in
+    descending pivot order) exactly when every pivot falls in A's half.
+    """
+    rref = f2_rref([(r << n) | (1 << i) for i, r in enumerate(rows)])
+    if rref and not rref[-1] >> n:
+        raise ValueError("matrix is singular over GF(2)")
+    low = (1 << n) - 1
+    return [r & low for r in reversed(rref)]
+
+
+def gl2_order(n):
+    """|GL(n, 2)|."""
+    return prod((1 << n) - (1 << i) for i in range(n))

@@ -26,6 +26,7 @@ from .abelian import type_string
 from .f2codes import classify_markings, hamming_code, rm1_subcode
 from .f2quad import (
     left_stabilizer_order,
+    nonsingular_count,
     nonsingular_vectors,
     orbit_census,
     total_odd_count,
@@ -411,7 +412,7 @@ def _cmd_f2quad(args):
     results = {
         "n": n,
         "orbits": orbits,
-        "nonsingular_count": str(len(nonsingular_vectors(n)) if n <= 8 else 2 ** (2 * n - 1) - 2 ** (n - 1)),
+        "nonsingular_count": str(len(nonsingular_vectors(n)) if n <= 8 else nonsingular_count(n)),
         "group_order": str(left_stabilizer_order(n)),
     }
     checks = [

@@ -6,7 +6,6 @@ reduced row-echelon basis, so equal codes compare equal.
 """
 
 from collections import namedtuple
-from importlib import resources
 
 from .bits import f2_rref, f2_span
 from .stabsearch import orbit, stabilizer
@@ -61,19 +60,15 @@ def _rm1_rows(length):
 
 
 def hamming_code(length):
-    """The [8,4,4] extended Hamming code, or its fixed [16,5] companion.
+    """The [8,4,4] extended Hamming code.
 
-    Length 8 is the first-order Reed-Muller code RM(1,3), which is the
-    (doubly even, self-dual) extended Hamming code.  Length 16 is pinned to
-    the RM(1,4) realization shipped in data/h16.txt.
+    It is the first-order Reed-Muller code RM(1,3), doubly even and
+    self-dual.  Only length 8 is supported; RM(1,4), the length-16 top of
+    the nested chain, is rm1_subcode(5).
     """
-    if length == 8:
-        return BinaryCode.from_rows(8, _rm1_rows(8))
-    if length == 16:
-        from .fileio import parse_code
-
-        return parse_code(resources.files("vftk").joinpath("data/h16.txt").read_text())
-    raise ValueError("supported lengths are 8 and 16")
+    if length != 8:
+        raise ValueError("the only supported length is 8")
+    return BinaryCode.from_rows(8, _rm1_rows(8))
 
 
 def rm1_subcode(k):

@@ -33,8 +33,8 @@ from .bits import (
     f2_span,
     f2_transpose,
     f2_vec_mat,
+    gl2_order,
 )
-from .frames import gl2_order
 from .stabsearch import CHECK_EVERY, orbit
 from .verify import verify
 
@@ -45,6 +45,7 @@ __all__ = [
     "quad_value",
     "pairing",
     "nonsingular_vectors",
+    "nonsingular_count",
     "is_odd_lagrangian",
     "left_overlap",
     "standard_odd_lagrangian",
@@ -85,6 +86,18 @@ def _leading_bits(basis):
 
 def nonsingular_vectors(n):
     return [v for v in range(1, 1 << (2 * n)) if quad_value(n, v)]
+
+
+def nonsingular_count(n):
+    """len(nonsingular_vectors(n)), counted one hyperbolic plane at a time.
+
+    A plane has 1 vector with Q = 1 and 3 with Q = 0, and Q adds over the
+    planes, so each plane maps (odd, even) to (3 odd + even, 3 even + odd).
+    """
+    odd, even = 0, 1
+    for _ in range(n):
+        odd, even = 3 * odd + even, 3 * even + odd
+    return odd
 
 
 # --- members ---------------------------------------------------------------

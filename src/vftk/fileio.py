@@ -1,25 +1,22 @@
-"""Plain-text exchange formats for Gram matrices, binary codes, and frames.
+"""Plain-text exchange formats for Gram matrices and frames.
 
 Gram files: first line the rank, then rank rows of rank integers; an
 optional second line ``scale 1/2`` marks the entries as doubled inner
-products (allowing exact half-integer forms).  Code files: first line
-``length dim``, then dim lines of 0/1 characters with coordinate 0 first.
-Frame files: first line the number of sign pairs, then one coordinate row
-per pair in the lattice basis.
+products (allowing exact half-integer forms).  Frame files: first line
+the number of sign pairs, then one coordinate row per pair in the lattice
+basis.
 
 Blank lines and ``#`` comments are ignored everywhere.
 """
 
 from fractions import Fraction
 
-from .f2codes import BinaryCode
 from .frames import LatticeFrame
 from .lattices import IntegralLattice
 
 __all__ = [
     "ParseError",
     "parse_gram",
-    "parse_code",
     "parse_frame",
     "load_gram",
     "load_frame",
@@ -71,31 +68,6 @@ def parse_gram(text):
         if halved:
             return IntegralLattice(rows)
         return IntegralLattice.from_gram(rows)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-
-
-def parse_code(text):
-    """BinaryCode from code-file text."""
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError("empty code file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError(f"bad header {lines[0]!r}: expected 'length dim'")
-    try:
-        length, dim = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError(f"bad header {lines[0]!r}") from None
-    if len(lines) != 1 + dim:
-        raise ParseError(f"expected {dim} generator rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        if len(ln) != length or set(ln) - {"0", "1"}:
-            raise ParseError(f"bad generator row {ln!r}")
-        rows.append(sum(1 << i for i, ch in enumerate(ln) if ch == "1"))
-    try:
-        return BinaryCode.from_rows(length, rows)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

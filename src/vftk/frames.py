@@ -14,12 +14,12 @@ import marshal
 import os
 from collections import namedtuple
 from functools import cache
-from math import factorial, prod
+from math import factorial
 from operator import mul
 
 from . import budget
 from .abelian import group_order, quotient_divisors, type_string
-from .bits import f2_rank
+from .bits import f2_rank, gl2_order
 from .f2codes import classify_markings, hamming_code
 from .intmat import identity
 from .lattices import ambient_to_basis, e8_lattice, short_vectors
@@ -41,7 +41,6 @@ __all__ = [
     "frame_torus_divisors",
     "e8_frame_representatives",
     "classify_e8_frames",
-    "gl2_order",
     "agl2_order",
     "order_sym_wr_agl",
     "frame_group_order",
@@ -595,11 +594,6 @@ def _census_worker(graph, roots, write):
 
 
 # --- order formulas ---------------------------------------------------------
-
-
-def gl2_order(n):
-    """|GL(n, 2)|."""
-    return prod((1 << n) - (1 << i) for i in range(n))
 
 
 def agl2_order(n):

@@ -19,6 +19,7 @@ from operator import mul
 
 from . import budget
 from .abelian import _hnf_coords, prime_factors
+from .f2codes import hamming_code
 from .intmat import _bareiss, block_diagonal, det, hnf_basis, mat_mul, snf, transpose
 
 __all__ = [
@@ -153,8 +154,6 @@ def ambient_to_basis(lattice, y):
 @lru_cache(maxsize=None)
 def e8_lattice():
     """The E8 root lattice, realized from the [8,4,4] Hamming code."""
-    from .f2codes import hamming_code
-
     return lattice_from_code(hamming_code(8))
 
 

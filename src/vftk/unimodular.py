@@ -72,6 +72,11 @@ def sum_two_squares_mod(p, r):
     """
     if p == 2 or not _is_prime(p):
         raise ValueError("p must be an odd prime")
+    return _two_squares_mod(p, r)
+
+
+def _two_squares_mod(p, r):
+    """sum_two_squares_mod for a p the caller already knows is an odd prime."""
     if r < 1:
         raise ValueError("r must be positive")
     half = (p - 1) // 2
@@ -266,7 +271,7 @@ def unimodularize(l):
                 (0, -1, 0, 0, s, -r, u, -t),
             ]
         else:
-            r, s = sum_two_squares_mod(p, a1)
+            r, s = _two_squares_mod(p, a1)  # p came from prime_factors
             pats = [(r, s, 0, 1), (s, -r, 1, 0)]
             if copies == 8:
                 pats = [q + (0,) * 4 for q in pats] + [(0,) * 4 + q for q in pats]

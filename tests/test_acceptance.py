@@ -16,7 +16,7 @@ from math import factorial
 import pytest
 
 from vftk.abelian import type_string
-from vftk.bits import f2_rref, f2_vec_mat
+from vftk.bits import f2_rref, f2_vec_mat, gl2_order
 from vftk.f2codes import classify_markings, hamming_code, rm1_subcode
 from vftk.f2quad import (
     enumerate_odd_lagrangians,
@@ -39,7 +39,6 @@ from vftk.frames import (
     frame_invariants,
     frame_stabilizer,
     frame_torus_divisors,
-    gl2_order,
     order_sym_wr_agl,
 )
 from vftk.hatgroup import (

@@ -1,6 +1,8 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from oracles import f2_subspaces
 from vftk.bits import (
     f2_echelon,
@@ -57,15 +59,19 @@ def test_orth_against_brute_force():
 
 def test_mat_inverse():
     rng = random.Random(13)
-    done = 0
-    while done < 30:
-        n = rng.randint(1, 6)
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 10)
         rows = [rng.randrange(1 << n) for _ in range(n)]
-        if f2_rank(rows) != n:
-            continue
-        inv = f2_mat_inverse(rows, n)
-        assert f2_mat_mul(rows, inv) == f2_identity(n)
-        done += 1
+        if f2_rank(rows) == n:
+            inv = f2_mat_inverse(rows, n)
+            assert f2_mat_mul(rows, inv) == f2_identity(n)
+        else:
+            singular += 1
+            with pytest.raises(ValueError):
+                f2_mat_inverse(rows, n)
+    assert 0 < singular < 400
+    assert f2_mat_inverse([], 0) == []
 
 
 def gaussian_binomial(n, k):

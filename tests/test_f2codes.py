@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 from oracles import brute_force_perms
 from vftk.f2codes import (
     BinaryCode,
@@ -44,14 +46,24 @@ def test_hamming8_self_dual():
 
 
 def test_hamming16_is_rm1_chain_top():
-    h16 = hamming_code(16)
-    assert h16.length == 16 and h16.dim == 5
-    assert h16 == rm1_subcode(5)
-    dual = _dual_words(h16)
+    # RM(1,4) is rm1_subcode(5) alone; these rows, coordinate 0 first, pin it
+    pinned = [
+        "1111111111111111",
+        "1111111100000000",
+        "1111000011110000",
+        "1100110011001100",
+        "1010101010101010",
+    ]
+    rm14 = rm1_subcode(5)
+    assert rm14 == BinaryCode.from_rows(16, [int(row[::-1], 2) for row in pinned])
+    assert rm14.length == 16 and rm14.dim == 5
+    dual = _dual_words(rm14)
     assert len(dual) == 2**11
     # doubly even, contained in its dual
-    assert _doubly_even(h16)
-    assert set(h16.words()) <= dual
+    assert _doubly_even(rm14)
+    assert set(rm14.words()) <= dual
+    with pytest.raises(ValueError):
+        hamming_code(16)
 
 
 def test_rm1_subcode_weights():

@@ -28,6 +28,7 @@ from vftk.f2quad import (
     left_overlap,
     left_stabilizer_generators,
     left_stabilizer_order,
+    nonsingular_count,
     nonsingular_vectors,
     orbit_census,
     orbit_partition,
@@ -65,6 +66,16 @@ def test_quad_and_pairing_basics():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_nonsingular_counts(n):
     assert len(nonsingular_vectors(n)) == 2 ** (2 * n - 1) - 2 ** (n - 1)
+
+
+def test_nonsingular_count_recursion():
+    # the plane-by-plane count that the n > 8 reports check against the
+    # closed form: equal to enumeration where that is cheap, and to the
+    # closed form far beyond it
+    for n in range(7):
+        assert nonsingular_count(n) == len(nonsingular_vectors(n))
+    for n in range(1, 41):
+        assert nonsingular_count(n) == 2 ** (2 * n - 1) - 2 ** (n - 1)
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 9), (3, 105), (4, 2025)])

@@ -3,8 +3,7 @@
 import pytest
 
 from oracles import format_frame, format_gram
-from vftk.f2codes import hamming_code
-from vftk.fileio import ParseError, parse_code, parse_frame, parse_gram
+from vftk.fileio import ParseError, parse_frame, parse_gram
 from vftk.frames import e8_frame_representatives
 from vftk.lattices import IntegralLattice, e8_lattice
 
@@ -48,22 +47,6 @@ def test_gram_comments_and_blanks():
 def test_gram_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_gram(bad)
-
-
-def test_code_round_trip():
-    # the RM(1,3) generators of hamming_code(8), coordinate 0 first
-    text = "# RM(1,3)\n8 4\n11111111\n11110000\n11001100\n10101010\n"
-    assert parse_code(text) == hamming_code(8)
-    assert parse_code("3 1\n100\n").rows == (1,)
-
-
-@pytest.mark.parametrize(
-    "bad",
-    ["", "8", "8 1\n123", "8 1\n0101", "8 2\n01010101", "a b\n0"],
-)
-def test_code_parse_errors(bad):
-    with pytest.raises(ParseError):
-        parse_code(bad)
 
 
 def test_frame_round_trip():

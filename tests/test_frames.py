@@ -23,6 +23,7 @@ from oracles import (
 )
 from vftk import frames
 from vftk import budget
+from vftk.bits import gl2_order
 from vftk.budget import BudgetExceeded
 from vftk.f2codes import Marking, classify_markings, hamming_code
 from vftk.frames import (
@@ -38,7 +39,6 @@ from vftk.frames import (
     frame_invariants,
     frame_stabilizer,
     frame_torus_divisors,
-    gl2_order,
     glue_code,
     order_sym_wr_agl,
 )

@@ -3,10 +3,12 @@
 No assert statement (python -O strips them; checks use verify), no
 floating point outside the wall-clock budget, no import outside the
 standard library, and no dataclasses; importing the CLI loads no process
-pool or pickle; and no public name is there for the tests alone.
+pool or pickle; the package's modules import each other at the top level
+only and without cycles; and no public name is there for the tests alone.
 """
 
 import ast
+import graphlib
 import re
 import subprocess
 import sys
@@ -76,6 +78,44 @@ def test_no_dataclasses_import(path):
     """Records are namedtuple subclasses; importing dataclasses (and the
     inspect it loads) would put that cost back on every command's start."""
     assert [(n, at) for n, at in _absolute_imports(path) if n == "dataclasses"] == []
+
+
+def _package_imports(tree):
+    """(imported vftk module, import node) for each relative import in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            yield from ((n, node) for n in names)
+
+
+def _module_graph():
+    return {p.stem: {n for n, _ in _package_imports(_tree(p))} for p in SOURCES}
+
+
+def test_package_imports_are_top_level():
+    """A vftk import inside a function hides an edge of the module graph;
+    lazy standard-library imports stay allowed."""
+    found = []
+    for path in SOURCES:
+        tree = _tree(path)
+        found += [f"{_where(path, node)} {n}" for n, node in _package_imports(tree) if node not in tree.body]
+    assert found == []
+
+
+def test_module_graph_is_acyclic():
+    graph = _module_graph()
+    assert set().union(*graph.values()) <= set(graph)
+    list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError
+
+
+def test_f2quad_stays_below_the_lattice_layers():
+    """The GF(2) census needs no lattice or frame code."""
+    graph, reached, todo = _module_graph(), set(), ["f2quad"]
+    while todo:
+        for dep in graph[todo.pop()] - reached:
+            reached.add(dep)
+            todo.append(dep)
+    assert reached & {"frames", "lattices"} == set()
 
 
 def _loaded_by_cli_import(names):

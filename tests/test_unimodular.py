@@ -110,6 +110,29 @@ def test_sum_two_squares_rejects_bad_input():
         sum_two_squares_mod(3, 0)
 
 
+def test_unimodularize_proves_each_prime_once(monkeypatch):
+    # prime_factors proves p = 10^12 + 39 prime; the congruence solver
+    # must not prove it again by trial division
+    def no_second_proof(m):
+        raise AssertionError(f"second primality proof of {m}")
+
+    monkeypatch.setattr(unimodular, "_is_prime", no_second_proof)
+    p = 10**12 + 39
+    over = unimodularize(IntegralLattice.from_gram(((2 * p,),)))
+    assert over.diagonal_copies == 8
+    assert (over.result.rank, over.result.determinant()) == (8, 1)
+    assert over.result.is_even and over.result.is_definite
+
+
+def test_sum_two_squares_still_proves_p_prime(monkeypatch):
+    # the public solver keeps its own primality proof: a composite such as
+    # 15 is rejected (test_sum_two_squares_rejects_bad_input), and so is a
+    # prime once the proof is made to fail
+    monkeypatch.setattr(unimodular, "_is_prime", lambda m: False)
+    with pytest.raises(ValueError):
+        sum_two_squares_mod(13, 1)
+
+
 def test_sum_four_squares_exact():
     for r in range(1, 11):
         a, b, c, d = sum_four_squares_mod(r)
