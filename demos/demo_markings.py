@@ -9,7 +9,7 @@ are what distinguish inequivalent frame structures built on the code.
 
 from vftk import classify_markings, hamming_code
 
-code = hamming_code(8)
+code = hamming_code()
 orbits, aut_order = classify_markings(code)
 
 print(f"code: length {code.length}, dimension {code.dim}")

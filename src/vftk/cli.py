@@ -51,7 +51,7 @@ from .hatgroup import (
     weight_one_dim,
 )
 from .intmat import identity
-from .lattices import e8_lattice, pair_reduced, short_vectors
+from .lattices import e8_lattice, short_vectors
 from .unimodular import (
     dirichlet_prime,
     first_block_primitive,
@@ -211,7 +211,7 @@ def _cmd_frame_invariants(args):
 
 
 def _cmd_markings(args):
-    code = hamming_code(8)
+    code = hamming_code()
     orbits, aut_order = classify_markings(code)
     sizes = [size for _, size in orbits]
     results = {
@@ -377,7 +377,7 @@ def _cmd_unimodularize(args):
             _check(
                 "norm-2 vector count",
                 240,
-                len(short_vectors(pair_reduced(result), 2)),
+                len(short_vectors(result, 2)),
                 COMPUTED,
             )
         )

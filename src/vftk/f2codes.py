@@ -59,15 +59,13 @@ def _rm1_rows(length):
     return rows
 
 
-def hamming_code(length):
+def hamming_code():
     """The [8,4,4] extended Hamming code.
 
     It is the first-order Reed-Muller code RM(1,3), doubly even and
-    self-dual.  Only length 8 is supported; RM(1,4), the length-16 top of
-    the nested chain, is rm1_subcode(5).
+    self-dual.  RM(1,4), the length-16 top of the nested chain, is
+    rm1_subcode(5).
     """
-    if length != 8:
-        raise ValueError("the only supported length is 8")
     return BinaryCode.from_rows(8, _rm1_rows(8))
 
 
@@ -83,11 +81,12 @@ def code_automorphisms(c):
     """Coordinate permutations preserving the code.
 
     Returns (generators, order): generators are permutation tuples, order
-    is the exact group order from the stabilizer chain.
+    is the exact group order: the monomial stabilizer's order divided by
+    its 2^length free signs.
     """
-    res = stabilizer(c.word_tuples(), c.length, 2, signed=False)
+    res = stabilizer(c.word_tuples(), c.length, 2)
     gens = tuple(sigma for sigma, _ in res.generators)
-    return gens, res.order
+    return gens, res.order // res.sign_order
 
 
 class Marking(namedtuple("Marking", "pairs")):

@@ -299,7 +299,7 @@ def frame_stabilizer(lattice, frame):
 
 
 def _code_stabilizer(code):
-    return stabilizer(code.sorted_words(), code.length, 4, signed=True)
+    return stabilizer(code.sorted_words(), code.length, 4)
 
 
 def frame_torus_divisors(lattice, frame, denom):
@@ -387,7 +387,7 @@ def e8_frame_representatives():
     """
     e8 = e8_lattice()
     out = {}
-    orbits, _ = classify_markings(hamming_code(8))
+    orbits, _ = classify_markings(hamming_code())
     for rep, _size in orbits:
         frame = frame_from_marking(e8, rep)
         _, k = abelian_type(glue_code(e8, frame))

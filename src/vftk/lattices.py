@@ -7,8 +7,8 @@ integral iff every gram2 entry is even, and even iff additionally the
 diagonal of gram2 is divisible by 4.  Vectors are coordinate row tuples in
 the lattice's own basis; the dual lattice is G^{-1} Z^n in the same
 coordinates.  No floating point anywhere: definiteness and short vectors
-both come from one fraction-free LDL^T of gram2 (`_ldl`, read off the
-package's one Bareiss elimination).
+both come from the package's one Bareiss elimination of gram2.
+`short_vectors` takes any basis and returns its vectors sorted.
 """
 
 from collections import namedtuple
@@ -28,7 +28,6 @@ __all__ = [
     "lattice_from_code",
     "e8_lattice",
     "short_vectors",
-    "pair_reduced",
     "discriminant_group",
     "direct_sum",
 ]
@@ -67,8 +66,9 @@ class IntegralLattice:
 
     @property
     def is_definite(self):
-        """Positive definite: every leading minor of gram2 is > 0."""
-        return _ldl(self.gram2) is not None
+        """Positive definite: every leading minor of gram2 is > 0 (Sylvester)."""
+        swaps, pivots, _ = _bareiss(self.gram2)
+        return not swaps and len(pivots) == self.rank and min(pivots, default=1) > 0
 
     # --- arithmetic ---------------------------------------------------------
     def inner(self, u, v):
@@ -154,45 +154,76 @@ def ambient_to_basis(lattice, y):
 @lru_cache(maxsize=None)
 def e8_lattice():
     """The E8 root lattice, realized from the [8,4,4] Hamming code."""
-    return lattice_from_code(hamming_code(8))
+    return lattice_from_code(hamming_code())
 
 
-def _ldl(gram2):
-    """Fraction-free LDL^T of gram2, or None unless gram2 is positive definite.
+def _lll(gram2):
+    """Integral LLL of a positive definite gram2 (Cohen, GTM 138, Alg. 2.6.7;
+    Lovasz constant 3/4): (h, pivots, cols), h unimodular and the rest the
+    `_bareiss` data of the reduced Gram h gram2 h^T.
 
-    gram2 is definite iff every leading minor is > 0 (Sylvester's
-    criterion), i.e. iff `_bareiss` swaps no row and every pivot is > 0.
-    Then it returns (pivots, cols) with pivots[k] the leading (k+1)-minor
-    M_{k+1} and cols[k] the entries B[j][k], j > k, below it.
+    Cohen's d and lambda are the pivots and sub-pivot columns of `_bareiss`,
+    so no Gram entry is read after it.  Polls the budget once per step.
     """
+    n = len(gram2)
     swaps, pivots, cols = _bareiss(gram2)
-    if swaps or len(pivots) < len(gram2) or not all(p > 0 for p in pivots):
-        return None
-    return pivots, cols
+    if swaps or len(pivots) < n or min(pivots, default=1) <= 0:
+        raise ValueError("short vector enumeration needs a definite lattice")
+    d = [1, *pivots]  # d[k] is the leading k-minor
+    lam = [[cols[j][i - j - 1] for j in range(i)] for i in range(n)]
+    h = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def size_reduce(k, l):
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])  # nearest integer
+        if q:
+            h[k] = [x - q * y for x, y in zip(h[k], h[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k = 1
+    while k < n:
+        budget.check()
+        size_reduce(k, k - 1)
+        t = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * t * t:
+            h[k - 1], h[k] = h[k], h[k - 1]
+            lam[k - 1], lam[k][: k - 1] = lam[k][: k - 1], lam[k - 1]
+            b = (d[k - 1] * d[k + 1] + t * t) // d[k]
+            for row in lam[k + 1 :]:
+                s = row[k]
+                row[k] = (d[k + 1] * row[k - 1] - t * s) // d[k]
+                row[k - 1] = (b * s + t * row[k]) // d[k + 1]
+            d[k] = b
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return h, d[1:], [tuple(row[k] for row in lam[k + 1 :]) for k in range(n)]
 
 
 def short_vectors(lattice, norm):
-    """All v with (v, v) == norm, exactly; closed under negation.
+    """All v with (v, v) == norm, exactly, sorted; closed under negation.
 
-    Fincke-Pohst recursion on `_ldl(gram2)`: with M_0 = 1 and
-    c_k = sum_{j>k} B[j][k] x_j, x gram2 x^T = sum_k (M_{k+1} x_k + c_k)^2
-    / (M_k M_{k+1}).  Scaled by S = lcm_k(M_k M_{k+1}), level k with budget
+    Any basis of a definite lattice works: Fincke-Pohst runs on the `_lll`
+    data, pivots M_{k+1} and columns B[j][k]: with M_0 = 1 and c_k =
+    sum_{j>k} B[j][k] x_j, x gram2 x^T = sum_k (M_{k+1} x_k + c_k)^2 /
+    (M_k M_{k+1}).  Scaled by S = lcm_k(M_k M_{k+1}), level k with budget
     `left` allows exactly |M_{k+1} x_k + c_k| <= isqrt(left // w_k), where
-    w_k = S / (M_k M_{k+1}), so every node is integer arithmetic.
-    Requires a positive definite lattice.
+    w_k = S / (M_k M_{k+1}), so every node is integer arithmetic.  Each
+    vector is mapped back through the LLL transform.
     """
     norm = Fraction(norm)
     if norm <= 0:
         raise ValueError("norm must be positive")
-    ldl = _ldl(lattice.gram2)
-    if ldl is None:
-        raise ValueError("short vector enumeration needs a definite lattice")
+    h, pivots, cols = _lll(lattice.gram2)
     if (2 * norm).denominator != 1:
         return []  # x gram2 x^T is an integer
-    pivots, cols = ldl
     dens = [m * p for m, p in zip((1, *pivots), pivots)]
     scale = lcm(*dens)
     weights = [scale // d for d in dens]
+    ht = transpose(h)
     out = []
     coords = [0] * lattice.rank
     nodes = 0
@@ -203,10 +234,8 @@ def short_vectors(lattice, norm):
         if nodes % 4096 == 0:
             budget.check()
         if k < 0:
-            if left == 0:
-                v = tuple(coords)
-                if any(v):
-                    out.append(v)
+            if left == 0 and any(coords):
+                out.append(tuple(sum(map(mul, coords, col)) for col in ht))
             return
         c = sum(map(mul, cols[k], coords[k + 1 :]))
         p, w = pivots[k], weights[k]
@@ -217,36 +246,7 @@ def short_vectors(lattice, norm):
             rec(k - 1, left - w * t * t)
 
     rec(lattice.rank - 1, scale * int(2 * norm))
-    return out
-
-
-def pair_reduced(lattice):
-    """The lattice in a basis with every |2 (b_i, b_j)| <= (b_j, b_j).
-
-    While some pair breaks that bound, b_i -= q b_j with q the nearest
-    integer to (b_i, b_j) / (b_j, b_j), which lowers the positive integer
-    (b_i, b_i) of a definite lattice, so the loop ends; each sweep over the
-    pairs polls the budget.  The change of basis is unimodular, so
-    short-vector counts are unchanged, while a skewed basis, like the glue
-    basis of a large determinant, gets small Fincke-Pohst ranges.
-    """
-    if not lattice.is_definite:
-        raise ValueError("pair reduction needs a definite lattice")
-    g = [list(row) for row in lattice.gram2]
-    n = len(g)
-    changed = True
-    while changed:
-        budget.check()
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                if i != j and 2 * abs(g[i][j]) > g[j][j]:
-                    q = (2 * g[i][j] + g[j][j]) // (2 * g[j][j])
-                    g[i] = [x - q * y for x, y in zip(g[i], g[j])]
-                    for row in g:
-                        row[i] -= q * row[j]
-                    changed = True
-    return IntegralLattice(g)
+    return sorted(out)
 
 
 class DiscriminantGroup(namedtuple("DiscriminantGroup", "lattice generators orders")):

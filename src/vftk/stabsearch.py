@@ -1,4 +1,4 @@
-"""Stabilizer search in groups of (signed) coordinate permutations.
+"""Stabilizer search in the monomial group: coordinate permutations and signs.
 
 The object being stabilized is a finite set of words over Z/m: a monomial
 map (sigma, s) sends a word w to w' with w'[sigma[p]] = s[p]*w[p] mod m.
@@ -10,12 +10,12 @@ coordinate positions:
                                    positions 0..j-1|
 
 Each question is answered by one depth-first existence search over images
-of positions, pruned by comparing the multiset of (signed) word
-restrictions on the source prefix with the multiset of word restrictions
+of positions, pruned by comparing the multiset of word restrictions on
+the source prefix, signs applied, with the multiset of word restrictions
 on the candidate target prefix.  At full depth the multiset condition is
 equivalent to actual stabilization, so every accepted leaf is a witness.
 
-Each word is stored once with its negation appended, so a signed source
+Each word is stored once with its negation appended, so a source
 position p reads column p (sign +1) or column n + p (sign -1).  The
 multisets come from partition refinement (McKay, Practical Graph
 Isomorphism, 1981), memoized across all the questions by column tuple.
@@ -34,17 +34,18 @@ extended only after it compared equal.  Keys whose parents differ may
 collide and are never compared.
 
 Labels and keys are packed into bytes, each value in the narrowest
-unsigned C type that holds it, so the encoding does not bound the
-modulus; the input check still asks for 1 <= m <= 256, and words of
-length n with entries in range(m).
+struct integer code (B, H, I, L, Q) that holds it, so the encoding does
+not bound the modulus; the input check still asks for 1 <= m <= 256, and
+words of length n with entries in range(m).
 
 The sign part is elementary abelian, a subspace of F2^n, so its dimension
 is the number of positions p that are the first -1 of some stabilizing
 sign vector.  The search asks that once per position: sigma the identity,
 signs +1 before p, -1 at p and free after it.
 
-Signless searches (m = 2, or signed=False) are the same with the sign
-machinery switched off.
+A position where each word's value is its own negation has a free sign:
+a factor 2 of the sign part, never branched on.  Over Z/2 every position
+is such, so sign_order is 2^n.
 """
 
 from collections import namedtuple
@@ -63,7 +64,7 @@ CHECK_EVERY = 4096  # nodes between budget polls
 
 
 class StabilizerResult(namedtuple("StabilizerResult", "order sign_order orbit_sizes generators")):
-    """Order and generators of a (signed) permutation stabilizer.
+    """Order and generators of a monomial stabilizer.
 
     generators are (sigma, signs) pairs, the witnesses of the chain's
     orbits; sigma maps position p to sigma[p], signs[p] multiplies the
@@ -76,7 +77,7 @@ class StabilizerResult(namedtuple("StabilizerResult", "order sign_order orbit_si
 
 
 def _value_code(bound):
-    """Smallest unsigned struct code holding every value below bound."""
+    """Narrowest struct integer code holding every value below bound."""
     return next(t for t in "BHILQ" if bound <= 1 << 8 * calcsize(t))
 
 
@@ -98,7 +99,7 @@ def orbit(seeds, images):
 
 
 class _Search:
-    def __init__(self, words, n, modulus, signed):
+    def __init__(self, words, n, modulus):
         if not 1 <= modulus <= 256:
             raise ValueError(f"modulus must be in 1..256, got {modulus}")
         values = range(modulus)
@@ -113,7 +114,7 @@ class _Search:
         self.nodes = 0
         # sign on position p can only matter if some word has a value there
         # that differs from its own negation mod m
-        self.sign_matters = [signed and any(r[p] != r[n + p] for r in rows) for p in range(n)]
+        self.sign_matters = [any(r[p] != r[n + p] for r in rows) for p in range(n)]
         # a label is below len(rows), so value * len(rows) + label encodes
         # the pair (value, label) without collisions; the m scaled values
         # are shared, not one int object per row
@@ -191,20 +192,19 @@ class _Search:
         return None
 
 
-def stabilizer(words, n, modulus, signed=True):
-    """Full (signed) permutation stabilizer of a set of words in (Z/m)^n.
+def stabilizer(words, n, modulus):
+    """Full monomial stabilizer of a set of words in (Z/m)^n.
 
     Raises ValueError unless 1 <= modulus <= 256 and every word has length
     n and entries in range(modulus).
     """
-    search = _Search(words, n, modulus, signed)
+    search = _Search(words, n, modulus)
     sign_order = 1
-    if signed:
-        # a position whose sign never matters contributes a free factor of 2;
-        # any other does if some stabilizing sign vector has its first -1 there
-        for p in range(n):
-            if not search.sign_matters[p] or search.exists(n, None, flip=p) is not None:
-                sign_order *= 2
+    # a position whose sign never matters contributes a free factor of 2;
+    # any other does if some stabilizing sign vector has its first -1 there
+    for p in range(n):
+        if not search.sign_matters[p] or search.exists(n, None, flip=p) is not None:
+            sign_order *= 2
 
     orbit_sizes = []
     generators = []

@@ -248,10 +248,7 @@ def unimodularize(l):
     off the first copy keeps its order; and the result is positive
     definite when l is.
 
-    over.result is written in the glue HNF basis (glue.basis / glue.den),
-    which can be badly skewed when det(l) is large: on [[2000000014]] its
-    Gram entries are near 5 * 10^9.  Callers who enumerate on the result
-    (short vectors, automorphisms) should use pair_reduced(over.result).
+    over.result is written in the glue HNF basis (glue.basis / glue.den).
     """
     d = _input_det(l)
     copies = 4 if d % 2 else 8

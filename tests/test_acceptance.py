@@ -170,7 +170,7 @@ def test_criterion_06_miyamoto_count():
 
 def test_criterion_07_markings():
     t0 = time.monotonic()
-    orbits, aut_order = classify_markings(hamming_code(8))
+    orbits, aut_order = classify_markings(hamming_code())
     elapsed = time.monotonic() - t0
     assert sum(size for _, size in orbits) == 105
     assert len(orbits) == 3

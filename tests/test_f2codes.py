@@ -1,8 +1,6 @@
 import math
 import random
 
-import pytest
-
 from oracles import brute_force_perms
 from vftk.f2codes import (
     BinaryCode,
@@ -33,7 +31,7 @@ def _dual_words(code):
 
 
 def test_hamming8_parameters():
-    h8 = hamming_code(8)
+    h8 = hamming_code()
     assert h8.length == 8 and h8.dim == 4
     assert len(h8.words()) == 16
     assert _weight_enumerator(h8) == (1, 0, 0, 0, 14, 0, 0, 0, 1)
@@ -41,7 +39,7 @@ def test_hamming8_parameters():
 
 
 def test_hamming8_self_dual():
-    h8 = hamming_code(8)
+    h8 = hamming_code()
     assert _dual_words(h8) == set(h8.words())
 
 
@@ -62,8 +60,6 @@ def test_hamming16_is_rm1_chain_top():
     # doubly even, contained in its dual
     assert _doubly_even(rm14)
     assert set(rm14.words()) <= dual
-    with pytest.raises(ValueError):
-        hamming_code(16)
 
 
 def test_rm1_subcode_weights():
@@ -83,7 +79,7 @@ def test_rm1_subcode_nested():
 
 
 def test_aut_hamming8_order_1344_vs_brute_force():
-    h8 = hamming_code(8)
+    h8 = hamming_code()
     gens, order = code_automorphisms(h8)
     assert order == 1344
     brute = brute_force_perms(h8.word_tuples(), 8)
@@ -100,7 +96,7 @@ def test_aut_rm1_extremes():
 
 
 def test_aut_closure_random_products():
-    h8 = hamming_code(8)
+    h8 = hamming_code()
     gens, _ = code_automorphisms(h8)
     words = set(h8.words())
     rng = random.Random(22)
@@ -123,7 +119,7 @@ def test_marking_count():
 
 
 def test_classify_markings_h8():
-    orbits, aut_order = classify_markings(hamming_code(8))
+    orbits, aut_order = classify_markings(hamming_code())
     assert aut_order == 1344
     assert len(orbits) == 3
     assert sum(size for _, size in orbits) == 105
@@ -132,7 +128,7 @@ def test_classify_markings_h8():
 
 
 def test_classify_markings_h8_vs_brute_force():
-    h8 = hamming_code(8)
+    h8 = hamming_code()
     sigmas = brute_force_perms(h8.word_tuples(), 8)
     todo = set(all_markings(8))
     brute_orbits = []

@@ -65,7 +65,7 @@ def e8_table():
 
 def test_frame_from_marking_valid():
     e8 = e8_lattice()
-    orbits, _ = classify_markings(hamming_code(8))
+    orbits, _ = classify_markings(hamming_code())
     for rep, _size in orbits:
         frame = frame_from_marking(e8, rep)  # constructor validates norms
         assert frame.pair_count == 8

@@ -12,18 +12,18 @@ from vftk import budget
 from vftk.abelian import prime_factors
 from vftk.budget import BudgetExceeded
 from vftk.f2codes import BinaryCode, hamming_code
-from vftk.intmat import det, vec_mat
+from vftk.intmat import _bareiss, det, mat_mul, transpose, vec_mat
 from vftk.lattices import (
     IntegralLattice,
+    _lll,
     ambient_to_basis,
     direct_sum,
     discriminant_group,
     e8_lattice,
     lattice_from_code,
-    pair_reduced,
     short_vectors,
 )
-from vftk.unimodular import definite_automorphisms
+from vftk.unimodular import definite_automorphisms, unimodularize
 
 A1 = IntegralLattice.from_gram([[2]])
 A2 = IntegralLattice.from_gram([[2, -1], [-1, 2]])
@@ -208,23 +208,67 @@ def test_p_primary_generators_of_large_primes():
         dg.p_primary_generators()
 
 
-def test_pair_reduced_keeps_short_vector_counts():
+def _skewed(lattice, rng, moves, size):
+    """The lattice in a seeded basis: `moves` row operations b_i += c b_j,
+    0 < |c| <= size, applied to gram2 on both sides."""
+    g = [list(row) for row in lattice.gram2]
+    for _ in range(moves if lattice.rank > 1 else 0):
+        i, j = rng.sample(range(lattice.rank), 2)
+        c = rng.choice((-1, 1)) * rng.randint(1, size)
+        g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+        for row in g:
+            row[i] += c * row[j]
+    return IntegralLattice(g)
+
+
+def _random_definite(rng, n):
+    """gram2 = 2 (b b^T + I): positive definite and even."""
+    b = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+    return IntegralLattice(
+        [[2 * sum(b[i][k] * b[j][k] for k in range(n)) + 2 * (i == j) for j in range(n)]
+         for i in range(n)]
+    )
+
+
+def test_lll_is_a_reduced_unimodular_change_of_basis():
     rng = random.Random(31)
-    for _ in range(30):
-        n = rng.randrange(1, 6)
-        b = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
-        g2 = [[2 * sum(b[i][k] * b[j][k] for k in range(n)) + 2 * (i == j) for j in range(n)]
-              for i in range(n)]
-        lat = IntegralLattice(g2)
-        red = pair_reduced(lat)
-        assert red.determinant() == lat.determinant()
-        for i in range(n):
-            for j in range(n):
-                assert i == j or 2 * abs(red.gram2[i][j]) <= red.gram2[j][j]
-        for norm in (1, 2, 3):
-            assert len(short_vectors(red, norm)) == len(short_vectors(lat, norm))
-    with pytest.raises(ValueError):
-        pair_reduced(IntegralLattice.from_gram([[2, 0], [0, -2]]))
+    lattices = [IntegralLattice([]), A1, e8_lattice(), direct_sum(A2, A2, A1)]
+    lattices += [_random_definite(rng, rng.randrange(1, 7)) for _ in range(30)]
+    changed = 0
+    for lat in lattices:
+        skewed = _skewed(lat, rng, 20, 5)
+        h, pivots, cols = _lll(skewed.gram2)
+        n = lat.rank
+        assert abs(det(h)) == 1
+        # the returned data is the Bareiss elimination of the reduced Gram
+        assert _bareiss(mat_mul(mat_mul(h, skewed.gram2), transpose(h))) == (0, pivots, cols)
+        d = (1, *pivots)
+        for k in range(n):
+            assert all(2 * abs(lam) <= d[k + 1] for lam in cols[k])  # size reduced
+        for k in range(1, n):  # Lovasz condition, constant 3/4
+            assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * cols[k - 1][0] ** 2
+        changed += h != [[int(i == j) for j in range(n)] for i in range(n)]
+    assert changed >= 25
+    with pytest.raises(BudgetExceeded), budget.limit(0):
+        _lll(_skewed(e8_lattice(), rng, 80, 50).gram2)
+
+
+def test_short_vectors_on_skewed_bases():
+    # 80 row operations with multipliers up to 50 leave Gram entries of
+    # dozens of digits; the glue basis of [[2000000014]] has entries near
+    # 5 * 10^9
+    rng = random.Random(80)
+    e8 = e8_lattice()
+    cases = [
+        (_skewed(e8, rng, 80, 50), 240),
+        (_skewed(direct_sum(e8, e8), rng, 80, 50), 480),
+        (unimodularize(IntegralLattice.from_gram([[2000000014]])).result, 240),
+    ]
+    for lat, count in cases:
+        assert max(abs(x) for row in lat.gram2 for x in row) > 10**9
+        with budget.limit(1.0):  # each finishes in well under a second
+            roots = short_vectors(lat, 2)
+        assert len(roots) == count and all(lat.norm(v) == 2 for v in roots)
 
 
 def test_discriminant_generators_generate():
@@ -259,6 +303,8 @@ def _all_coeffs(orders):
 
 
 def test_short_vectors_match_box_oracle():
+    # each seeded Gram is checked again in a basis skewed by its own rng
+    skew = random.Random(6)
     random.seed(5)
     for _ in range(8):
         n = random.randrange(1, 5)
@@ -269,13 +315,14 @@ def test_short_vectors_match_box_oracle():
             lat = IntegralLattice.from_gram(g)
             if lat.is_definite:
                 break
+        skewed = _skewed(lat, skew, 6, 1)
         for norm in (1, 2, 3, 4):
-            fast = sorted(short_vectors(lat, norm))
-            slow = sorted(short_vectors_box(lat, norm))
-            assert fast == slow
+            fast = short_vectors(lat, norm)
+            assert fast == sorted(short_vectors_box(lat, norm))
             for v in fast:
                 assert lat.norm(v) == norm
                 assert tuple(-x for x in v) in set(fast)
+            assert set(short_vectors(skewed, norm)) == set(short_vectors_box(skewed, norm))
     # doubled Grams b b^T + diag(d): odd entries give half-integral norms,
     # and no vector has norm 5/6
     rng = random.Random(23)
@@ -287,10 +334,12 @@ def test_short_vectors_match_box_oracle():
                for j in range(n)] for i in range(n)]
         lat = IntegralLattice(g2)
         odd += any(g2[i][j] % 2 for i in range(n) for j in range(i))
+        skewed = _skewed(lat, skew, 6, 1)
         for norm in (Fraction(1, 2), Fraction(5, 6), 1, Fraction(3, 2), 2):
             fast = short_vectors(lat, norm)
             assert len(set(fast)) == len(fast)
             assert set(fast) == set(short_vectors_box(lat, norm))
+            assert set(short_vectors(skewed, norm)) == set(short_vectors_box(skewed, norm))
             for v in fast:
                 assert lat.norm(v) == norm
                 assert tuple(-x for x in v) in set(fast)

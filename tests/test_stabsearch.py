@@ -116,8 +116,9 @@ def test_signless_stabilizer_matches_brute_force_perms():
         n = rng.randint(1, 5)
         words = sorted(_random_words(rng, n, 2))
         brute = brute_force_perms(words, n)
-        res = stabilizer(words, n, 2, signed=False)
-        assert res.order == len(brute) and res.sign_order == 1
+        res = stabilizer(words, n, 2)
+        # -x = x over Z/2, so every sign is free
+        assert res.sign_order == 2**n and res.order == len(brute) * 2**n
         assert all(sigma in brute and signs == (1,) * n for sigma, signs in res.generators)
 
 

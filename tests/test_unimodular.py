@@ -146,7 +146,7 @@ def test_sum_four_squares_exact():
 def test_hamming_glue_rebuilds_e8():
     # glueing the halved Hamming words onto 8 orthogonal roots kills det 2^8
     base = direct_sum(*[A1] * 8)
-    code = hamming_code(8)
+    code = hamming_code()
     gens = [tuple(Fraction((w >> i) & 1, 2) for i in range(8)) for w in code.rows]
     glue = isotropic_subgroup(base, gens)
     assert glue.order() == 16
