@@ -7,7 +7,7 @@ the HNF pivots and takes the Smith normal form of those coordinates.
 """
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 from . import budget
 from .intmat import hnf_basis, snf_divisors
@@ -15,7 +15,6 @@ from .intmat import hnf_basis, snf_divisors
 __all__ = [
     "rational_row_basis",
     "quotient_divisors",
-    "group_order",
     "type_counts",
     "type_string",
     "prime_factors",
@@ -71,10 +70,6 @@ def quotient_divisors(sup_rows, sub_rows):
     if len(divs) != len(sup):
         raise ValueError("quotient is not finite")
     return tuple(d for d in divs if d > 1)
-
-
-def group_order(divisors):
-    return prod(divisors) if divisors else 1
 
 
 def type_counts(divisors):

@@ -14,11 +14,11 @@ import marshal
 import os
 from collections import namedtuple
 from functools import cache
-from math import factorial
+from math import factorial, prod
 from operator import mul
 
 from . import budget
-from .abelian import group_order, quotient_divisors, type_string
+from .abelian import quotient_divisors, type_string
 from .bits import f2_rank, gl2_order
 from .f2codes import classify_markings, hamming_code
 from .intmat import identity
@@ -56,17 +56,16 @@ class LatticeFrame:
 
     __slots__ = ("lattice", "vectors")
 
-    def __init__(self, lattice, vectors, validate=True):
+    def __init__(self, lattice, vectors):
         vectors = tuple(tuple(int(c) for c in v) for v in vectors)
-        if validate:
-            if len(vectors) != lattice.rank:
-                raise ValueError("a frame needs one sign-pair per unit of rank")
-            for i, x in enumerate(vectors):
-                if lattice.norm(x) != 4:
-                    raise ValueError(f"frame vector {i} has norm {lattice.norm(x)} != 4")
-                for j in range(i):
-                    if lattice.inner(vectors[j], x) != 0:
-                        raise ValueError(f"frame vectors {j} and {i} are not orthogonal")
+        if len(vectors) != lattice.rank:
+            raise ValueError("a frame needs one sign-pair per unit of rank")
+        for i, x in enumerate(vectors):
+            if lattice.norm(x) != 4:
+                raise ValueError(f"frame vector {i} has norm {lattice.norm(x)} != 4")
+            for j in range(i):
+                if lattice.inner(vectors[j], x) != 0:
+                    raise ValueError(f"frame vectors {j} and {i} are not orthogonal")
         self.lattice = lattice
         self.vectors = vectors
 
@@ -172,7 +171,7 @@ class _Norm4Graph(namedtuple("_Norm4Graph", "lattice reps adj masks")):
     __slots__ = ()
 
     def frame(self, clique):
-        return LatticeFrame(self.lattice, [self.reps[i] for i in clique], validate=False)
+        return LatticeFrame(self.lattice, [self.reps[i] for i in clique])
 
 
 def _norm4_graph(lattice):
@@ -357,7 +356,7 @@ def frame_invariants(lattice, frame):
         pointwise_order=pointwise,
         torus_stab_divisors=torus,
         torus_stab_type=type_string(torus),
-        torus_stab_order=group_order(torus),
+        torus_stab_order=prod(torus),
         perm_image_order=perm_image,
         full_order=pointwise * perm_image,
     )

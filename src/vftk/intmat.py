@@ -4,6 +4,11 @@ Matrices are tuples/lists of row tuples; vectors are row tuples.  Row
 convention throughout the package: a vector acts on the left, v @ M.
 Everything is arbitrary-precision int; nothing here ever touches floating
 point or fractions.
+
+A transform is recorded only where a caller reads one, by one rule: the
+HNF of [a | I] is [H | U] with U a = H, U unimodular (Cohen, GTM 138,
+2.4), since each row operation on a acts on I alike.  inverse reads
+[I | a^-1] off it, and snf carries its row transform the same way.
 """
 
 from math import gcd
@@ -95,26 +100,30 @@ def _bareiss(a):
     return swaps, pivots, cols
 
 
+def _with_identity(a):
+    """[a | I], whose HNF is [H | U]."""
+    return [tuple(row) + e for row, e in zip(a, identity(len(a)))]
+
+
 def inverse(a):
-    """Inverse of a unimodular int matrix: its HNF U a = H is the identity,
-    so U = a^-1.  ValueError when H is not, i.e. a is not invertible over Z."""
-    h, u = hnf(a)
-    if h != identity(len(a)):
+    """Inverse of a unimodular int matrix: the HNF of [a | I] is [I | a^-1].
+    ValueError when its left block is not I, i.e. a is not invertible over Z."""
+    n = len(a[0]) if a else 0
+    h = hnf(_with_identity(a))
+    if tuple(row[:n] for row in h) != identity(len(a)):
         raise ValueError("matrix is not invertible over the integers")
-    return u
+    return tuple(row[n:] for row in h)
 
 
 def hnf(rows):
-    """Row-style Hermite normal form.
+    """Row-style Hermite normal form H of rows.
 
-    Returns (H, U) with U @ rows == H, U unimodular.  H is in echelon form
-    with positive pivots and entries above each pivot reduced into
-    [0, pivot); zero rows sink to the bottom.
+    H is in echelon form with positive pivots and entries above each pivot
+    reduced into [0, pivot); zero rows sink to the bottom.
     """
     h = [list(r) for r in rows]
     m = len(h)
     ncols = len(h[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
     row = 0
     for col in range(ncols):
         if row == m:
@@ -128,61 +137,56 @@ def hnf(rows):
         if piv is None:
             continue
         h[row], h[piv] = h[piv], h[row]
-        u[row], u[piv] = u[piv], u[row]
         for r in range(row + 1, m):
             while h[r][col] != 0:
                 q = h[row][col] // h[r][col]
                 h[row] = [a - q * b for a, b in zip(h[row], h[r])]
-                u[row] = [a - q * b for a, b in zip(u[row], u[r])]
                 h[row], h[r] = h[r], h[row]
-                u[row], u[r] = u[r], u[row]
         if h[row][col] < 0:
             h[row] = [-a for a in h[row]]
-            u[row] = [-a for a in u[row]]
         for r in range(row):
             q = h[r][col] // h[row][col]
             if q:
                 h[r] = [a - q * b for a, b in zip(h[r], h[row])]
-                u[r] = [a - q * b for a, b in zip(u[r], u[row])]
         row += 1
-    return tuple(map(tuple, h)), tuple(map(tuple, u))
+    return tuple(map(tuple, h))
 
 
 def hnf_basis(rows):
     """Nonzero rows of the HNF: a canonical Z-basis of the row span."""
-    h, _ = hnf(rows)
-    return tuple(r for r in h if any(r))
+    return tuple(r for r in hnf(rows) if any(r))
 
 
 def snf(a):
-    """Smith normal form with transforms: returns (d, u, v), u @ a @ v = d.
+    """Smith normal form with its row transform: returns (d, u).
 
-    d is diagonal (rectangular allowed) with nonnegative entries satisfying
-    the divisibility chain, zeros last; u and v are unimodular.  Row and
-    column HNFs alternate until the matrix is diagonal, so every entry stays
-    reduced (Kannan & Bachem, SIAM J. Comput. 8(4), 1979); then a 2x2
-    gcd/lcm step per pair d_i, d_j with d_i not dividing d_j restores the
-    chain.  Each pass polls the budget.
+    d is the diagonal, min(m, n) nonnegative entries satisfying the
+    divisibility chain, zeros last; u is unimodular and u @ a @ v is
+    diagonal with d on it for some unimodular v.  Row and column HNFs
+    alternate until the matrix is diagonal, so every entry stays reduced
+    (Kannan & Bachem, SIAM J. Comput. 8(4), 1979); the row passes run on
+    [s | u], so u rides in the identity columns.  Then a 2x2 gcd/lcm step
+    per pair d_i, d_j with d_i not dividing d_j restores the chain.  Each
+    pass polls the budget.
     """
     n = len(a[0]) if a else 0
-    s, u = hnf(a)
-    v = identity(n)
+    h = hnf(_with_identity(a))
+    s = [row[:n] for row in h]
     while any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
         budget.check()
-        t, w = hnf(transpose(s))
-        s, v = transpose(t), mat_mul(v, transpose(w))
-        s, w = hnf(s)
-        u = mat_mul(w, u)
+        s = transpose(hnf(transpose(s)))
+        h = hnf([row + su[n:] for row, su in zip(s, h)])
+        s = [row[:n] for row in h]
     # HNF pivots are positive and zero rows sink: d_0, ..., d_{r-1} > 0, then zeros
     d = [s[i][i] for i in range(min(len(s), n))]
     r = len(d) - d.count(0)
-    u, v = [list(row) for row in u], [list(row) for row in v]
+    u = [list(row[n:]) for row in h]
     for i in range(r):
         for j in range(i + 1, r):
             if d[j] % d[i] == 0:
                 continue
             # diag(a, b) -> diag(g, lcm): rows by [[x, y], [-b/g, a/g]], columns
-            # by [[1, -yb/g], [1, xa/g]], both of determinant xa/g + yb/g = 1
+            # (not kept) by [[1, -yb/g], [1, xa/g]], both of determinant xa/g + yb/g = 1
             a, b = d[i], d[j]
             g = gcd(a, b)
             ag, bg = a // g, b // g
@@ -191,15 +195,10 @@ def snf(a):
             ui, uj = u[i], u[j]
             u[i] = [x * p + y * q for p, q in zip(ui, uj)]
             u[j] = [ag * q - bg * p for p, q in zip(ui, uj)]
-            for row in v:
-                row[i], row[j] = row[i] + row[j], x * ag * row[j] - y * bg * row[i]
             d[i], d[j] = g, ag * b
-    s = tuple(tuple(d[i] if i == j else 0 for j in range(n)) for i in range(len(s)))
-    return s, tuple(map(tuple, u)), tuple(map(tuple, v))
+    return tuple(d), tuple(map(tuple, u))
 
 
 def snf_divisors(a):
     """Nonzero Smith normal form diagonal entries (the elementary divisors)."""
-    d, _, _ = snf(a)
-    return tuple(row[i] for i, row in enumerate(d) if i < len(row) and row[i])
-
+    return tuple(x for x in snf(a)[0] if x)

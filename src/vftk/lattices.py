@@ -30,6 +30,7 @@ __all__ = [
     "short_vectors",
     "discriminant_group",
     "direct_sum",
+    "ambient_to_basis",
 ]
 
 
@@ -280,13 +281,13 @@ def discriminant_group(lattice):
         raise ValueError("discriminant group needs an integral lattice")
     gram = tuple(tuple(x // 2 for x in row) for row in lattice.gram2)
     n = lattice.rank
-    d, u, _ = snf(gram)
+    d, u = snf(gram)
     # U G V = D, so L* = Z^n G^{-1} = Z^n D^{-1} U: generators are rows of
     # U scaled by 1/d_i, of order exactly d_i (unimodular rows have gcd 1).
     gens = []
     orders = []
     for i in range(n):
-        di = d[i][i]
+        di = d[i]
         if di > 1:
             gens.append(tuple(Fraction(x, di) for x in u[i]))
             orders.append(di)

@@ -15,12 +15,12 @@ and a determinant), so no glue element is ever listed.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from operator import mul
 
 from . import budget
 from .abelian import _hnf_coords, _scaled_hnf, prime_factors
-from .intmat import block_diagonal, det, hnf_basis, identity, mat_mul, transpose
+from .intmat import block_diagonal, hnf_basis, identity, mat_mul, transpose
 from .lattices import IntegralLattice, direct_sum, discriminant_group, short_vectors
 from .verify import verify
 
@@ -121,8 +121,9 @@ def sum_four_squares_mod(r):
 
 
 def _index(den, rows):
-    """[span(rows) / den : Z^n] = den^n / |det(rows)| for a basis of a lattice above Z^n."""
-    index, rem = divmod(den ** len(rows), abs(det(rows)))
+    """[span(rows) / den : Z^n] = den^n / det(rows) for a full-rank HNF basis
+    of a lattice above Z^n, whose determinant is its diagonal's product."""
+    index, rem = divmod(den ** len(rows), prod(row[i] for i, row in enumerate(rows)))
     verify(rem == 0, "glue lattice index is not an integer")
     return index
 

@@ -306,7 +306,7 @@ def find_frames(lattice):
 def reoriented(frame, signs, order):
     """The same frame with representatives flipped by signs, then permuted."""
     vecs = [tuple(s * c for c in v) for s, v in zip(signs, frame.vectors)]
-    return frames.LatticeFrame(frame.lattice, [vecs[i] for i in order], validate=False)
+    return frames.LatticeFrame(frame.lattice, [vecs[i] for i in order])
 
 
 def monomial_to_isometry(lattice, frame, sigma, signs):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from vftk.abelian import (
-    group_order,
     quotient_divisors,
     rational_row_basis,
     type_counts,
@@ -86,7 +85,6 @@ def test_rational_row_basis_dedups():
 
 
 def test_type_helpers():
-    assert group_order((2, 4, 4)) == 32
     assert type_counts((2, 4, 4)) == {2: 1, 4: 2}
     assert type_string((2, 4, 4)) == "2 x 4^2"
     assert type_string(()) == "1"

@@ -129,7 +129,7 @@ def test_frame_hash_agrees_with_equality():
     a = LatticeFrame(lat, [(1, 0), (0, 1)])
     b = LatticeFrame(lat.rescale(1), [(0, -1), (-1, 0)])
     assert a == b and hash(a) == hash(b)
-    assert a != LatticeFrame(IntegralLattice.from_gram([[4, 0], [0, 8]]), [(1, 0)], validate=False)
+    assert a != LatticeFrame(IntegralLattice.from_gram([[1, 0], [0, 1]]), [(2, 0), (0, 2)])
 
 
 def test_glue_code_of_frame_lattice_is_zero():

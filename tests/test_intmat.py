@@ -50,25 +50,26 @@ def random_oracle_matrix(rng, m, n):
 def verify_snf(a):
     # the budget turns a stalled Smith form into a failure, not a hang
     with budget.limit(2):
-        d, u, v = snf(a)
+        d, u = snf(a)
     m, n = len(a), len(a[0]) if a else 0
-    assert len(d) == m and all(len(row) == n for row in d)
-    assert len(u) == m and len(v) == n
-    if m and n:
-        assert mat_mul(mat_mul(u, a), v) == d
+    assert len(d) == min(m, n)
+    assert len(u) == m and all(len(row) == m for row in u)
     assert abs(det(u)) == 1
-    assert abs(det(v)) == 1
-    for i in range(m):
-        for j in range(n):
-            if i != j:
-                assert d[i][j] == 0
-    diag = [d[i][i] for i in range(min(m, n))]
+    diag = list(d)
     for i in range(len(diag)):
         assert diag[i] >= 0
         if i and diag[i - 1] == 0:
             assert diag[i] == 0
         elif i:
             assert diag[i] % diag[i - 1] == 0
+    # u a = [D_r Q; 0]; a unimodular v with u a v = diag(d) exists iff the
+    # quotient rows Q are primitive, i.e. their r x r minors have gcd 1
+    r = len(diag) - diag.count(0)
+    ua = mat_mul(u, a)
+    assert all(x % diag[i] == 0 for i in range(r) for x in ua[i])
+    assert not any(x for row in ua[r:] for x in row)
+    if r:
+        assert minor_gcds([[x // diag[i] for x in ua[i]] for i in range(r)])[-1] == 1
     assert snf_divisors(a) == tuple(x for x in diag if x)
     return diag
 
@@ -84,9 +85,14 @@ def minor_gcds(a):
 
 
 def verify_hnf(a):
-    h, u = hnf(a)
-    assert len(h) == len(a) and len(u) == len(a)
-    if a and a[0]:
+    # the HNF of [a | I] is [H | U] with U a = H, H = hnf(a) and U unimodular
+    m, n = len(a), len(a[0]) if a else 0
+    h = hnf(a)
+    hu = hnf([tuple(row) + e for row, e in zip(a, identity(m))])
+    u = tuple(row[n:] for row in hu)
+    assert len(h) == m and len(u) == m
+    assert tuple(row[:n] for row in hu) == h
+    if m and n:
         assert mat_mul(u, a) == h
     assert abs(det(u)) == 1
     # echelon shape: leading columns strictly increase, zero rows last
@@ -132,8 +138,8 @@ def test_snf_random_square():
 
 def test_snf_known():
     a = ((2, 4, 4), (-6, 6, 12), (10, 4, 16))
-    d, u, v = snf(a)
-    assert [d[i][i] for i in range(3)] == [2, 2, 156]
+    d, u = snf(a)
+    assert d == (2, 2, 156)
     assert snf_divisors(a) == (2, 2, 156)
 
 
@@ -146,15 +152,15 @@ def test_snf_rectangular():
         if max(m, n) <= 4:
             assert [prod(diag[:k]) for k in range(1, min(m, n) + 1)] == minor_gcds(a)
     # the empty shapes: 0 x n is (), m x 0 keeps its m empty rows
-    assert snf(()) == ((), (), ())
-    assert snf(((),) * 3) == (((),) * 3, identity(3), ())
+    assert snf(()) == ((), ())
+    assert snf(((),) * 3) == ((), identity(3))
     assert verify_snf(((),) * 3) == []
 
 
 def test_snf_stalling_input_finishes():
     start = time.monotonic()
     with budget.limit(1):
-        d, u, v = snf(STALLS_PIVOT_SNF)
+        snf(STALLS_PIVOT_SNF)
     assert time.monotonic() - start < 1
     assert verify_snf(STALLS_PIVOT_SNF) == [1, 1, 1, 1, 1, 1940100]
     assert abs(det(STALLS_PIVOT_SNF)) == 1940100
@@ -169,8 +175,8 @@ def test_hnf_random():
     rng = random.Random(3)
     for _ in range(150):
         verify_hnf(random_oracle_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)))
-    assert hnf(()) == ((), ())
-    assert hnf(((),) * 3) == (((),) * 3, identity(3))
+    assert hnf(()) == ()
+    assert hnf(((),) * 3) == ((),) * 3
 
 
 def test_hnf_basis_spans_same_lattice():

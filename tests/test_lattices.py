@@ -141,6 +141,14 @@ def test_discriminant_rescaled():
     assert vals[(2, 2)] == 2 % 2
 
 
+def test_discriminant_generators_pinned():
+    # diag(4, 6) is diagonal already, so the gcd/lcm step alone makes the
+    # orders (2, 12); the generators are rows of its row transform over d_i
+    dg = discriminant_group(IntegralLattice.from_gram([[4, 0], [0, 6]]))
+    assert dg.orders == (2, 12)
+    assert dg.generators == ((1, Fraction(-1, 2)), (Fraction(-1, 4), Fraction(1, 6)))
+
+
 def test_p_primary_generators():
     lat = IntegralLattice.from_gram([[12]])
     dg = discriminant_group(lat)
