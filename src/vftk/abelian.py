@@ -1,13 +1,19 @@
-"""Finite abelian quotients of free Z-modules.
+"""Finite abelian groups: subgroups of (Z/c)^n and their printed types.
 
-A Z-module of rational rows is held as a common denominator den and the
-integer HNF basis of the rows scaled by den.  quotient_divisors(sup, sub)
-writes the sub basis in sup coordinates by integer back-substitution along
-the HNF pivots and takes the Smith normal form of those coordinates.
+quotient_divisors reads a subgroup of (Z/c)^n off one Smith form: with
+d_i the Smith diagonal of the integer rows R,
+(span(R) + cZ^n)/cZ^n is the sum of the Z/(c / gcd(c, d_i))
+(Cohen, GTM 138, 2.4.3).
+
+The glue-lattice helpers hold a Z-module of rational rows as a common
+denominator den and the integer HNF basis of the rows scaled by den, and
+find integer coordinates in such a basis by back-substitution along the
+HNF pivots.
 """
 
+from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import budget
 from .intmat import hnf_basis, snf_divisors
@@ -15,7 +21,6 @@ from .intmat import hnf_basis, snf_divisors
 __all__ = [
     "rational_row_basis",
     "quotient_divisors",
-    "type_counts",
     "type_string",
     "prime_factors",
 ]
@@ -49,40 +54,22 @@ def rational_row_basis(rows):
     return tuple(tuple(Fraction(x, den) for x in r) for r in basis)
 
 
-def quotient_divisors(sup_rows, sub_rows):
-    """Elementary divisors (> 1) of span(sup_rows)/span(sub_rows).
+def quotient_divisors(rows, modulus):
+    """Elementary divisors (> 1), ascending, of the subgroup of
+    (Z/modulus)^n that the integer rows span; ValueError if modulus < 1.
 
-    Both spans are Z-modules of rational rows; sub must lie inside sup with
-    finite index (same rank), else ValueError.  A sub row inside sup has
-    denominators dividing sup's den, so both scale to integer rows by it.
+    The Smith diagonal d_1 | d_2 | ... gives modulus // gcd(modulus, d_i),
+    each a multiple of the next, so the reversed list ascends.
     """
-    den, sup = _scaled_hnf(sup_rows)
-    sub_den, sub = _scaled_hnf(sub_rows)
-    if len(sub) != len(sup):
-        raise ValueError("quotient is not finite (ranks differ)")
-    if not sup:
-        return ()
-    scale, rem = divmod(den, sub_den)
-    coords = [_hnf_coords(sup, [x * scale for x in r]) for r in sub]
-    if rem or None in coords:
-        raise ValueError("sub is not contained in sup")
-    divs = snf_divisors(coords)
-    if len(divs) != len(sup):
-        raise ValueError("quotient is not finite")
-    return tuple(d for d in divs if d > 1)
-
-
-def type_counts(divisors):
-    """Multiplicity of each cyclic order, e.g. (2,4,4) -> {2: 1, 4: 2}."""
-    out = {}
-    for d in divisors:
-        out[d] = out.get(d, 0) + 1
-    return out
+    if modulus < 1:
+        raise ValueError("modulus must be at least 1")
+    divs = (modulus // gcd(modulus, d) for d in reversed(snf_divisors(rows)))
+    return tuple(q for q in divs if q > 1)
 
 
 def type_string(divisors):
     """Human form like '2 x 4^6 x 8'; '1' for the trivial group."""
-    counts = type_counts(divisors)
+    counts = Counter(divisors)
     if not counts:
         return "1"
     parts = []

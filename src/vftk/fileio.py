@@ -3,13 +3,11 @@
 Gram files: first line the rank, then rank rows of rank integers; an
 optional second line ``scale 1/2`` marks the entries as doubled inner
 products (allowing exact half-integer forms).  Frame files: first line
-the number of sign pairs, then one coordinate row per pair in the lattice
-basis.
+the number of sign pairs, then one integer coordinate row per pair in
+the lattice basis.
 
 Blank lines and ``#`` comments are ignored everywhere.
 """
-
-from fractions import Fraction
 
 from .frames import LatticeFrame
 from .lattices import IntegralLattice
@@ -72,13 +70,6 @@ def parse_gram(text):
         raise ParseError(str(exc)) from None
 
 
-def _fraction(tok, what):
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{what}: bad rational {tok!r}") from None
-
-
 def parse_frame(text, lattice):
     """LatticeFrame from frame-file text (coordinates in the lattice basis)."""
     lines = _content_lines(text)
@@ -90,14 +81,7 @@ def parse_frame(text, lattice):
         raise ParseError(f"bad pair-count line {lines[0]!r}") from None
     if len(lines) != 1 + pairs:
         raise ParseError(f"expected {pairs} frame rows, found {len(lines) - 1}")
-    vectors = []
-    for ln in lines[1:]:
-        row = tuple(_fraction(tok, "frame entry") for tok in ln.split())
-        if len(row) != lattice.rank:
-            raise ParseError(f"expected {lattice.rank} coordinates, found {len(row)} in {ln!r}")
-        if any(x.denominator != 1 for x in row):
-            raise ParseError(f"frame row {ln!r} is not integral in the lattice basis")
-        vectors.append(tuple(int(x) for x in row))
+    vectors = [_int_row(ln, lattice.rank, "frame row") for ln in lines[1:]]
     try:
         return LatticeFrame(lattice, vectors)
     except ValueError as exc:

@@ -21,7 +21,6 @@ from . import budget
 from .abelian import quotient_divisors, type_string
 from .bits import f2_rank, gl2_order
 from .f2codes import classify_markings, hamming_code
-from .intmat import identity
 from .lattices import ambient_to_basis, e8_lattice, short_vectors
 from .stabsearch import stabilizer
 from .verify import verify
@@ -278,13 +277,7 @@ def glue_code(lattice, frame):
 
 def abelian_type(code):
     """(l, k) with the code isomorphic to 2^l x 4^k as an abelian group."""
-    n = code.length
-    gens = [tuple(int(x) for x in g) for g in code.generators]
-    four = [tuple(4 * int(i == j) for j in range(n)) for i in range(n)]
-    divisors = quotient_divisors(gens + four, four)
-    unexpected = set(divisors) - {2, 4}
-    if unexpected:
-        raise ValueError(f"unexpected elementary divisor {min(unexpected)}")
+    divisors = quotient_divisors(code.generators, 4)
     return divisors.count(2), divisors.count(4)
 
 
@@ -302,14 +295,13 @@ def _code_stabilizer(code):
 
 
 def frame_torus_divisors(lattice, frame, denom):
-    """Elementary divisors of ((1/denom)M + L*)/L* for the frame span M.
+    """Elementary divisors of ((1/denom)M + L*)/L* for the frame span M, denom >= 1.
 
     v -> vG carries L* onto Z^n, so this is ((1/denom)MG + Z^n)/Z^n; row i
-    of MG is gram_row(x_i) halved.  Scaled by 2*denom it is the quotient
-    of the gram rows plus 2*denom*Z^n by 2*denom*Z^n.
+    of MG is gram_row(x_i) halved.  Scaled by 2*denom it is the subgroup
+    of (Z/2*denom)^n spanned by the gram rows.
     """
-    scale = [tuple(2 * denom * x for x in row) for row in identity(lattice.rank)]
-    return quotient_divisors([lattice.gram_row(x) for x in frame.vectors] + scale, scale)
+    return quotient_divisors([lattice.gram_row(x) for x in frame.vectors], 2 * denom)
 
 
 class FrameInvariants(

@@ -11,9 +11,10 @@ from itertools import combinations, permutations, product
 from math import isqrt
 
 from vftk import frames
+from vftk.abelian import _hnf_coords, _scaled_hnf
 from vftk.bits import f2_identity, f2_mat_mul, f2_orth, f2_rref
 from vftk.f2quad import is_odd_lagrangian, nonsingular_vectors, pairing, quad_value, transform_member
-from vftk.intmat import vec_mat
+from vftk.intmat import snf_divisors, vec_mat
 from vftk.verify import verify
 
 
@@ -64,6 +65,29 @@ def inverse_gauss_jordan(a):
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return tuple(tuple(row[n:]) for row in m)
+
+
+def quotient_divisors_general(sup_rows, sub_rows):
+    """Elementary divisors (> 1) of span(sup_rows)/span(sub_rows).
+
+    Both spans are Z-modules of rational rows; sub must lie inside sup with
+    finite index (same rank), else ValueError.  A sub row inside sup has
+    denominators dividing sup's den, so both scale to integer rows by it.
+    """
+    den, sup = _scaled_hnf(sup_rows)
+    sub_den, sub = _scaled_hnf(sub_rows)
+    if len(sub) != len(sup):
+        raise ValueError("quotient is not finite (ranks differ)")
+    if not sup:
+        return ()
+    scale, rem = divmod(den, sub_den)
+    coords = [_hnf_coords(sup, [x * scale for x in r]) for r in sub]
+    if rem or None in coords:
+        raise ValueError("sub is not contained in sup")
+    divs = snf_divisors(coords)
+    if len(divs) != len(sup):
+        raise ValueError("quotient is not finite")
+    return tuple(d for d in divs if d > 1)
 
 
 def gram(lattice):

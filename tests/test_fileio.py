@@ -65,9 +65,14 @@ def test_frame_parse_errors():
         parse_frame("1\n1 0 0 0 0 0 0", e8)  # wrong width
     with pytest.raises(ParseError):
         parse_frame("1\n1/2 0 0 0 0 0 0 0", e8)  # not integral
-    for entry in ("x", "1/0"):  # not a rational
+    for entry in ("x", "1/0"):  # not a number
         with pytest.raises(ParseError):
             parse_frame(f"1\n{entry} 0 0 0 0 0 0 0", e8)
+    # frame rows are integer rows: a frame vector written as fractions is refused
+    rows = format_frame(e8_frame_representatives()[2]).splitlines()
+    halves = [rows[0]] + [" ".join(f"{2 * int(x)}/2" for x in row.split()) for row in rows[1:]]
+    with pytest.raises(ParseError):
+        parse_frame("\n".join(halves), e8)
     # right shape but not a frame vector (norm != 4)
     with pytest.raises(ParseError):
         parse_frame("8\n" + "\n".join("1 0 0 0 0 0 0 0" for _ in range(8)), e8)

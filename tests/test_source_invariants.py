@@ -2,7 +2,8 @@
 
 No assert statement (python -O strips them; checks use verify), no
 floating point outside the wall-clock budget, no import outside the
-standard library, and no dataclasses; importing the CLI loads no process
+standard library, no dataclasses, and fractions only in the modules whose
+values are rational; importing the CLI loads no process
 pool or pickle; the package's modules import each other at the top level
 only and without cycles; and no public name is there for the tests alone.
 """
@@ -78,6 +79,18 @@ def test_no_dataclasses_import(path):
     """Records are namedtuple subclasses; importing dataclasses (and the
     inspect it loads) would put that cost back on every command's start."""
     assert [(n, at) for n, at in _absolute_imports(path) if n == "dataclasses"] == []
+
+
+def test_fraction_stays_in_the_rational_modules():
+    """Only the modules whose values are rational import fractions, and
+    README says where Fraction remains."""
+    found = {p.stem for p in SOURCES for n, _ in _absolute_imports(p) if n == "fractions"}
+    assert found == {"abelian", "lattices", "unimodular"}
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    assert (
+        "`fractions.Fraction` remains only where the values themselves are rational: "
+        "`rational_row_basis`, glue generators and the discriminant-group generators." in readme
+    )
 
 
 def _package_imports(tree):
