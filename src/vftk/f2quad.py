@@ -16,6 +16,7 @@ Vectors are bit-packed ints and subspaces are canonical RREF row tuples,
 as in the bits module.
 """
 
+from array import array
 from collections import namedtuple
 from functools import lru_cache
 from math import prod
@@ -125,14 +126,39 @@ def standard_odd_lagrangian(n, overlap):
     return f2_rref(_standard_frame(n, overlap)[:n])
 
 
+def _unpack(n, word):
+    """The row tuple packed in word: n fields of 2n bits, first row highest."""
+    width = 2 * n
+    mask = (1 << width) - 1
+    return tuple([(word >> s) & mask for s in range(width * (n - 1), -1, -width)])
+
+
 def enumerate_odd_lagrangians(n):
-    """Every odd Lagrangian, exhaustively.
+    """Every odd Lagrangian, exhaustively, as canonical RREF row tuples in
+    lexicographic order.
+
+    The walk, _odd_lagrangian_words, packs each member into one word: n
+    fields of 2n bits, the first row in the highest field, so at most
+    n * 2n <= 50 bits for n <= 5.  Sorting the words therefore sorts the
+    members by rows, and each is unpacked once here.  The exhaustive
+    census for n >= 4 reads the words and never builds this tuple.
+    """
+    return tuple(_unpack(n, word) for word in sorted(_odd_lagrangian_words(n)))
+
+
+def _odd_lagrangian_words(n):
+    """Every odd Lagrangian as one packed word, in walk order.
+
+    A word holds the member's RREF rows in n fields of 2n bits each, the
+    first row in the highest field; n <= 5 keeps it within n * 2n <= 50
+    bits, so the words fit an array("Q") of 8 bytes per member.
 
     Enumerates RREF bases of totally isotropic n-subspaces directly:
     pivots descend and earlier rows are required to vanish at later
-    pivots.  Each depth carries the echelon perp of the chosen rows and
-    their OR, so a new row with pivot p is a perp basis vector led by an
-    unused bit p plus any combination of the perp basis vectors below it.
+    pivots.  Each depth carries the echelon perp of the chosen rows, their
+    OR, their packed prefix and whether Q is nonzero on one of them, so a
+    new row with pivot p is a perp basis vector led by an unused bit p
+    plus any combination of the perp basis vectors below it.
 
     A child is entered only if its perp still has enough candidate
     pivots: leading bits below p and outside the OR of its rows, one for
@@ -144,19 +170,18 @@ def enumerate_odd_lagrangians(n):
     """
     if not 1 <= n <= 5:
         raise ValueError("exhaustive enumeration is limited to 1 <= n <= 5")
-    out = []
-    rows = []
+    width = 2 * n
+    words = array("Q")
     calls = 0
 
-    def rec(perp, used, max_pivot):
+    def rec(perp, used, max_pivot, packed, need, odd):
         nonlocal calls
         calls += 1
         if calls % CHECK_EVERY == 0:
             budget.check()
-        need = n - len(rows)
         if need == 0:
-            if any(quad_value(n, r) for r in rows):
-                out.append(tuple(rows))
+            if odd:
+                words.append(packed)
             return
         leads = _leading_bits(perp)
         for i, b in enumerate(perp):
@@ -176,12 +201,10 @@ def enumerate_odd_lagrangians(n):
                 child = f2_orth(perp, [_swap_halves(n, w)]) if need > 1 else ()
                 if spare == 0 and (_leading_bits(child) & free).bit_count() < need - 1:
                     continue
-                rows.append(w)
-                rec(child, used | w, p - 1)
-                rows.pop()
+                rec(child, used | w, p - 1, packed << width | w, need - 1, odd or quad_value(n, w))
 
-    rec(f2_identity(2 * n)[::-1], 0, 2 * n - 1)
-    return tuple(sorted(out))
+    rec(f2_identity(width)[::-1], 0, width - 1, 0, n, 0)
+    return words
 
 
 # --- the stabilizer of the left half ----------------------------------------
@@ -485,9 +508,15 @@ def orbit_census(n, exhaustive=False):
     h that fixes the left half, preserves Q and carries the standard
     representative of the member's left overlap onto the member.  A
     failed check raises VerificationError.
+
+    For n >= 4 the exhaustive census runs in two phases.  The walk first
+    stores every member as one packed word of at most 50 bits, 8 bytes in
+    an array (see _odd_lagrangian_words); then each word is unpacked and
+    certified in turn, so no list of row tuples is held.  Certifying each
+    member as the walk finds it needs no less memory and ran slower.
     """
     if exhaustive or n <= 3:
-        members = enumerate_odd_lagrangians(n)
+        members = enumerate_odd_lagrangians(n) if n <= 3 else _odd_lagrangian_words(n)
         verify(len(members) == total_odd_count(n), "enumeration missed the closed-form count")
         if n <= 3:
             orbits = orbit_partition(n, members)
@@ -502,8 +531,9 @@ def orbit_census(n, exhaustive=False):
             # standard representative under an explicit verified isometry
             sizes = {j: 0 for j in range(n)}
             reps = {j: standard_odd_lagrangian(n, j) for j in range(n)}
-            for member in members:
+            for word in members:
                 budget.check()
+                member = _unpack(n, word)
                 # canonical RREF: the rows below 1 << n span the left overlap
                 j = sum(r < (1 << n) for r in member)
                 _verify_witness(n, _witness(n, j, member), reps[j], member)

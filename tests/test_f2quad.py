@@ -102,6 +102,62 @@ def test_enumeration_bounds():
         enumerate_odd_lagrangians(0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_walk_words_pack_the_enumeration(n):
+    # one 2n-bit field per row, first row highest: at most n * 2n <= 50 bits
+    width = 2 * n
+    words = f2quad._odd_lagrangian_words(n)
+    assert words.typecode == "Q"
+    assert all(word < 1 << (width * n) for word in words)
+    for word in words:
+        rows = f2quad._unpack(n, word)
+        assert sum(r << (width * (n - 1 - i)) for i, r in enumerate(rows)) == word
+    assert tuple(f2quad._unpack(n, word) for word in sorted(words)) == (
+        enumerate_odd_lagrangians(n)
+    )
+    # the census counts the words, and a count cannot see a repeated member
+    assert len(set(words)) == len(words) == total_odd_count(n)
+
+
+def _flip_low_bit_of_least(words):
+    # the least member's last row e1 becomes e0 + e1, which pairs to 1
+    # with its first row e0 + f0: the rows stay RREF but are not isotropic
+    words[words.index(min(words))] ^= 1
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda words: words.pop(), "missed the closed-form count"),
+        (lambda words: words.append(words[7]), "missed the closed-form count"),
+        (_flip_low_bit_of_least, "witness"),
+    ],
+    ids=["dropped", "repeated", "bit-flipped"],
+)
+def test_census_refuses_a_broken_walk(monkeypatch, mutate, message):
+    walk = f2quad._odd_lagrangian_words
+
+    def broken_walk(n):
+        words = walk(n)
+        mutate(words)
+        return words
+
+    monkeypatch.setattr(f2quad, "_odd_lagrangian_words", broken_walk)
+    with pytest.raises(VerificationError, match=message):
+        orbit_census(4, exhaustive=True)
+
+
+def test_certified_census_builds_no_member_tuples(monkeypatch):
+    def refuse(n):
+        raise RuntimeError("enumerate_odd_lagrangians was called")
+
+    monkeypatch.setattr(f2quad, "enumerate_odd_lagrangians", refuse)
+    assert orbit_census(4, exhaustive=True) == orbit_census(4)
+    # the n <= 3 route still partitions the tuples, so the patch is live
+    with pytest.raises(RuntimeError, match="was called"):
+        orbit_census(3)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_member_through_vector(n):
     for v in nonsingular_vectors(n):
