@@ -5,6 +5,7 @@ sequences of row ints; there are no wrapper classes, so callers must keep
 track of widths themselves.  All routines are pure.
 """
 
+from itertools import repeat
 from math import prod
 
 __all__ = [
@@ -107,13 +108,28 @@ def f2_mat_mul(a_rows, b_rows):
     return [f2_vec_mat(r, b_rows) for r in a_rows]
 
 
+# _BIT[b] maps a byte to the ASCII digit ("0" or "1") of its bit b
+_BIT = [bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8)]
+
+
 def f2_transpose(rows, width):
+    """Columns of the bit matrix: bit i of column j is bit j of rows[i].
+
+    `rows` is a sequence (a list, a tuple or an array) of ints below
+    1 << width.  They are packed little-endian, last row first, into
+    (width + 7) // 8 bytes each, so the bytes slice of byte column k
+    lists byte k of every row, last row first.  Translating that slice
+    through _BIT[j & 7] spells column j (j in byte k) as ASCII digits,
+    most significant bit first, and int(..., 2) reads it.
+    """
+    if not rows:
+        return [0] * width
+    size = (width + 7) // 8
+    packed = b"".join(map(int.to_bytes, reversed(rows), repeat(size), repeat("little")))
     out = []
-    for j in range(width):
-        c = 0
-        for i, r in enumerate(rows):
-            c |= ((r >> j) & 1) << i
-        out.append(c)
+    for k in range(size):
+        col = packed[k::size]
+        out += [int(col.translate(_BIT[b]), 2) for b in range(min(8, width - 8 * k))]
     return out
 
 

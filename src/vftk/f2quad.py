@@ -383,6 +383,42 @@ def same_orbit_witness(n, a, b):
     return OrbitWitness(g, (ja, jb))
 
 
+_BATCH = 4096  # frames per bit-slice check in the exhaustive census
+
+
+def _verify_frames(n, j, frames):
+    """Raise VerificationError unless every adapted frame in the batch
+    keeps the left-half rows of the standard frame T of overlap j in the
+    left half, has rows of 2n bits, and has T's Q values and pairings.
+
+    frames holds 2n rows per frame, frame after frame.  Transposing the
+    rows at one position k gives 2n bit slices x[k][b], with bit t of
+    x[k][b] equal to bit b of row k of frame t, so one AND or XOR of
+    slices does one step for every frame at once: Q of row k is the XOR
+    over b < n of x[k][b] & x[k][b + n], and must be all ones where Q(T_k)
+    is 1 and all zeros where it is 0; pairings are alike.
+    """
+    width = 2 * n
+    ones = (1 << (len(frames) // width)) - 1
+    standard = _standard_frame(n, j)
+    verify(max(frames) < (1 << width), "witness is not an isometry")
+    x = [f2_transpose(frames[k::width], width) for k in range(width)]
+    left = [x[k] for k, r in enumerate(standard) if r < (1 << n)]
+    verify(not any(xk[b] for xk in left for b in range(n, width)), "witness moves the left half")
+    for k, r in enumerate(standard):
+        xk = x[k]
+        q = 0
+        for b in range(n):
+            q ^= xk[b] & xk[b + n]
+        verify(q == ones * quad_value(n, r), "witness is not an isometry")
+        for l in range(k + 1, width):
+            xl = x[l]
+            p = 0
+            for b in range(n):
+                p ^= (xk[b] & xl[b + n]) ^ (xk[b + n] & xl[b])
+            verify(p == ones * pairing(n, r, standard[l]), "witness is not an isometry")
+
+
 def _verify_witness(n, g, source, target):
     """Raise VerificationError unless g is a left-half-fixing isometry
     taking source onto target."""
@@ -514,6 +550,20 @@ def orbit_census(n, exhaustive=False):
     an array (see _odd_lagrangian_words); then each word is unpacked and
     certified in turn, so no list of row tuples is held.  Certifying each
     member as the walk finds it needs no less memory and ran slower.
+
+    The witness of a member with overlap j is h = T^-1 F, with T the
+    standard frame of j and F the member's adapted frame, so h maps row k
+    of T to row k of F.  The census checks F instead of h, three ways:
+    the rows that T keeps in the left half (its t's and s's, which span
+    that half) are below 1 << n in F, so h fixes the left half; Q(F_k) =
+    Q(T_k) for every k and pairing(F_k, F_l) = pairing(T_k, T_l) for
+    every k < l, and since T is a basis (checked) and the form is
+    nondegenerate, T's pairing matrix is nondegenerate, so F is a basis
+    and h preserves Q; and f2_rref(F[:n]) is the member, which is where h
+    takes standard_odd_lagrangian(n, j) = f2_rref(T[:n]).  The span check
+    runs per member.  The frames are kept per j in an array of 2n-bit
+    rows, and the other two checks run on _BATCH of them at a time, as
+    bit slices (see _verify_frames).
     """
     if exhaustive or n <= 3:
         members = enumerate_odd_lagrangians(n) if n <= 3 else _odd_lagrangian_words(n)
@@ -527,17 +577,31 @@ def orbit_census(n, exhaustive=False):
                 verify(len(js) == 1, "an orbit mixes left overlaps")
                 sizes[js.pop()] = len(orbit)
         else:
-            # certify instead of BFS: every member is the image of its
-            # standard representative under an explicit verified isometry
+            # certify instead of BFS: every member's adapted frame has the
+            # Gram/Q data of the standard frame of its overlap
+            width = 2 * n
+            for j in range(n):
+                verify(f2_rank(_standard_frame(n, j)) == width, "standard frame is not a basis")
             sizes = {j: 0 for j in range(n)}
-            reps = {j: standard_odd_lagrangian(n, j) for j in range(n)}
+            batches = {j: array("H") for j in range(n)}
             for word in members:
                 budget.check()
                 member = _unpack(n, word)
-                # canonical RREF: the rows below 1 << n span the left overlap
+                # canonical RREF: the rows below 1 << n span the left overlap;
+                # Q vanishes on the left half, so a row with Q = 1 puts j < n
                 j = sum(r < (1 << n) for r in member)
-                _verify_witness(n, _witness(n, j, member), reps[j], member)
+                verify(any(quad_value(n, r) for r in member), "walk yields a singular member")
+                frame = _adapted_frame(n, member)
+                verify(f2_rref(frame[:n]) == member, "witness misses its target member")
+                batch = batches[j]
+                batch.extend(frame)
+                if len(batch) == _BATCH * width:
+                    _verify_frames(n, j, batch)
+                    del batch[:]
                 sizes[j] += 1
+            for j, batch in batches.items():
+                if batch:
+                    _verify_frames(n, j, batch)
         verify(
             all(sizes.get(j) == orbit_size(n, j) for j in range(n)),
             "orbit sizes disagree with the closed form",

@@ -254,6 +254,18 @@ def walk_frames_reference(graph):
         bases[depth] = tuple(sorted(basis + (m,), reverse=True)) if m else basis
 
 
+def f2_transpose_bitwise(rows, width):
+    """Columns of the bit matrix, read one bit at a time: bit i of column j
+    is bit j of rows[i]."""
+    out = []
+    for j in range(width):
+        c = 0
+        for i, r in enumerate(rows):
+            c |= ((r >> j) & 1) << i
+        out.append(c)
+    return out
+
+
 def f2_subspaces(width, dim):
     """Yield every dim-dimensional subspace of F2^width exactly once.
 

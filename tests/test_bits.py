@@ -1,9 +1,10 @@
 import random
+from array import array
 from itertools import combinations
 
 import pytest
 
-from oracles import f2_subspaces
+from oracles import f2_subspaces, f2_transpose_bitwise
 from vftk.bits import (
     f2_echelon,
     f2_mat_inverse,
@@ -14,6 +15,7 @@ from vftk.bits import (
     f2_reduce,
     f2_rref,
     f2_span,
+    f2_transpose,
 )
 
 
@@ -99,3 +101,17 @@ def test_subspaces_agree_with_brute_force():
         if f2_rank(combo) == dim:
             brute.add(f2_rref(combo))
     assert brute == set(f2_subspaces(width, dim))
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 10, 16, 17, 40])
+@pytest.mark.parametrize("count", [0, 1, 300])
+def test_transpose_against_bitwise_oracle(width, count):
+    rng = random.Random(width * 1000 + count)
+    rows = [rng.randrange(1 << width) for _ in range(count)]
+    rows[::3] = [r | 1 << (width - 1) for r in rows[::3]]  # top bit set
+    inputs = [rows, tuple(rows)]
+    if width <= 16:
+        packed = array("H", rows)
+        inputs += [packed, packed[1::3], packed[::-2]]
+    for rows_in in inputs:
+        assert f2_transpose(rows_in, width) == f2_transpose_bitwise(rows_in, width)

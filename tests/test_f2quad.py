@@ -11,6 +11,7 @@ import pytest
 
 import vftk.f2quad as f2quad
 from oracles import f2_subspaces, odd_lagrangian_through, random_isometry, sample_odd_lagrangians
+from vftk import cli
 from vftk.bits import (
     f2_identity,
     f2_mat_mul,
@@ -102,6 +103,11 @@ def test_enumeration_bounds():
         enumerate_odd_lagrangians(0)
 
 
+def _pack(n, rows):
+    width = 2 * n
+    return sum(r << (width * (n - 1 - i)) for i, r in enumerate(rows))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_walk_words_pack_the_enumeration(n):
     # one 2n-bit field per row, first row highest: at most n * 2n <= 50 bits
@@ -111,7 +117,7 @@ def test_walk_words_pack_the_enumeration(n):
     assert all(word < 1 << (width * n) for word in words)
     for word in words:
         rows = f2quad._unpack(n, word)
-        assert sum(r << (width * (n - 1 - i)) for i, r in enumerate(rows)) == word
+        assert _pack(n, rows) == word
     assert tuple(f2quad._unpack(n, word) for word in sorted(words)) == (
         enumerate_odd_lagrangians(n)
     )
@@ -145,6 +151,80 @@ def test_census_refuses_a_broken_walk(monkeypatch, mutate, message):
     monkeypatch.setattr(f2quad, "_odd_lagrangian_words", broken_walk)
     with pytest.raises(VerificationError, match=message):
         orbit_census(4, exhaustive=True)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [(8, 4, 2, 1), (128, 64, 32, 16)],
+    ids=["all-left", "no-odd-row"],
+)
+def test_census_refuses_a_singular_walk_member(monkeypatch, rows):
+    # a walk fault is a failed check (exit 1), not bad input (exit 3):
+    # e0..e3 has j = n, and f0..f3 has no row with Q = 1
+    walk = f2quad._odd_lagrangian_words
+
+    def broken_walk(n):
+        words = walk(n)
+        words[0] = _pack(n, rows)
+        return words
+
+    monkeypatch.setattr(f2quad, "_odd_lagrangian_words", broken_walk)
+    with pytest.raises(VerificationError, match="singular member"):
+        orbit_census(4, exhaustive=True)
+    report, code = cli.run(["f2quad", "--n", "4", "--exhaustive"])
+    assert code == 1 and "singular member" in report["error"]
+
+
+def _walk_positions(n, j):
+    """Walk positions of the members of overlap j, in the census's order."""
+    words = f2quad._odd_lagrangian_words(n)
+    return [t for t, w in enumerate(words) if left_overlap(n, f2quad._unpack(n, w)) == j]
+
+
+@pytest.mark.parametrize(
+    "j,slot,row,bit,message",
+    [
+        # n = 4 has 960, 840, 210 and 15 members of overlap 0..3, so with
+        # 7 frames a batch: first and last slot of a full batch, first of
+        # the next, a middle slot, a final batch of one frame, the last
+        # slot of a final full batch
+        (0, 0, 7, 0, "not an isometry"),
+        (0, 6, 7, 0, "not an isometry"),
+        (0, 7, 7, 0, "not an isometry"),
+        (1, 700, 7, 0, "not an isometry"),
+        (0, 959, 7, 0, "not an isometry"),
+        (3, 14, 7, 0, "not an isometry"),
+        (2, 209, 7, 0, "not an isometry"),
+        # a bit beyond the 2n coordinates, which the bit slices do not read
+        (0, 6, 7, 8, "not an isometry"),
+        # the first s row (row n) gets a right-half bit
+        (1, 3, 4, 4, "moves the left half"),
+        (3, 14, 4, 5, "moves the left half"),
+    ],
+)
+def test_census_checks_every_batch_slot(monkeypatch, j, slot, row, bit, message):
+    n = 4
+    positions = _walk_positions(n, j)
+    target = positions[slot]
+    last = slot // 7 * 7 + 6  # the slot whose frame fills the batch
+    checked_after = positions[last] + 1 if last < len(positions) else total_odd_count(n)
+    adapted = f2quad._adapted_frame
+    calls = []
+
+    def flipped(n, member):
+        frame = adapted(n, member)
+        if len(calls) == target:
+            frame[row] ^= 1 << bit
+        calls.append(member)
+        return frame
+
+    monkeypatch.setattr(f2quad, "_BATCH", 7)
+    assert orbit_census(n, exhaustive=True) == orbit_census(n)
+    monkeypatch.setattr(f2quad, "_adapted_frame", flipped)
+    with pytest.raises(VerificationError, match=message):
+        orbit_census(n, exhaustive=True)
+    # refused by the check of the batch that holds the flipped frame
+    assert len(calls) == checked_after
 
 
 def test_certified_census_builds_no_member_tuples(monkeypatch):
@@ -330,7 +410,8 @@ def _members_for_frame_tests():
 
 
 def test_adapted_frame_by_definition():
-    # a second route beside _verify_witness: the frame is a basis whose
+    # a second route beside the census's batch check (_verify_frames, which
+    # reads the same data off bit slices): the frame is a basis whose
     # first n rows span the member and whose Q values and pairings are
     # those of the standard frame of the member's overlap
     standard = {}
