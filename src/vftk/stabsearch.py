@@ -9,6 +9,16 @@ coordinate positions:
     |Stab| = |sign part| * prod_j |orbit of j under the subgroup fixing
                                    positions 0..j-1|
 
+The chain is built from the deepest level up, j = n-1 down to 0.  Every
+witness found so far fixes positions 0..j-1, so it lies in G_j, the
+subgroup fixing them, and it decides targets without a search:
+- a target in the closure of {j} under the witnesses is in j's orbit;
+- a target in the closure of the targets already refused is not, since
+  j's orbit is G_j-invariant and so is its complement.
+Only the targets left are asked.  The witnesses then form a strong
+generating set for the base 0..n-1 (Sims 1970; Seress, Permutation Group
+Algorithms, 2003): those fixing 0..j-1 move j round its whole orbit.
+
 Each question is answered by one depth-first existence search over images
 of positions, pruned by comparing the multiset of word restrictions on
 the source prefix, signs applied, with the multiset of word restrictions
@@ -67,8 +77,10 @@ class StabilizerResult(namedtuple("StabilizerResult", "order sign_order orbit_si
     """Order and generators of a monomial stabilizer.
 
     generators are (sigma, signs) pairs, the witnesses of the chain's
-    orbits; sigma maps position p to sigma[p], signs[p] multiplies the
-    value leaving position p.  The sign-only subgroup has order
+    orbits, deepest level first; sigma maps position p to sigma[p],
+    signs[p] multiplies the value leaving position p.  They are a strong
+    generating set: the orbit of j under those whose first moved position
+    is >= j has orbit_sizes[j] points.  The sign-only subgroup has order
     sign_order, a power of two, and order = sign_order times the product
     of orbit_sizes.
     """
@@ -136,6 +148,8 @@ class _Search:
         A full-depth prefix is never refined, so its labels are None."""
         got = self._memo.get(idx)
         if got is None:
+            # one entry's cost grows with the word count, so poll per entry
+            budget.check()
             labels = memoryview(self._entry(idx[:-1])[0]).cast(self._label_code)
             pairs = list(map(add, labels, self._columns[idx[-1]]))
             ordered = sorted(pairs)
@@ -195,6 +209,10 @@ class _Search:
 def stabilizer(words, n, modulus):
     """Full monomial stabilizer of a set of words in (Z/m)^n.
 
+    The chain runs from the deepest level up, and a target is asked only
+    if the witnesses found so far leave it outside both the level's orbit
+    and the closure of its refused targets (see the module docstring).
+
     Raises ValueError unless 1 <= modulus <= 256 and every word has length
     n and entries in range(modulus).
     """
@@ -206,24 +224,28 @@ def stabilizer(words, n, modulus):
         if not search.sign_matters[p] or search.exists(n, None, flip=p) is not None:
             sign_order *= 2
 
-    orbit_sizes = []
+    # deepest level first: every witness found so far fixes 0..level-1
+    orbit_sizes = [1] * n
     generators = []
-    for level in range(n):
-        level_orbit = {level}
-        level_perms = []
+    perms = []
+
+    def images(pt):
+        return (s[pt] for s in perms)
+
+    for level in reversed(range(n)):
+        level_orbit = orbit({level}, images)
+        refused = set()
         for target in range(level + 1, n):
-            if target in level_orbit:
+            if target in level_orbit or target in refused:
                 continue
             witness = search.exists(level, target)
-            if witness is not None:
-                tpos, signs = witness
-                sigma = tuple(tpos)
-                level_perms.append(sigma)
-                generators.append((sigma, signs))
-                level_orbit = orbit(
-                    level_orbit | {target}, lambda pt: (s[pt] for s in level_perms)
-                )
-        orbit_sizes.append(len(level_orbit))
+            if witness is None:
+                refused = orbit(refused | {target}, images)
+            else:
+                perms.append(witness[0])
+                generators.append(witness)
+                level_orbit = orbit(level_orbit | {target}, images)
+        orbit_sizes[level] = len(level_orbit)
 
     order = sign_order
     for size in orbit_sizes:

@@ -1,6 +1,7 @@
 """Orbit closure and the stabilizer search, checked against whole-group enumeration."""
 
 import random
+import time
 import tracemalloc
 from itertools import product
 from math import factorial
@@ -9,6 +10,8 @@ import pytest
 
 import vftk.stabsearch
 from oracles import apply_monomial, brute_force_monomials, brute_force_perms
+from vftk import budget
+from vftk.budget import BudgetExceeded
 from vftk.f2codes import BinaryCode, all_markings
 from vftk.frames import Z4Code, e8_frame_representatives, glue_code
 from vftk.lattices import e8_lattice
@@ -162,37 +165,29 @@ def test_more_words_than_one_byte_labels():
 
 # (order, sign_order, orbit_sizes, generators) of the glue-code stabilizer of
 # each E8 frame class k, and the search's node count; a generator is written
-# as sigma's images and the signs, one character per position
+# as sigma's images and the signs, one character per position.  The chain is
+# built from the deepest level up, so the generators come deepest level
+# first, and a target that the generators already found put inside or
+# outside a level's orbit costs no node
 E8_SEARCHES = {
-    1: (5160960, 128, (8, 7, 6, 5, 4, 3, 2, 1), 323, (
-        ("10234567", "++++++++"), ("20134567", "++++++++"), ("30124567", "++++++++"),
-        ("40123567", "++++++++"), ("50123467", "++++++++"), ("60123457", "++++++++"),
-        ("70123456", "++++++++"), ("02134567", "++++++++"), ("03124567", "++++++++"),
-        ("04123567", "++++++++"), ("05123467", "++++++++"), ("06123457", "++++++++"),
-        ("07123456", "++++++++"), ("01324567", "++++++++"), ("01423567", "++++++++"),
-        ("01523467", "++++++++"), ("01623457", "++++++++"), ("01723456", "++++++++"),
-        ("01243567", "++++++++"), ("01253467", "++++++++"), ("01263457", "++++++++"),
-        ("01273456", "++++++++"), ("01235467", "++++++++"), ("01236457", "++++++++"),
-        ("01237456", "++++++++"), ("01234657", "++++++++"), ("01234756", "++++++++"),
-        ("01234576", "++++++++"),
+    1: (5160960, 128, (8, 7, 6, 5, 4, 3, 2, 1), 134, (
+        ("01234576", "++++++++"), ("01234657", "++++++++"), ("01235467", "++++++++"),
+        ("01243567", "++++++++"), ("01324567", "++++++++"), ("02134567", "++++++++"),
+        ("10234567", "++++++++"),
     )),
-    2: (73728, 64, (8, 3, 2, 1, 4, 3, 2, 1), 287, (
-        ("10234567", "++++++++"), ("20134567", "++++++++"), ("30124567", "++++++++"),
-        ("45670123", "++++++++"), ("02134567", "++++++++"), ("03124567", "++++++++"),
-        ("01324567", "++++++++"), ("01235467", "++++++++"), ("01236457", "++++++++"),
-        ("01237456", "++++++++"), ("01234657", "++++++++"), ("01234756", "++++++++"),
-        ("01234576", "++++++++"),
+    2: (73728, 64, (8, 3, 2, 1, 4, 3, 2, 1), 158, (
+        ("01234576", "++++++++"), ("01234657", "++++++++"), ("01235467", "++++++++"),
+        ("01324567", "++++++++"), ("02134567", "++++++++"), ("10234567", "++++++++"),
+        ("45670123", "++++++++"),
     )),
-    3: (6144, 16, (8, 1, 6, 1, 4, 1, 2, 1), 319, (
-        ("10234567", "++++++++"), ("23014567", "+++++-+-"), ("45012367", "+++-+-++"),
-        ("67012345", "++++++++"), ("01324567", "++++++++"), ("01456723", "+++-+-++"),
-        ("01235467", "++++++++"), ("01236745", "+-+-++++"), ("01234576", "++++++++"),
+    3: (6144, 16, (8, 1, 6, 1, 4, 1, 2, 1), 201, (
+        ("01234576", "++++++++"), ("01235467", "++++++++"), ("01236745", "+-+-++++"),
+        ("01324567", "++++++++"), ("01456723", "+++-+-++"), ("10234567", "++++++++"),
+        ("23014567", "+++++-+-"),
     )),
-    4: (2688, 2, (8, 7, 6, 4, 1, 1, 1, 1), 424, (
-        ("10243567", "+++----+"), ("20153467", "++++++++"), ("30176524", "++++-+-+"),
-        ("02135467", "+++----+"), ("03167524", "++++--++"), ("04162573", "+++-++-+"),
-        ("01365724", "+++-++-+"), ("01465273", "++++--++"), ("01243657", "++------"),
-        ("01256347", "+-+-----"),
+    4: (2688, 2, (8, 7, 6, 4, 1, 1, 1, 1), 352, (
+        ("01243657", "++------"), ("01256347", "+-+-----"), ("01365724", "+++-++-+"),
+        ("02135467", "+++----+"), ("10243567", "+++----+"),
     )),
 }
 
@@ -252,3 +247,48 @@ def test_generators_stabilize_codes_beyond_brute_force():
         again = stabilizer(moved, n, 4)
         assert (again.order, again.sign_order) == (res.order, res.sign_order)
     assert moving >= 30
+
+
+def _first_moved(sigma):
+    return next((p for p, q in enumerate(sigma) if p != q), len(sigma))
+
+
+def _assert_strong_generating_set(res, n):
+    """The generators that fix 0..L-1 alone move L round its whole orbit,
+    so they form a strong generating set for the base 0..n-1; they come
+    deepest level first."""
+    levels = [_first_moved(sigma) for sigma, _ in res.generators]
+    assert levels == sorted(levels, reverse=True) and n not in levels
+    for level in range(n):
+        deeper = [sigma for sigma, _ in res.generators if _first_moved(sigma) >= level]
+        assert len(orbit({level}, lambda q: (s[q] for s in deeper))) == res.orbit_sizes[level]
+
+
+def test_generators_are_a_strong_generating_set():
+    e8 = e8_lattice()
+    codes = [(glue_code(e8, frame).sorted_words(), 8, 4) for frame in e8_frame_representatives().values()]
+    # the 150 cases of test_stabilizer_matches_brute_force_monomials
+    rng = random.Random(11)
+    for case in range(150):
+        n = rng.randint(1, 5)
+        if case % 3 == 0:
+            codes.append((sorted(_random_z4_code(rng, n)), n, 4))
+        else:
+            modulus = 3 if case % 3 == 1 else 4
+            codes.append((sorted(_random_words(rng, n, modulus)), n, modulus))
+    # the length-10 codes of test_generators_stabilize_codes_beyond_brute_force
+    rng = random.Random(1601)
+    codes += [(sorted(_random_z4_code(rng, 10)), 10, 4) for _ in range(30)]
+    for words, n, modulus in codes:
+        _assert_strong_generating_set(stabilizer(words, n, modulus), n)
+
+
+def test_budget_binds_on_a_large_code():
+    """The 65,536-word glue code of the (k=4)+(k=4) frame of E8+E8: one
+    memo entry sorts a label per word, so the search polls per entry."""
+    words = glue_code(e8_lattice(), e8_frame_representatives()[4]).sorted_words()
+    words = [a + b for a in words for b in words]
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded), budget.limit(0.5):
+        stabilizer(words, 16, 4)
+    assert time.monotonic() - start < 1.5
