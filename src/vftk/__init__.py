@@ -1,8 +1,8 @@
 """Exact-arithmetic toolkit for norm-4 lattice frames and their symmetry.
 
-Everything is exact: matrices and lattices live on Python integers, and
-Fraction is kept for values that are rational themselves (rational row
-bases, glue and discriminant-group generators).  The
+Everything is exact: matrices, lattices, glue and discriminant groups live
+on Python integers, and Fraction is kept for values that are rational
+themselves (rational row bases, inner products, determinants, norms).  The
 package covers integral lattices and their discriminant groups, binary and
 Z4 glue codes, frame classification and stabilizer orders for the rank-8
 even unimodular lattice, sign-cocycle central extensions with lifted

@@ -5,10 +5,10 @@ d_i the Smith diagonal of the integer rows R,
 (span(R) + cZ^n)/cZ^n is the sum of the Z/(c / gcd(c, d_i))
 (Cohen, GTM 138, 2.4.3).
 
-The glue-lattice helpers hold a Z-module of rational rows as a common
-denominator den and the integer HNF basis of the rows scaled by den, and
-find integer coordinates in such a basis by back-substitution along the
-HNF pivots.
+rational_row_basis holds a Z-module of rational rows as a common
+denominator den and the integer HNF basis of the rows scaled by den;
+_hnf_coords finds integer coordinates in an HNF basis by back-substitution
+along its pivots.
 """
 
 from collections import Counter

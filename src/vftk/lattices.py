@@ -250,26 +250,21 @@ def short_vectors(lattice, norm):
     return sorted(out)
 
 
-class DiscriminantGroup(namedtuple("DiscriminantGroup", "lattice generators orders")):
-    """L*/L as generators and orders.
-
-    generators are rational rows (dual-lattice coordinates in the lattice
-    basis); orders are the matching elementary divisors (> 1).
-    """
+class DiscriminantGroup(namedtuple("DiscriminantGroup", "lattice rows orders")):
+    """L*/L as integer rows u_i and orders d_i (> 1, each dividing the
+    next): the generators are u_i / d_i, in the lattice's coordinates."""
 
     __slots__ = ()
 
     def p_primary_generators(self):
-        """dict p -> list of (generator row, p-power order), largest first.
-
-        Each order is split into its prime powers by one sweep of
-        prime_factors, which polls the budget.
+        """dict p -> list of (row u_i, order p^a), largest first: the p-part
+        of u_i / d_i is u_i / p^a.  Each order is split into its prime
+        powers by one sweep of prime_factors, which polls the budget.
         """
         out = {}
-        for g, d in zip(self.generators, self.orders):
+        for u, d in zip(self.rows, self.orders):
             for p, a in prime_factors(d):
-                comp = tuple(x * (d // p**a) for x in g)
-                out.setdefault(p, []).append((comp, p**a))
+                out.setdefault(p, []).append((u, p**a))
         for comps in out.values():
             comps.sort(key=lambda t: -t[1])
         return out
@@ -280,16 +275,8 @@ def discriminant_group(lattice):
     if not lattice.is_integral:
         raise ValueError("discriminant group needs an integral lattice")
     gram = tuple(tuple(x // 2 for x in row) for row in lattice.gram2)
-    n = lattice.rank
     d, u = snf(gram)
     # U G V = D, so L* = Z^n G^{-1} = Z^n D^{-1} U: generators are rows of
     # U scaled by 1/d_i, of order exactly d_i (unimodular rows have gcd 1).
-    gens = []
-    orders = []
-    for i in range(n):
-        di = d[i]
-        if di > 1:
-            gens.append(tuple(Fraction(x, di) for x in u[i]))
-            orders.append(di)
-    return DiscriminantGroup(lattice, tuple(gens), tuple(orders))
-
+    kept = [i for i, di in enumerate(d) if di > 1]
+    return DiscriminantGroup(lattice, tuple(tuple(u[i]) for i in kept), tuple(d[i] for i in kept))

@@ -14,12 +14,11 @@ and a determinant), so no glue element is ever listed.
 """
 
 from collections import namedtuple
-from fractions import Fraction
-from math import isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from . import budget
-from .abelian import _hnf_coords, _scaled_hnf, prime_factors
+from .abelian import _hnf_coords, prime_factors
 from .intmat import block_diagonal, hnf_basis, identity, mat_mul, transpose
 from .lattices import IntegralLattice, direct_sum, discriminant_group, short_vectors
 from .verify import verify
@@ -128,40 +127,45 @@ def _index(den, rows):
     return index
 
 
-class IsotropicSubgroup(namedtuple("IsotropicSubgroup", "lattice generators den basis")):
+class IsotropicSubgroup(namedtuple("IsotropicSubgroup", "lattice den rows basis")):
     """Subgroup of the discriminant group L*/L on which q vanishes identically.
 
-    generators are rational rows in the coordinates of the lattice L.
-    q == 0 mod 2 on each generator and b == 0 mod 1 on each pair force
-    q == 0 on the whole subgroup.  As rows mod 1 the subgroup is
-    (Z^n + span(generators)) / Z^n; basis / den is the HNF basis of that
-    glue lattice (den clears every denominator), so the order -- the
-    number of rows a walk adding generators to 0 would reach -- is one
-    determinant, with no element listed.
+    The generators are rows / den in the coordinates of the lattice L, in
+    lowest terms.  q == 0 mod 2 on each generator and b == 0 mod 1 on
+    each pair force q == 0 on the whole subgroup.  As rows mod 1 the
+    subgroup is (Z^n + span(rows / den)) / Z^n; basis / den is the HNF
+    basis of that glue lattice, so the order -- the number of rows a walk
+    adding generators to 0 would reach -- is one determinant, with no
+    element listed.
     """
 
     __slots__ = ()
 
     def order(self):
-        """|G| = [Z^n + span(generators) : Z^n]."""
+        """|G| = [Z^n + span(rows / den) : Z^n]."""
         return _index(self.den, self.basis)
 
 
-def isotropic_subgroup(lattice, generators):
-    """Validated isotropic subgroup of the discriminant group of lattice.
+def isotropic_subgroup(lattice, den, rows):
+    """Validated isotropic subgroup of the discriminant group of lattice,
+    generated by rows / den for a positive int den and int rows of length
+    rank (else ValueError), reduced to lowest terms first.
 
-    Exact checks on the integer rows R = den * generators, all read off
-    R gram2 and R gram2 R^T: every generator lies in the dual lattice
-    (its row of R gram2 is 0 mod 2 den), has q == 0 mod 2 (its diagonal
-    entry is 0 mod 4 den^2), and pairs to 0 mod 1 with every other
-    generator (their entry is 0 mod 2 den^2).
+    Exact checks on the integer rows R, all read off R gram2 and
+    R gram2 R^T: every generator lies in the dual lattice (its row of
+    R gram2 is 0 mod 2 den), has q == 0 mod 2 (its diagonal entry is 0
+    mod 4 den^2), and pairs to 0 mod 1 with every other generator (their
+    entry is 0 mod 2 den^2).
     """
-    gens = tuple(tuple(Fraction(x) for x in g) for g in generators)
     n = lattice.rank
-    if any(len(g) != n for g in gens):
-        raise ValueError("glue generator does not lie in the dual lattice")
-    den, basis = _scaled_hnf(identity(n) + gens)
-    rows = [tuple(int(x * den) for x in g) for g in gens]
+    if not isinstance(den, int) or den < 1:
+        raise ValueError("glue denominator must be a positive integer")
+    rows = tuple(tuple(r) for r in rows)
+    if any(len(r) != n or not all(isinstance(x, int) for x in r) for r in rows):
+        raise ValueError("glue rows must be integer rows of the lattice's rank")
+    g = gcd(den, *(x for r in rows for x in r))
+    den, rows = den // g, tuple(tuple(x // g for x in r) for r in rows)
+    basis = hnf_basis([tuple(den * x for x in r) for r in identity(n)] + list(rows))
     paired = mat_mul(rows, lattice.gram2)
     for row, pair in zip(rows, paired):
         if any(x % (2 * den) for x in pair):
@@ -172,7 +176,7 @@ def isotropic_subgroup(lattice, generators):
         for j in range(i + 1, len(rows)):
             if sum(map(mul, paired[i], rows[j])) % (2 * den**2):
                 raise ValueError("glue generators are not orthogonal")
-    return IsotropicSubgroup(lattice, gens, den, basis)
+    return IsotropicSubgroup(lattice, den, rows, basis)
 
 
 class Overlattice(
@@ -254,8 +258,9 @@ def unimodularize(l):
     d = _input_det(l)
     copies = 4 if d % 2 else 8
     base = direct_sum(*[l] * copies)
-    gens = []
     primary = discriminant_group(l).p_primary_generators()
+    den = lcm(*(order for comps in primary.values() for _, order in comps))
+    rows = []
     for p, comps in sorted(primary.items()):
         a1 = _p_exponent(p, comps[0][1])  # orders come largest-first
         if p == 2:
@@ -273,13 +278,9 @@ def unimodularize(l):
             pats = [(r, s, 0, 1), (s, -r, 1, 0)]
             if copies == 8:
                 pats = [q + (0,) * 4 for q in pats] + [(0,) * 4 + q for q in pats]
-        for x, _ in comps:
-            for pat in pats:
-                row = []
-                for c in pat:
-                    row.extend(c * xi for xi in x)
-                gens.append(tuple(row))
-    glue = isotropic_subgroup(base, gens)
+        for x, order in comps:
+            rows += (tuple(den // order * c * xi for c in pat for xi in x) for pat in pats)
+    glue = isotropic_subgroup(base, den, rows)
     verify(glue.order() == (d**2 if d % 2 else d**4), "glue order is not det^2 or det^4")
     over = overlattice_from_isotropic(base, glue, diagonal_copies=copies)
     verify(abs(over.result.determinant()) == 1, "glued lattice is not unimodular")
@@ -287,6 +288,14 @@ def unimodularize(l):
     if l.is_definite:
         verify(over.result.is_definite, "glued lattice is not definite")
     return over
+
+
+def _diagonal_glue(l, pad=()):
+    """(den, rows): each u_i / d_i of L*/L on two copies of l, then pad.
+    den is the last order, which every d_i divides."""
+    dg = discriminant_group(l)
+    den = max(dg.orders, default=1)
+    return den, [tuple(den // d * x for x in u) * 2 + pad for u, d in zip(dg.rows, dg.orders)]
 
 
 def hyperbolic_unimodularize(l):
@@ -301,13 +310,11 @@ def hyperbolic_unimodularize(l):
     plane = IntegralLattice.from_gram(((0, 1), (1, 0)))
     if d == 1:
         base = direct_sum(l, plane)
-        glue = isotropic_subgroup(base, ())
+        glue = isotropic_subgroup(base, 1, ())
         over = overlattice_from_isotropic(base, glue, diagonal_copies=1, tail_rank=2)
     else:
         base = direct_sum(l, l.rescale(-1), plane)
-        pad = (Fraction(0), Fraction(0))
-        gens = [g + g + pad for g in discriminant_group(l).generators]
-        glue = isotropic_subgroup(base, gens)
+        glue = isotropic_subgroup(base, *_diagonal_glue(l, pad=(0, 0)))
         over = overlattice_from_isotropic(base, glue, diagonal_copies=2, tail_rank=2)
         verify(first_block_primitive(over, l.rank), "first block does not embed primitively")
     res = over.result
@@ -329,8 +336,7 @@ def prime_power_twist(l, s):
     if (s + 1) % (2 * d):
         raise ValueError("s must be -1 mod 2*det(l)")
     base = direct_sum(l, l.rescale(s))
-    gens = [g + g for g in discriminant_group(l).generators]
-    glue = isotropic_subgroup(base, gens)
+    glue = isotropic_subgroup(base, *_diagonal_glue(l))
     over = overlattice_from_isotropic(base, glue, diagonal_copies=2)
     verify(over.result.determinant() == s**l.rank, "twisted lattice determinant is not s^rank")
     verify(first_block_primitive(over, l.rank), "first block does not embed primitively")
@@ -369,14 +375,15 @@ def strong_extension_check(l, over, gens):
     B amb B^-1 (den cancels): row i is row i of B amb written in the HNF
     basis B, by integer back-substitution.  Returns one verdict per
     generator, with the extended matrix (rows = basis images) when it
-    exists.
+    exists; ValueError if a generator is not an integer isometry of l.
     """
     if over.diagonal_copies * l.rank + over.tail_rank != over.base.rank:
         raise ValueError("overlattice block structure does not match l")
     b = over.glue.basis
     verdicts = []
     for w in gens:
-        w = tuple(tuple(int(x) for x in row) for row in w)
+        if not all(isinstance(x, int) for row in w for x in row):
+            raise ValueError("generator is not an integer matrix")
         if not l.is_isometry(w):
             raise ValueError("generator is not an isometry of l")
         amb = block_diagonal(*[w] * over.diagonal_copies, identity(over.tail_rank))
@@ -400,7 +407,7 @@ def definite_automorphisms(l):
     if not l.is_definite:
         raise ValueError("needs a positive definite lattice")
     n = l.rank
-    norms = [Fraction(l.gram2[i][i], 2) for i in range(n)]
+    norms = [l.norm(e) for e in identity(n)]
     candidates = {nv: short_vectors(l, nv) for nv in set(norms)}
     out = []
     img = []

@@ -122,11 +122,16 @@ def b(dg, u, v):
     return Fraction(dg.lattice.inner(u, v)) % 1
 
 
+def generators(dg):
+    """The discriminant group's generators rows[i] / orders[i], as Fraction rows."""
+    return tuple(tuple(Fraction(x, d) for x in u) for u, d in zip(dg.rows, dg.orders))
+
+
 def element(dg, coeffs):
     """Sum of coeffs[i] * generators[i] as a rational row."""
     n = dg.lattice.rank
     out = [Fraction(0)] * n
-    for c, g in zip(coeffs, dg.generators):
+    for c, g in zip(coeffs, generators(dg)):
         for i in range(n):
             out[i] += c * g[i]
     return tuple(out)

@@ -379,7 +379,7 @@ def test_exit_code_failed_self_check(monkeypatch):
 def test_exit_code_failed_glue_check(monkeypatch, gram_files):
     # glue missing a generator fails the closed-form order check: exit 1
     validated = unimodular.isotropic_subgroup
-    monkeypatch.setattr(unimodular, "isotropic_subgroup", lambda lat, gens: validated(lat, gens[:-1]))
+    monkeypatch.setattr(unimodular, "isotropic_subgroup", lambda lat, den, rows: validated(lat, den, rows[:-1]))
     report, code = cli.run(["unimodularize", "--gram", gram_files["a2"]])
     assert code == 1
     assert report["command"] == "unimodularize" and "glue order" in report["error"]

@@ -109,7 +109,7 @@ def test_dual_membership():
 def test_discriminant_a1():
     dg = discriminant_group(A1)
     assert dg.orders == (2,)
-    (g,) = dg.generators
+    (g,) = oracles.generators(dg)
     assert oracles.q(dg, g) == Fraction(1, 2)
     assert oracles.in_dual(A1, g)
 
@@ -117,7 +117,7 @@ def test_discriminant_a1():
 def test_discriminant_a2():
     dg = discriminant_group(A2)
     assert dg.orders == (3,)
-    (g,) = dg.generators
+    (g,) = oracles.generators(dg)
     assert oracles.in_dual(A2, g)
     assert tuple(3 * x for x in g) == (3 * g[0], 3 * g[1])
     assert all((3 * x).denominator == 1 for x in g)
@@ -129,7 +129,7 @@ def test_discriminant_rescaled():
     lat = IntegralLattice.from_gram([[4, 0], [0, 4]])
     dg = discriminant_group(lat)
     assert dg.orders == (4, 4)
-    for g in dg.generators:
+    for g in oracles.generators(dg):
         assert oracles.q(dg, g) == Fraction(1, 4)
     # all sixteen elements, with exact q values
     vals = {}
@@ -143,10 +143,11 @@ def test_discriminant_rescaled():
 
 def test_discriminant_generators_pinned():
     # diag(4, 6) is diagonal already, so the gcd/lcm step alone makes the
-    # orders (2, 12); the generators are rows of its row transform over d_i
+    # orders (2, 12); the generators are rows of its row transform over d_i,
+    # ((1, -1/2), (-1/4, 1/6))
     dg = discriminant_group(IntegralLattice.from_gram([[4, 0], [0, 6]]))
     assert dg.orders == (2, 12)
-    assert dg.generators == ((1, Fraction(-1, 2)), (Fraction(-1, 4), Fraction(1, 6)))
+    assert dg.rows == ((2, -1), (-3, 2))
 
 
 def test_p_primary_generators():
@@ -158,8 +159,10 @@ def test_p_primary_generators():
     (g2, o2), = parts[2]
     (g3, o3), = parts[3]
     assert o2 == 4 and o3 == 3
-    assert all((4 * x).denominator == 1 for x in g2)
-    assert all((3 * x).denominator == 1 for x in g3)
+    # each generator row / order is a dual vector of exactly that order mod L
+    for row, order in ((g2, o2), (g3, o3)):
+        assert oracles.in_dual(lat, tuple(Fraction(x, order) for x in row))
+        assert [m for m in range(1, order + 1) if all(m * x % order == 0 for x in row)] == [order]
 
 
 def _trial_factor(d):
@@ -199,12 +202,17 @@ def test_p_primary_generators_match_trial_division():
         lat = IntegralLattice.from_gram([[d * (i == j) for j in range(len(diag))] for i, d in enumerate(diag)])
         dg = discriminant_group(lat)
         expected = {}
-        for g, d in zip(dg.generators, dg.orders):
+        for g, d in zip(oracles.generators(dg), dg.orders):
             for p, a in _trial_factor(d).items():
                 expected.setdefault(p, []).append((tuple(x * (d // p**a) for x in g), p**a))
         for comps in expected.values():
             comps.sort(key=lambda t: -t[1])
-        assert dg.p_primary_generators() == expected
+        # each p-primary generator is its integer row over its order
+        got = {
+            p: [(tuple(Fraction(x, o) for x in row), o) for row, o in comps]
+            for p, comps in dg.p_primary_generators().items()
+        }
+        assert got == expected
 
 
 def test_p_primary_generators_of_large_primes():

@@ -6,8 +6,6 @@ Name(field=value, ...), hash is the hash of the tuple of compared fields
 (so set and dict orders stay put), and no field can be reassigned.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from vftk.f2codes import BinaryCode, Marking
@@ -28,7 +26,7 @@ from vftk.unimodular import ExtensionVerdict, Overlattice, isotropic_subgroup, o
 
 A2 = IntegralLattice.from_gram([[2, -1], [-1, 2]])
 L8 = IntegralLattice.from_gram([[8]])
-HALF = isotropic_subgroup(L8, [(Fraction(1, 2),)])
+HALF = isotropic_subgroup(L8, 2, [(1,)])
 A2_ROT = ((0, 1), (-1, -1))
 
 # (build, compared fields in order, repr)
@@ -106,9 +104,8 @@ RECORDS = {
     ),
     "DiscriminantGroup": (
         lambda: discriminant_group(A2),
-        "lattice generators orders",
-        "DiscriminantGroup(lattice=IntegralLattice(rank=2, det=3),"
-        " generators=((Fraction(1, 3), Fraction(2, 3)),), orders=(3,))",
+        "lattice rows orders",
+        "DiscriminantGroup(lattice=IntegralLattice(rank=2, det=3), rows=((1, 2),), orders=(3,))",
     ),
     "StabilizerResult": (
         lambda: stabilizer([(0, 1), (1, 0)], 2, 2),
@@ -117,15 +114,14 @@ RECORDS = {
     ),
     "IsotropicSubgroup": (
         lambda: HALF,
-        "lattice generators den basis",
-        "IsotropicSubgroup(lattice=IntegralLattice(rank=1, det=8), generators=((Fraction(1, 2),),),"
-        " den=2, basis=((1,),))",
+        "lattice den rows basis",
+        "IsotropicSubgroup(lattice=IntegralLattice(rank=1, det=8), den=2, rows=((1,),), basis=((1,),))",
     ),
     "Overlattice": (
         lambda: overlattice_from_isotropic(L8, HALF),
         "base glue result diagonal_copies tail_rank",
         "Overlattice(base=IntegralLattice(rank=1, det=8), glue=IsotropicSubgroup(lattice="
-        "IntegralLattice(rank=1, det=8), generators=((Fraction(1, 2),),), den=2, basis=((1,),)),"
+        "IntegralLattice(rank=1, det=8), den=2, rows=((1,),), basis=((1,),)),"
         " result=IntegralLattice(rank=1, det=2), diagonal_copies=1, tail_rank=0)",
     ),
     "ExtensionVerdict": (

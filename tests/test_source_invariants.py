@@ -85,11 +85,12 @@ def test_fraction_stays_in_the_rational_modules():
     """Only the modules whose values are rational import fractions, and
     README says where Fraction remains."""
     found = {p.stem for p in SOURCES for n, _ in _absolute_imports(p) if n == "fractions"}
-    assert found == {"abelian", "lattices", "unimodular"}
+    assert found == {"abelian", "lattices"}
     readme = " ".join((ROOT / "README.md").read_text().split())
     assert (
         "`fractions.Fraction` remains only where the values themselves are rational: "
-        "`rational_row_basis`, glue generators and the discriminant-group generators." in readme
+        "`rational_row_basis` and the inner products, determinants and norms of lattices. "
+        "Glue and discriminant-group generators are integer rows over one denominator." in readme
     )
 
 

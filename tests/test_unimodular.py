@@ -7,13 +7,14 @@ import sys
 import textwrap
 import time
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
 import oracles
 import vftk.unimodular as unimodular
 from vftk import budget
+from vftk.abelian import _scaled_hnf
 from vftk.budget import BudgetExceeded
 from vftk.f2codes import hamming_code
 from vftk.intmat import identity, mat_mul
@@ -52,9 +53,16 @@ def _closure(glue):
     glue order small.
     """
     den = glue.den
-    gens = [tuple(int(x * den) % den for x in g) for g in glue.generators]
+    gens = [tuple(x % den for x in r) for r in glue.rows]
     zero = (0,) * glue.lattice.rank
     return den, orbit({zero}, lambda u: (tuple((a + b) % den for a, b in zip(u, g)) for g in gens))
+
+
+def _den_rows(gens):
+    """Rational rows as isotropic_subgroup's (den, integer rows): den is
+    the lcm of their denominators."""
+    den = lcm(1, *(Fraction(x).denominator for g in gens for x in g))
+    return den, [tuple(int(x * den) for x in g) for g in gens]
 
 
 def _walk_primitive(elements, block_rank):
@@ -147,8 +155,8 @@ def test_hamming_glue_rebuilds_e8():
     # glueing the halved Hamming words onto 8 orthogonal roots kills det 2^8
     base = direct_sum(*[A1] * 8)
     code = hamming_code()
-    gens = [tuple(Fraction((w >> i) & 1, 2) for i in range(8)) for w in code.rows]
-    glue = isotropic_subgroup(base, gens)
+    rows = [tuple((w >> i) & 1 for i in range(8)) for w in code.rows]
+    glue = isotropic_subgroup(base, 2, rows)
     assert glue.order() == 16
     over = overlattice_from_isotropic(base, glue)
     assert over.result.determinant() == 1
@@ -158,7 +166,7 @@ def test_hamming_glue_rebuilds_e8():
 
 def test_trivial_glue_returns_base():
     base = direct_sum(A1, A1.rescale(-1))
-    glue = isotropic_subgroup(base, ())
+    glue = isotropic_subgroup(base, 1, ())
     over = overlattice_from_isotropic(base, glue)
     assert over.result.gram2 == base.gram2
     assert (over.glue.den, over.glue.basis) == (1, identity(2))
@@ -166,9 +174,9 @@ def test_trivial_glue_returns_base():
 
 def test_isotropic_subgroup_validation():
     with pytest.raises(ValueError, match="dual"):
-        isotropic_subgroup(A1, [(Fraction(1, 3),)])
+        isotropic_subgroup(A1, 3, [(1,)])
     with pytest.raises(ValueError, match="isotropic"):
-        isotropic_subgroup(A1, [(Fraction(1, 2),)])
+        isotropic_subgroup(A1, 2, [(1,)])
     # both generators isotropic but pairing to 1/2: not mutually orthogonal
     mixed = IntegralLattice.from_gram(((4, 0), (0, -4)))
     dg2 = discriminant_group(mixed)
@@ -176,7 +184,27 @@ def test_isotropic_subgroup_validation():
     g2 = (Fraction(1, 4), Fraction(-1, 4))
     assert oracles.q(dg2, g1) == 0 and oracles.q(dg2, g2) == 0
     with pytest.raises(ValueError, match="orthogonal"):
-        isotropic_subgroup(mixed, [g1, g2])
+        isotropic_subgroup(mixed, *_den_rows([g1, g2]))
+
+
+def test_isotropic_subgroup_reduces_to_lowest_terms():
+    # the record keeps (den, rows) divided by their gcd: here the diagonal
+    # glue of A2 and A2(-1), written over 6 and over 3, and a zero row
+    base = direct_sum(A2, A2.rescale(-1))
+    (u,) = discriminant_group(A2).rows
+    wide = isotropic_subgroup(base, 6, [tuple(2 * x for x in u + u)])
+    assert wide == isotropic_subgroup(base, 3, [u + u])
+    assert (wide.den, wide.rows, wide.order()) == (3, (u + u,), 3)
+    assert isotropic_subgroup(A1, 4, [(0,)]) == (A1, 1, ((0,),), ((1,),))
+
+
+def test_isotropic_subgroup_refuses_malformed_input():
+    bad = ((0, [(1,)]), (-2, [(1,)]), (Fraction(2), [(1,)]), (2, [(Fraction(1),)]), (2, [(1.0,)]), (2, [()]))
+    for den, rows in bad:
+        with pytest.raises(ValueError):
+            isotropic_subgroup(A1, den, rows)
+    with pytest.raises(ValueError, match="rank"):
+        isotropic_subgroup(A2, 3, [(1,)])
 
 
 def _fraction_verdict(lat, gens):
@@ -216,6 +244,7 @@ def _random_even_gram(rng, kind):
 def test_integer_isotropy_matches_fraction_definitions():
     rng = random.Random(7)
     outcomes = set()
+    accepted = []
     for kind in ("diagonal", "definite", "indefinite") * 60:
         lat = _random_even_gram(rng, kind)
         dg = discriminant_group(lat)
@@ -231,13 +260,19 @@ def test_integer_isotropy_matches_fraction_definitions():
             gens.append(g)
         expected = _fraction_verdict(lat, gens)
         try:
-            isotropic_subgroup(lat, gens)
+            glue = isotropic_subgroup(lat, *_den_rows(gens))
             got = None
         except ValueError as exc:
             got = str(exc)
         assert got == expected, (lat.gram2, gens)
         outcomes.add(got)
+        if got is None:  # the glue lattice Z^n + span(gens), by the Fraction route
+            assert (glue.den, glue.basis) == _scaled_hnf(identity(lat.rank) + tuple(gens))
+            den, rows = _den_rows(gens)
+            assert isotropic_subgroup(lat, 5 * den, [tuple(5 * x for x in r) for r in rows]) == glue
+            accepted.append(glue.den)
     assert len(outcomes) == 4  # accepted, and each of the three refusals
+    assert len(accepted) > 20 and max(accepted) > 2
 
 
 def test_unimodularize_a1_gives_e8():
@@ -308,13 +343,13 @@ def test_unimodularize_rejects_odd_lattice():
 def test_first_block_primitive_negative_control():
     # glue supported on the first block alone makes the embedding imprimitive
     base = IntegralLattice.from_gram(((8, 0), (0, 2)))
-    glue = isotropic_subgroup(base, [(Fraction(1, 2), Fraction(0))])
+    glue = isotropic_subgroup(base, 2, [(1, 0)])
     over = overlattice_from_isotropic(base, glue)
     assert over.result.determinant() == 4
     assert not first_block_primitive(over, 1)
     # mirrored construction: glue supported away from the first block is fine
     swapped = IntegralLattice.from_gram(((2, 0), (0, 8)))
-    glue = isotropic_subgroup(swapped, [(Fraction(0), Fraction(1, 2))])
+    glue = isotropic_subgroup(swapped, 2, [(0, 1)])
     assert first_block_primitive(overlattice_from_isotropic(swapped, glue), 1)
 
 
@@ -342,9 +377,9 @@ def test_strong_extension_full_a2_automorphisms():
 def test_strong_extension_detects_obstruction():
     # act on only one of the two glued blocks: -1 moves the diagonal glue
     base = direct_sum(A2, A2.rescale(-1), PLANE)
-    pad = (Fraction(0), Fraction(0))
-    gens = [g + g + pad for g in discriminant_group(A2).generators]
-    glue = isotropic_subgroup(base, gens)
+    dg = discriminant_group(A2)
+    (u,), (d,) = dg.rows, dg.orders
+    glue = isotropic_subgroup(base, d, [u + u + (0, 0)])
     over = overlattice_from_isotropic(base, glue, diagonal_copies=1, tail_rank=4)
     eye = identity(2)
     minus = tuple(tuple(-x for x in row) for row in eye)
@@ -367,6 +402,14 @@ def test_strong_extension_rejects_non_isometry():
     over = unimodularize(A2)
     with pytest.raises(ValueError, match="isometry"):
         strong_extension_check(A2, over, [((1, 0), (1, 1))])
+
+
+def test_strong_extension_refuses_non_integer_generators():
+    # int() would truncate these to the isometry -1 and report that it extends
+    over = unimodularize(A1)
+    for w in (((Fraction(3, 2),),), ((-1.7,),)):
+        with pytest.raises(ValueError, match="not an integer matrix"):
+            strong_extension_check(A1, over, [w])
 
 
 def test_hyperbolic_unimodularize_small():
@@ -492,7 +535,7 @@ def _random_isotropic_glue(rng):
             gens.append(g)
         if len(gens) == 3:
             break
-    return base, isotropic_subgroup(base, gens)
+    return base, isotropic_subgroup(base, *_den_rows(gens))
 
 
 def test_glue_index_matches_closure_on_random_glue():
@@ -517,7 +560,7 @@ def test_unimodularize_checks_survive_optimize():
 
         assert False, "asserts are live"  # stripped under -O
         validated = unimodular.isotropic_subgroup
-        unimodular.isotropic_subgroup = lambda lat, gens: validated(lat, gens[:-1])
+        unimodular.isotropic_subgroup = lambda lat, den, rows: validated(lat, den, rows[:-1])
         try:
             unimodular.unimodularize(IntegralLattice.from_gram(((2,),)))
         except VerificationError as exc:
