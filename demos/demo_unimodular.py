@@ -34,10 +34,11 @@ for name, base in (("A1", A1), ("A2", A2)):
     # unique, so both inputs land in the same overlattice
     assert res.rank == 8 and abs(res.determinant()) == 1 and roots == 240
 
-    gens = definite_automorphisms(base)
-    verdicts = strong_extension_check(base, over, gens)
+    # the extended generators compose, so every isometry of the group extends
+    group = definite_automorphisms(base)
+    verdicts = strong_extension_check(base, over, group.generators)
     assert all(v.extends for v in verdicts)
-    print(f"  all {len(gens)} isometry generators extend to the overlattice")
+    print(f"  all {group.order} isometry generators extend to the overlattice")
     print()
 
 # instead of killing the whole discriminant, one can aim at a prescribed

@@ -18,7 +18,6 @@ as in the bits module.
 
 from array import array
 from collections import namedtuple
-from functools import lru_cache
 from math import prod
 
 from . import budget
@@ -344,19 +343,6 @@ def _standard_frame(n, j):
     return frame
 
 
-@lru_cache(maxsize=None)
-def _standard_frame_inverse(n, j):
-    return tuple(f2_mat_inverse(_standard_frame(n, j), 2 * n))
-
-
-def _witness(n, j, member):
-    """h in the left-half stabilizer carrying standard_odd_lagrangian(n, j)
-    onto member, whose left overlap is j: the inverse standard frame
-    times the member's adapted frame, so row i of the one goes to row i
-    of the other."""
-    return tuple(f2_mat_mul(_standard_frame_inverse(n, j), _adapted_frame(n, member)))
-
-
 class OrbitWitness(namedtuple("OrbitWitness", "matrix overlaps")):
     """A witness isometry, or matrix None with unequal left overlaps as the refutation."""
 
@@ -366,9 +352,10 @@ class OrbitWitness(namedtuple("OrbitWitness", "matrix overlaps")):
 def same_orbit_witness(n, a, b):
     """Witness in the left-half stabilizer mapping a to b, or a refutation.
 
-    Members with equal left overlap are both images of the same standard
-    representative; the witness is witness(a)^{-1} * witness(b), which
-    goes from a through the representative to b.  The returned matrix is
+    Members with equal left overlap have adapted frames F_a and F_b with
+    the same Gram/Q data, so the isometry sending row i of F_a to row i of
+    F_b is F_a^{-1} F_b; the t's and s's of each frame span the left
+    half, so it keeps the left half.  The returned matrix is
     verified: it preserves Q, fixes the left half, and maps a onto b, and
     a failed check raises VerificationError.  Unequal overlaps are
     returned as the refutation.
@@ -378,7 +365,7 @@ def same_orbit_witness(n, a, b):
     ja, jb = left_overlap(n, a), left_overlap(n, b)
     if ja != jb:
         return OrbitWitness(None, (ja, jb))
-    g = tuple(f2_mat_mul(f2_mat_inverse(_witness(n, ja, a), 2 * n), _witness(n, jb, b)))
+    g = tuple(f2_mat_mul(f2_mat_inverse(_adapted_frame(n, a), 2 * n), _adapted_frame(n, b)))
     _verify_witness(n, g, a, b)
     return OrbitWitness(g, (ja, jb))
 

@@ -56,7 +56,9 @@ class LatticeFrame:
     __slots__ = ("lattice", "vectors")
 
     def __init__(self, lattice, vectors):
-        vectors = tuple(tuple(int(c) for c in v) for v in vectors)
+        vectors = tuple(tuple(v) for v in vectors)
+        if not all(isinstance(c, int) for v in vectors for c in v):
+            raise ValueError("frame coordinates must be integers")
         if len(vectors) != lattice.rank:
             raise ValueError("a frame needs one sign-pair per unit of rank")
         for i, x in enumerate(vectors):

@@ -40,7 +40,9 @@ class IntegralLattice:
     __slots__ = ("rank", "gram2", "ambient_rows")
 
     def __init__(self, gram2, ambient_rows=None):
-        gram2 = tuple(tuple(int(x) for x in row) for row in gram2)
+        gram2 = tuple(tuple(row) for row in gram2)
+        if not all(isinstance(x, int) for row in gram2 for x in row):
+            raise ValueError("gram2 entries must be integers")
         n = len(gram2)
         for row in gram2:
             if len(row) != n:

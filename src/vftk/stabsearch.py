@@ -18,6 +18,9 @@ subgroup fixing them, and it decides targets without a search:
 Only the targets left are asked.  The witnesses then form a strong
 generating set for the base 0..n-1 (Sims 1970; Seress, Permutation Group
 Algorithms, 2003): those fixing 0..j-1 move j round its whole orbit.
+`chain` is that loop for any group given by an existence query on any
+base; `unimodular.definite_automorphisms` runs it on the isometries of a
+definite lattice, with the basis vectors as base.
 
 Each question is answered by one depth-first existence search over images
 of positions, pruned by comparing the multiset of word restrictions on
@@ -59,6 +62,7 @@ is such, so sign_order is 2^n.
 """
 
 from collections import namedtuple
+from math import prod
 from operator import add
 from struct import Struct, calcsize
 
@@ -67,6 +71,7 @@ from . import budget
 __all__ = [
     "StabilizerResult",
     "stabilizer",
+    "chain",
     "orbit",
 ]
 
@@ -110,18 +115,50 @@ def orbit(seeds, images):
     return seen
 
 
+def chain(n, base, targets, exists, image):
+    """(orbit_sizes, generators) of a group by a stabilizer chain on the
+    points base[0..n-1], deepest level first (see the module docstring).
+
+    targets(level) holds the orbit of base[level] under G_level, the
+    subgroup fixing base[0..level-1]; exists(level, target) is an element
+    of G_level sending base[level] to target, or None; image(g, p) is the
+    image of point p under g.  The group's order is prod(orbit_sizes).
+    """
+    orbit_sizes = [1] * n
+    generators = []
+
+    def images(pt):
+        return (image(g, pt) for g in generators)
+
+    for level in reversed(range(n)):
+        level_orbit = orbit({base[level]}, images)
+        refused = set()
+        for target in targets(level):
+            if target in level_orbit or target in refused:
+                continue
+            witness = exists(level, target)
+            if witness is None:
+                refused = orbit(refused | {target}, images)
+            else:
+                generators.append(witness)
+                level_orbit = orbit(level_orbit | {target}, images)
+        orbit_sizes[level] = len(level_orbit)
+    return tuple(orbit_sizes), tuple(generators)
+
+
 class _Search:
     def __init__(self, words, n, modulus):
         if not 1 <= modulus <= 256:
             raise ValueError(f"modulus must be in 1..256, got {modulus}")
-        values = range(modulus)
-        rows = []
+        values = set(range(modulus))
+        words = [tuple(w) for w in words]
         for w in words:
-            w = tuple(w)
-            if len(w) != n or not all(x in values for x in w):
+            if len(w) != n or not values.issuperset(w):
                 raise ValueError(f"word {w} is not in (Z/{modulus})^{n}")
-            # position n + p holds the negation of position p
-            rows.append(w + tuple(-x % modulus for x in w))
+        # position n + p holds the negation of position p; the table is
+        # read only after every entry passed the range check above
+        negate = [-x % modulus for x in range(modulus)].__getitem__
+        rows = [w + tuple(map(negate, w)) for w in words]
         self.n = n
         self.nodes = 0
         # sign on position p can only matter if some word has a value there
@@ -207,11 +244,8 @@ class _Search:
 
 
 def stabilizer(words, n, modulus):
-    """Full monomial stabilizer of a set of words in (Z/m)^n.
-
-    The chain runs from the deepest level up, and a target is asked only
-    if the witnesses found so far leave it outside both the level's orbit
-    and the closure of its refused targets (see the module docstring).
+    """Full monomial stabilizer of a set of words in (Z/m)^n, by `chain`
+    on the positions 0..n-1.
 
     Raises ValueError unless 1 <= modulus <= 256 and every word has length
     n and entries in range(modulus).
@@ -224,35 +258,13 @@ def stabilizer(words, n, modulus):
         if not search.sign_matters[p] or search.exists(n, None, flip=p) is not None:
             sign_order *= 2
 
-    # deepest level first: every witness found so far fixes 0..level-1
-    orbit_sizes = [1] * n
-    generators = []
-    perms = []
+    orbit_sizes, generators = chain(
+        n, range(n), lambda level: range(level + 1, n), search.exists, lambda g, p: g[0][p]
+    )
 
-    def images(pt):
-        return (s[pt] for s in perms)
-
-    for level in reversed(range(n)):
-        level_orbit = orbit({level}, images)
-        refused = set()
-        for target in range(level + 1, n):
-            if target in level_orbit or target in refused:
-                continue
-            witness = search.exists(level, target)
-            if witness is None:
-                refused = orbit(refused | {target}, images)
-            else:
-                perms.append(witness[0])
-                generators.append(witness)
-                level_orbit = orbit(level_orbit | {target}, images)
-        orbit_sizes[level] = len(level_orbit)
-
-    order = sign_order
-    for size in orbit_sizes:
-        order *= size
     return StabilizerResult(
-        order=order,
+        order=sign_order * prod(orbit_sizes),
         sign_order=sign_order,
-        orbit_sizes=tuple(orbit_sizes),
-        generators=tuple(generators),
+        orbit_sizes=orbit_sizes,
+        generators=generators,
     )

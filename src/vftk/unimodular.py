@@ -19,14 +19,16 @@ from operator import mul
 
 from . import budget
 from .abelian import _hnf_coords, prime_factors
-from .intmat import block_diagonal, hnf_basis, identity, mat_mul, transpose
+from .intmat import block_diagonal, hnf_basis, identity, mat_mul, transpose, vec_mat
 from .lattices import IntegralLattice, direct_sum, discriminant_group, short_vectors
+from .stabsearch import chain
 from .verify import verify
 
 __all__ = [
     "IsotropicSubgroup",
     "Overlattice",
     "ExtensionVerdict",
+    "IsometryGroup",
     "sum_two_squares_mod",
     "sum_four_squares_mod",
     "isotropic_subgroup",
@@ -396,32 +398,58 @@ def strong_extension_check(l, over, gens):
     return tuple(verdicts)
 
 
-def definite_automorphisms(l):
-    """All isometries of a small positive definite lattice.
+class IsometryGroup(namedtuple("IsometryGroup", "order orbit_sizes generators")):
+    """|Aut(l)| and strong generators, deepest level first: matrices whose
+    rows are the basis vectors' images.  Those fixing e_0..e_(d-1) move e_d
+    round orbit_sizes[d] vectors, so order is the product of orbit_sizes."""
 
-    Backtracks over images of the basis vectors among vectors of equal
-    norm, pruning on inner products with images already chosen.  Cost
-    grows with the short-vector counts, so keep the rank small.  Each
-    node polls the budget.
+    __slots__ = ()
+
+
+def definite_automorphisms(l):
+    """Isometry group of a positive definite lattice, by a stabilizer chain
+    on the basis vectors (Sims 1970; Plesken & Souvignier 1997).
+
+    Level d's targets are the vectors of e_d's norm that pair with
+    e_0..e_(d-1) as e_d does.  A target is decided by a backtrack that
+    fixes e_0..e_(d-1), sends e_d to it and picks each later image among
+    the vectors of equal norm, pruning on the pairings with the images
+    already chosen; its first leaf is an isometry.  Each node polls the
+    budget.
     """
     if not l.is_definite:
         raise ValueError("needs a positive definite lattice")
     n = l.rank
-    norms = [l.norm(e) for e in identity(n)]
+    basis = identity(n)
+    norms = [l.norm(e) for e in basis]
     candidates = {nv: short_vectors(l, nv) for nv in set(norms)}
-    out = []
-    img = []
+    # 2 (v, w) = v . row[w]; each e_j is a candidate of its own norm
+    row = {v: l.gram_row(v) for vs in candidates.values() for v in vs}
 
-    def rec(i):
+    def fitting(img):
+        """Candidates for the next image: e_i's norm, e_i's pairings with img."""
+        i = len(img)
+        return [
+            v
+            for v in candidates[norms[i]]
+            if all(sum(map(mul, v, row[w])) == g for w, g in zip(img, l.gram2[i]))
+        ]
+
+    def first_leaf(img):
         budget.check()
-        if i == n:
-            out.append(tuple(img))
-            return
-        for v in candidates[norms[i]]:
-            if all(2 * l.inner(v, img[j]) == l.gram2[i][j] for j in range(i)):
-                img.append(v)
-                rec(i + 1)
-                img.pop()
+        if len(img) == n:
+            return img
+        for v in fitting(img):
+            got = first_leaf(img + (v,))
+            if got:
+                return got
+        return None
 
-    rec(0)
-    return tuple(out)
+    orbit_sizes, generators = chain(
+        n,
+        basis,
+        lambda d: fitting(basis[:d]),
+        lambda d, v: first_leaf((*basis[:d], v)),
+        lambda w, v: vec_mat(v, w),
+    )
+    return IsometryGroup(prod(orbit_sizes), orbit_sizes, generators)

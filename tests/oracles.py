@@ -10,11 +10,13 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import isqrt
 
-from vftk import frames
+from vftk import budget, frames
 from vftk.abelian import _hnf_coords, _scaled_hnf
 from vftk.bits import f2_identity, f2_mat_mul, f2_orth, f2_rref
 from vftk.f2quad import is_odd_lagrangian, nonsingular_vectors, pairing, quad_value, transform_member
-from vftk.intmat import snf_divisors, vec_mat
+from vftk.intmat import identity, mat_mul, snf_divisors, vec_mat
+from vftk.lattices import IntegralLattice, short_vectors
+from vftk.stabsearch import orbit
 from vftk.verify import verify
 
 
@@ -169,6 +171,65 @@ def short_vectors_box(lattice, norm):
 
     rec(0, [])
     return out
+
+
+def skewed(lattice, rng, moves, size):
+    """The lattice in a seeded basis: `moves` row operations b_i += c b_j,
+    0 < |c| <= size, applied to gram2 on both sides."""
+    g = [list(row) for row in lattice.gram2]
+    for _ in range(moves if lattice.rank > 1 else 0):
+        i, j = rng.sample(range(lattice.rank), 2)
+        c = rng.choice((-1, 1)) * rng.randint(1, size)
+        g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+        for row in g:
+            row[i] += c * row[j]
+    return IntegralLattice(g)
+
+
+def random_definite(rng, n):
+    """gram2 = 2 (b b^T + I): positive definite and even."""
+    b = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+    return IntegralLattice(
+        [[2 * sum(b[i][k] * b[j][k] for k in range(n)) + 2 * (i == j) for j in range(n)]
+         for i in range(n)]
+    )
+
+
+def isometries(l):
+    """All isometries of a small positive definite lattice.
+
+    Backtracks over images of the basis vectors among vectors of equal
+    norm, pruning on inner products with images already chosen.  Cost
+    grows with the short-vector counts, so keep the rank small.  Each
+    node polls the budget.
+    """
+    if not l.is_definite:
+        raise ValueError("needs a positive definite lattice")
+    n = l.rank
+    norms = [l.norm(e) for e in identity(n)]
+    candidates = {nv: short_vectors(l, nv) for nv in set(norms)}
+    out = []
+    img = []
+
+    def rec(i):
+        budget.check()
+        if i == n:
+            out.append(tuple(img))
+            return
+        for v in candidates[norms[i]]:
+            if all(2 * l.inner(v, img[j]) == l.gram2[i][j] for j in range(i)):
+                img.append(v)
+                rec(i + 1)
+                img.pop()
+
+    rec(0)
+    return tuple(out)
+
+
+def matrix_group(n, gens):
+    """Every product of the n x n matrices gens, the identity included:
+    the group they generate, for a finite group."""
+    return orbit({identity(n)}, lambda a: (mat_mul(a, g) for g in gens))
 
 
 def apply_monomial(word, sigma, signs, modulus):

@@ -187,7 +187,7 @@ def test_criterion_08_unimodularization():
         assert abs(result.determinant()) == 1
         assert result.rank == 8
         assert len(short_vectors(result, 2)) == 240  # recognizes the rank-8 root lattice
-        for verdict in strong_extension_check(base, over, definite_automorphisms(base)):
+        for verdict in strong_extension_check(base, over, definite_automorphisms(base).generators):
             assert verdict.extends
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0

@@ -6,6 +6,7 @@ import random
 import threading
 import time
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, islice
 from math import factorial
 
@@ -42,7 +43,10 @@ from vftk.frames import (
     glue_code,
     order_sym_wr_agl,
 )
+from vftk.intmat import vec_mat
 from vftk.lattices import IntegralLattice, e8_lattice, short_vectors
+from vftk.stabsearch import orbit
+from vftk.unimodular import definite_automorphisms
 from vftk.verify import VerificationError
 
 
@@ -81,6 +85,10 @@ def test_frame_validation():
         LatticeFrame(lat, [(1, 0), (1, 1)])  # norm 8
     with pytest.raises(ValueError):
         LatticeFrame(IntegralLattice.from_gram([[4, 1], [1, 4]]), [(1, 0), (0, 1)])
+    # non-integer coordinates are refused, not truncated to the frame (1, 0), (0, 1)
+    for first in ((Fraction(3, 2), 0), (1.0, 0), (1.7, 0)):
+        with pytest.raises(ValueError, match="integers"):
+            LatticeFrame(lat, [first, (0, 1)])
 
 
 def test_z4_code_closure():
@@ -194,6 +202,27 @@ def test_two_rank_plus_twice_four_rank(e8_table):
     # l + 2k = n exactly when the lattice is self-dual
     for inv in e8_table.values():
         assert inv.two_rank + 2 * inv.four_rank == 8
+
+
+def test_small_classes_are_orbits_under_computed_w_e8():
+    """The k = 1 and k = 2 classes as orbits of their representatives
+    under the chain's generators of W(E8), acting on the 1,080 sign-pairs:
+    a route to the census counts that walks no cliques, and through
+    |W(E8)| / size a route to W_X that reads no pinned order."""
+    e8 = e8_lattice()
+    group = definite_automorphisms(e8)
+    reps = _e8_graph().reps
+    pair = {}
+    for i, v in enumerate(reps):
+        pair[v] = pair[tuple(-c for c in v)] = i
+    perms = [tuple(pair[vec_mat(v, w)] for v in reps) for w in group.generators]
+    representatives = e8_frame_representatives()
+    for k, size in ((1, 135), (2, 9450)):
+        frame = representatives[k]
+        seed = frozenset(pair[v] for v in frame.vectors)
+        found = orbit({seed}, lambda f: (frozenset(map(p.__getitem__, f)) for p in perms))
+        assert len(found) == size
+        assert group.order == size * frame_stabilizer(e8, frame).order
 
 
 def test_torus_divisor_cross_sections():

@@ -39,7 +39,7 @@ def test_gram_basics():
 
 
 def test_is_isometry():
-    auts = definite_automorphisms(A2)
+    auts = oracles.matrix_group(2, definite_automorphisms(A2).generators)
     assert len(auts) == 12
     assert all(A2.is_isometry(w) for w in auts)
     assert not A2.is_isometry(((1, 1), (0, 1)))  # a shear
@@ -52,6 +52,15 @@ def test_gram_validation():
         IntegralLattice([[0, 1], [2, 0]])
     with pytest.raises(ValueError):
         IntegralLattice([[0, 1, 0], [1, 0, 0]])
+    # non-integer entries are refused, not truncated to gram2 ((4,),) or ((5,),)
+    for build in (
+        lambda: IntegralLattice([[Fraction(9, 2)]]),
+        lambda: IntegralLattice.from_gram([[2.7]]),
+        lambda: IntegralLattice([[4.0]]),
+        lambda: IntegralLattice.from_gram([[2, Fraction(1, 2)], [Fraction(1, 2), 2]]),
+    ):
+        with pytest.raises(ValueError, match="integers"):
+            build()
 
 
 def test_direct_sum():
@@ -224,35 +233,13 @@ def test_p_primary_generators_of_large_primes():
         dg.p_primary_generators()
 
 
-def _skewed(lattice, rng, moves, size):
-    """The lattice in a seeded basis: `moves` row operations b_i += c b_j,
-    0 < |c| <= size, applied to gram2 on both sides."""
-    g = [list(row) for row in lattice.gram2]
-    for _ in range(moves if lattice.rank > 1 else 0):
-        i, j = rng.sample(range(lattice.rank), 2)
-        c = rng.choice((-1, 1)) * rng.randint(1, size)
-        g[i] = [a + c * b for a, b in zip(g[i], g[j])]
-        for row in g:
-            row[i] += c * row[j]
-    return IntegralLattice(g)
-
-
-def _random_definite(rng, n):
-    """gram2 = 2 (b b^T + I): positive definite and even."""
-    b = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
-    return IntegralLattice(
-        [[2 * sum(b[i][k] * b[j][k] for k in range(n)) + 2 * (i == j) for j in range(n)]
-         for i in range(n)]
-    )
-
-
 def test_lll_is_a_reduced_unimodular_change_of_basis():
     rng = random.Random(31)
     lattices = [IntegralLattice([]), A1, e8_lattice(), direct_sum(A2, A2, A1)]
-    lattices += [_random_definite(rng, rng.randrange(1, 7)) for _ in range(30)]
+    lattices += [oracles.random_definite(rng, rng.randrange(1, 7)) for _ in range(30)]
     changed = 0
     for lat in lattices:
-        skewed = _skewed(lat, rng, 20, 5)
+        skewed = oracles.skewed(lat, rng, 20, 5)
         h, pivots, cols = _lll(skewed.gram2)
         n = lat.rank
         assert abs(det(h)) == 1
@@ -266,7 +253,7 @@ def test_lll_is_a_reduced_unimodular_change_of_basis():
         changed += h != [[int(i == j) for j in range(n)] for i in range(n)]
     assert changed >= 25
     with pytest.raises(BudgetExceeded), budget.limit(0):
-        _lll(_skewed(e8_lattice(), rng, 80, 50).gram2)
+        _lll(oracles.skewed(e8_lattice(), rng, 80, 50).gram2)
 
 
 def test_short_vectors_on_skewed_bases():
@@ -276,8 +263,8 @@ def test_short_vectors_on_skewed_bases():
     rng = random.Random(80)
     e8 = e8_lattice()
     cases = [
-        (_skewed(e8, rng, 80, 50), 240),
-        (_skewed(direct_sum(e8, e8), rng, 80, 50), 480),
+        (oracles.skewed(e8, rng, 80, 50), 240),
+        (oracles.skewed(direct_sum(e8, e8), rng, 80, 50), 480),
         (unimodularize(IntegralLattice.from_gram([[2000000014]])).result, 240),
     ]
     for lat, count in cases:
@@ -331,7 +318,7 @@ def test_short_vectors_match_box_oracle():
             lat = IntegralLattice.from_gram(g)
             if lat.is_definite:
                 break
-        skewed = _skewed(lat, skew, 6, 1)
+        skewed = oracles.skewed(lat, skew, 6, 1)
         for norm in (1, 2, 3, 4):
             fast = short_vectors(lat, norm)
             assert fast == sorted(short_vectors_box(lat, norm))
@@ -350,7 +337,7 @@ def test_short_vectors_match_box_oracle():
                for j in range(n)] for i in range(n)]
         lat = IntegralLattice(g2)
         odd += any(g2[i][j] % 2 for i in range(n) for j in range(i))
-        skewed = _skewed(lat, skew, 6, 1)
+        skewed = oracles.skewed(lat, skew, 6, 1)
         for norm in (Fraction(1, 2), Fraction(5, 6), 1, Fraction(3, 2), 2):
             fast = short_vectors(lat, norm)
             assert len(set(fast)) == len(fast)

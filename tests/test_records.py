@@ -22,7 +22,13 @@ from vftk.hatgroup import (
 from vftk.intmat import identity
 from vftk.lattices import IntegralLattice, discriminant_group, e8_lattice
 from vftk.stabsearch import stabilizer
-from vftk.unimodular import ExtensionVerdict, Overlattice, isotropic_subgroup, overlattice_from_isotropic
+from vftk.unimodular import (
+    ExtensionVerdict,
+    Overlattice,
+    definite_automorphisms,
+    isotropic_subgroup,
+    overlattice_from_isotropic,
+)
 
 A2 = IntegralLattice.from_gram([[2, -1], [-1, 2]])
 L8 = IntegralLattice.from_gram([[8]])
@@ -128,6 +134,12 @@ RECORDS = {
         lambda: ExtensionVerdict(True, ((1,),)),
         "extends matrix",
         "ExtensionVerdict(extends=True, matrix=((1,),))",
+    ),
+    "IsometryGroup": (
+        lambda: definite_automorphisms(A2),
+        "order orbit_sizes generators",
+        "IsometryGroup(order=12, orbit_sizes=(6, 2),"
+        " generators=(((1, 0), (-1, -1)), ((-1, -1), (0, 1)), ((-1, 0), (0, -1))))",
     ),
 }
 

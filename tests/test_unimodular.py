@@ -7,7 +7,7 @@ import sys
 import textwrap
 import time
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 import pytest
 
@@ -17,7 +17,8 @@ from vftk import budget
 from vftk.abelian import _scaled_hnf
 from vftk.budget import BudgetExceeded
 from vftk.f2codes import hamming_code
-from vftk.intmat import identity, mat_mul
+from vftk.frames import W_E8_ORDER
+from vftk.intmat import identity
 from vftk.lattices import (
     IntegralLattice,
     direct_sum,
@@ -363,15 +364,12 @@ def test_strong_extension_sign_flip_on_a1():
 
 def test_strong_extension_full_a2_automorphisms():
     over = unimodularize(A2)
-    auts = definite_automorphisms(A2)
-    verdicts = strong_extension_check(A2, over, auts)
+    verdicts = strong_extension_check(A2, over, definite_automorphisms(A2).generators)
     assert all(v.extends for v in verdicts)
-    mats = {v.matrix for v in verdicts}
+    # the extended generators generate the extensions of all 12 isometries
+    mats = oracles.matrix_group(over.result.rank, [v.matrix for v in verdicts])
     assert len(mats) == 12
-    # the extensions form a group
-    for a in mats:
-        for b in mats:
-            assert tuple(tuple(r) for r in mat_mul(a, b)) in mats
+    assert mats == {v.matrix for v in strong_extension_check(A2, over, oracles.isometries(A2))}
 
 
 def test_strong_extension_detects_obstruction():
@@ -421,7 +419,7 @@ def test_hyperbolic_unimodularize_small():
         assert not res.is_definite and not res.rescale(-1).is_definite
         assert first_block_primitive(over, lat.rank)
     over = hyperbolic_unimodularize(A2)
-    verdicts = strong_extension_check(A2, over, definite_automorphisms(A2))
+    verdicts = strong_extension_check(A2, over, definite_automorphisms(A2).generators)
     assert all(v.extends for v in verdicts)
 
 
@@ -452,7 +450,7 @@ def test_prime_power_twist_a2():
     assert (over.result.rank, over.result.determinant()) == (4, 121)
     assert over.result.is_even and over.result.is_definite
     assert over.glue.order() == 3
-    verdicts = strong_extension_check(A2, over, definite_automorphisms(A2))
+    verdicts = strong_extension_check(A2, over, definite_automorphisms(A2).generators)
     assert all(v.extends for v in verdicts)
 
 
@@ -474,24 +472,67 @@ def test_dirichlet_prime():
 
 
 def test_definite_automorphisms():
-    assert len(definite_automorphisms(A1)) == 2
-    auts = definite_automorphisms(A2)
-    assert len(auts) == 12
+    assert definite_automorphisms(A1).order == 2
+    group = definite_automorphisms(A2)
+    assert group.order == 12 == len(oracles.matrix_group(2, group.generators))
     rect = IntegralLattice.from_gram(((2, 0), (0, 4)))
-    assert len(definite_automorphisms(rect)) == 4
+    assert definite_automorphisms(rect).order == 4
     with pytest.raises(ValueError):
         definite_automorphisms(PLANE)
+
+
+def test_definite_automorphisms_match_the_listing():
+    # the order is the listing's length and the generators generate it,
+    # in skewed bases of lattices with large groups and of random ones
+    rng = random.Random(12)
+    a3 = IntegralLattice.from_gram(((2, -1, 0), (-1, 2, -1), (0, -1, 2)))
+    d4 = IntegralLattice.from_gram(((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)))
+    rect = IntegralLattice.from_gram(((2, 0), (0, 4)))
+    lattices = [IntegralLattice(()), A1, A2, rect, a3, d4, direct_sum(A1, A2), direct_sum(A2, A2)]
+    lattices += [direct_sum(A1, rect), direct_sum(A1, A1, A1, A1)]
+    lattices = [oracles.skewed(lat, rng, 6, 1) for lat in lattices for _ in range(2)]
+    lattices += [oracles.random_definite(rng, rng.randint(1, 4)) for _ in range(20)]
+    for lat in lattices:
+        group = definite_automorphisms(lat)
+        listed = oracles.isometries(lat)
+        assert group.order == prod(group.orbit_sizes) == len(listed)
+        assert all(lat.is_isometry(w) for w in group.generators)
+        assert oracles.matrix_group(lat.rank, group.generators) == set(listed)
+
+
+def test_definite_automorphisms_e8_order():
+    e8 = e8_lattice()
+    start = time.monotonic()
+    group = definite_automorphisms(e8)
+    assert time.monotonic() - start < 1.0
+    assert group.order == W_E8_ORDER
+    assert group.orbit_sizes == (240, 56, 27, 16, 5, 4, 3, 2)
+    assert len(group.generators) == 8 and all(e8.is_isometry(w) for w in group.generators)
+
+
+# a rank-8 lattice of determinant 1024 whose chain runs for about 20 s
+SLOW_GRAM = (
+    (6, -2, -2, -2, 0, 0, 0, 0),
+    (-2, 6, 0, -2, 2, -2, 0, 0),
+    (-2, 0, 8, 2, 0, -2, -2, 0),
+    (-2, -2, 2, 6, -4, -2, 0, 2),
+    (0, 2, 0, -4, 6, 2, -2, -2),
+    (0, -2, -2, -2, 2, 4, 0, 0),
+    (0, 0, -2, 0, -2, 0, 2, 0),
+    (0, 0, 0, 2, -2, 0, 0, 8),
+)
 
 
 def test_definite_automorphisms_deadline():
     # an expired budget stops the search at its first node
     with pytest.raises(BudgetExceeded), budget.limit(0):
         definite_automorphisms(A2)
-    # |W(E8)| = 696729600 isometries: the backtrack must stop soon after 0.3 s
+    # the existence searches must stop soon after 0.3 s
+    slow = IntegralLattice.from_gram(SLOW_GRAM)
     start = time.monotonic()
     with pytest.raises(BudgetExceeded):
         with budget.limit(0.3):
-            definite_automorphisms(e8_lattice())
+            definite_automorphisms(slow)
     assert time.monotonic() - start < 1.3
 
 
