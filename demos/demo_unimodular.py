@@ -38,7 +38,7 @@ for name, base in (("A1", A1), ("A2", A2)):
     group = definite_automorphisms(base)
     verdicts = strong_extension_check(base, over, group.generators)
     assert all(v.extends for v in verdicts)
-    print(f"  all {group.order} isometry generators extend to the overlattice")
+    print(f"  all {group.order} isometries extend to the overlattice")
     print()
 
 # instead of killing the whole discriminant, one can aim at a prescribed

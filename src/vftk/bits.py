@@ -77,7 +77,9 @@ def f2_orth(basis, rows):
     the result.  Each row cuts the span by at most one dimension: the
     odd-overlap vector with the lowest leading bit is folded into the
     other odd-overlap vectors, whose leading bits it cannot touch, and
-    dropped.
+    dropped.  A fully reduced basis (each vector 0 at the leading bits of
+    the others) stays fully reduced, since the folded vector is 0 at the
+    leading bits that remain.
     """
     basis = list(basis)
     for r in rows:

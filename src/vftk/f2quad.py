@@ -22,15 +22,12 @@ from math import prod
 
 from . import budget
 from .bits import (
-    f2_echelon,
     f2_identity,
     f2_mat_inverse,
     f2_mat_mul,
     f2_orth,
     f2_rank,
-    f2_reduce,
     f2_rref,
-    f2_span,
     f2_transpose,
     f2_vec_mat,
     gl2_order,
@@ -53,8 +50,6 @@ __all__ = [
     "left_stabilizer_order",
     "left_stabilizer_generators",
     "transform_member",
-    "is_isometry",
-    "fixes_left_half",
     "orbit_partition",
     "same_orbit_witness",
     "stabilizer_structure",
@@ -136,17 +131,17 @@ def enumerate_odd_lagrangians(n):
     """Every odd Lagrangian, exhaustively, as canonical RREF row tuples in
     lexicographic order.
 
-    The walk, _odd_lagrangian_words, packs each member into one word: n
-    fields of 2n bits, the first row in the highest field, so at most
-    n * 2n <= 50 bits for n <= 5.  Sorting the words therefore sorts the
-    members by rows, and each is unpacked once here.  The exhaustive
-    census for n >= 4 reads the words and never builds this tuple.
+    The walk, _odd_lagrangian_words, packs each member into one word, the
+    first row in the highest field, and yields the words strictly
+    descending; so its words read backwards unpack to the members in
+    ascending order of rows.  The census reads the words and never builds
+    this tuple.
     """
-    return tuple(_unpack(n, word) for word in sorted(_odd_lagrangian_words(n)))
+    return tuple(_unpack(n, word) for word in reversed(_odd_lagrangian_words(n)))
 
 
 def _odd_lagrangian_words(n):
-    """Every odd Lagrangian as one packed word, in walk order.
+    """Every odd Lagrangian as one packed word, strictly descending.
 
     A word holds the member's RREF rows in n fields of 2n bits each, the
     first row in the highest field; n <= 5 keeps it within n * 2n <= 50
@@ -154,18 +149,28 @@ def _odd_lagrangian_words(n):
 
     Enumerates RREF bases of totally isotropic n-subspaces directly:
     pivots descend and earlier rows are required to vanish at later
-    pivots.  Each depth carries the echelon perp of the chosen rows, their
-    OR, their packed prefix and whether Q is nonzero on one of them, so a
-    new row with pivot p is a perp basis vector led by an unused bit p
-    plus any combination of the perp basis vectors below it.
+    pivots.  Each depth carries the perp of the chosen rows, its mask of
+    leading bits, the rows' OR, their packed prefix and whether Q is
+    nonzero on one of them, so a new row with pivot p is a perp basis
+    vector led by an unused bit p plus any combination of the perp basis
+    vectors below it.
+
+    The perp starts as the identity and f2_orth keeps it fully reduced:
+    each vector is 0 at the leading bits of the others.  So of two
+    combinations of perp vectors, the larger is the one that uses the
+    highest vector in which they differ, and each node visits its
+    candidates in descending order: by pivot, then by the combination
+    below it.  A word's rows are its path from the root, so the words come
+    out strictly descending, which the census checks.
 
     A child is entered only if its perp still has enough candidate
     pivots: leading bits below p and outside the OR of its rows, one for
     each row still missing.  This is sound because f2_orth keeps the
     leading bit of every basis vector it does not drop, so every later
-    pivot leads a vector of the child's perp.  The pruned nodes are the
-    ones with no leaf below them; the budget is polled every
-    CHECK_EVERY recursive calls.
+    pivot leads a vector of the child's perp; for the same reason the
+    parent's mask is a first, cheaper test.  The pruned nodes are the ones
+    with no leaf below them; the budget is polled every CHECK_EVERY
+    recursive calls.
     """
     if not 1 <= n <= 5:
         raise ValueError("exhaustive enumeration is limited to 1 <= n <= 5")
@@ -173,7 +178,7 @@ def _odd_lagrangian_words(n):
     words = array("Q")
     calls = 0
 
-    def rec(perp, used, max_pivot, packed, need, odd):
+    def rec(perp, leads, used, max_pivot, packed, need, odd):
         nonlocal calls
         calls += 1
         if calls % CHECK_EVERY == 0:
@@ -182,27 +187,31 @@ def _odd_lagrangian_words(n):
             if odd:
                 words.append(packed)
             return
-        leads = _leading_bits(perp)
+        span = None
         for i, b in enumerate(perp):
             p = b.bit_length() - 1
             if p < need - 1:
                 break
             if p > max_pivot or (used >> p) & 1:
                 continue  # keep full RREF: old rows must vanish at the new pivot
-            for c in f2_span(perp[i + 1 :]):
+            if span is None:
+                # span of perp[i + 1:], descending; the span of each later
+                # suffix is its tail
+                span = [0]
+                for v in reversed(perp[i + 1 :]):
+                    span = [v ^ c for c in span] + span
+            for c in span[-(1 << (len(perp) - 1 - i)) :]:
                 w = b ^ c
                 free = ((1 << p) - 1) & ~(used | w)
-                # the child's perp loses exactly one leading bit, so only a
-                # count with no spare needs the child's own leading bits
-                spare = (leads & free).bit_count() - (need - 1)
-                if spare < 0:
-                    continue
+                if (leads & free).bit_count() < need - 1:
+                    continue  # the child's leading bits are a subset of leads
                 child = f2_orth(perp, [_swap_halves(n, w)]) if need > 1 else ()
-                if spare == 0 and (_leading_bits(child) & free).bit_count() < need - 1:
+                child_leads = _leading_bits(child)
+                if (child_leads & free).bit_count() < need - 1:
                     continue
-                rec(child, used | w, p - 1, packed << width | w, need - 1, odd or quad_value(n, w))
+                rec(child, child_leads, used | w, p - 1, packed << width | w, need - 1, odd or quad_value(n, w))
 
-    rec(f2_identity(width)[::-1], 0, width - 1, 0, n, 0)
+    rec(f2_identity(width)[::-1], (1 << width) - 1, 0, width - 1, 0, n, 0)
     return words
 
 
@@ -237,30 +246,6 @@ def left_stabilizer_generators(n):
             g[n + l] ^= 1 << i  # f_l -> f_l + e_i
             gens.append(tuple(g))
     return gens
-
-
-def is_isometry(n, g):
-    """Whether the rows g (images of the basis vectors) preserve Q.
-
-    Against the constant split form: Q vanishes on every image, and the
-    images pair to 1 exactly at l = i + n.  The pairing matrix is
-    alternating, so its upper triangle decides.
-    """
-    width = 2 * n
-    if len(g) != width or any(x >> width for x in g):
-        return False
-    if any(quad_value(n, x) for x in g):
-        return False
-    for i in range(width):
-        s = _swap_halves(n, g[i])  # (x, y) is the parity of swap(x) & y
-        for l in range(i + 1, width):
-            if ((s & g[l]).bit_count() & 1) != (l == i + n):
-                return False
-    return True
-
-
-def fixes_left_half(n, g):
-    return all(g[i] < (1 << n) for i in range(n))
 
 
 def transform_member(n, g, member):
@@ -352,21 +337,27 @@ class OrbitWitness(namedtuple("OrbitWitness", "matrix overlaps")):
 def same_orbit_witness(n, a, b):
     """Witness in the left-half stabilizer mapping a to b, or a refutation.
 
-    Members with equal left overlap have adapted frames F_a and F_b with
-    the same Gram/Q data, so the isometry sending row i of F_a to row i of
-    F_b is F_a^{-1} F_b; the t's and s's of each frame span the left
-    half, so it keeps the left half.  The returned matrix is
-    verified: it preserves Q, fixes the left half, and maps a onto b, and
-    a failed check raises VerificationError.  Unequal overlaps are
-    returned as the refutation.
+    Members with equal left overlap j have adapted frames F_a and F_b with
+    the Gram/Q data of the standard frame of j, so the isometry sending
+    row i of F_a to row i of F_b is g = F_a^-1 F_b; the t's and s's of
+    each frame span the left half, so it keeps the left half.  The
+    returned matrix is verified as the census verifies its members: F_a g
+    = F_b, the first n rows of each frame span its member, and
+    _verify_frames checks both frames; a failed check raises
+    VerificationError.  Unequal overlaps are returned as the refutation.
     """
     a = f2_rref(a)
     b = f2_rref(b)
     ja, jb = left_overlap(n, a), left_overlap(n, b)
     if ja != jb:
         return OrbitWitness(None, (ja, jb))
-    g = tuple(f2_mat_mul(f2_mat_inverse(_adapted_frame(n, a), 2 * n), _adapted_frame(n, b)))
-    _verify_witness(n, g, a, b)
+    fa, fb = _adapted_frame(n, a), _adapted_frame(n, b)
+    g = tuple(f2_mat_mul(f2_mat_inverse(fa, 2 * n), fb))
+    verify(
+        f2_mat_mul(fa, g) == fb and f2_rref(fa[:n]) == a and f2_rref(fb[:n]) == b,
+        "witness misses its target member",
+    )
+    _verify_frames(n, ja, fa + fb)
     return OrbitWitness(g, (ja, jb))
 
 
@@ -377,6 +368,8 @@ def _verify_frames(n, j, frames):
     """Raise VerificationError unless every adapted frame in the batch
     keeps the left-half rows of the standard frame T of overlap j in the
     left half, has rows of 2n bits, and has T's Q values and pairings.
+    T must be a basis, which is checked too: then T's pairing matrix is
+    nondegenerate, and so each frame is a basis as well.
 
     frames holds 2n rows per frame, frame after frame.  Transposing the
     rows at one position k gives 2n bit slices x[k][b], with bit t of
@@ -388,6 +381,7 @@ def _verify_frames(n, j, frames):
     width = 2 * n
     ones = (1 << (len(frames) // width)) - 1
     standard = _standard_frame(n, j)
+    verify(f2_rank(standard) == width, "standard frame is not a basis")
     verify(max(frames) < (1 << width), "witness is not an isometry")
     x = [f2_transpose(frames[k::width], width) for k in range(width)]
     left = [x[k] for k, r in enumerate(standard) if r < (1 << n)]
@@ -404,14 +398,6 @@ def _verify_frames(n, j, frames):
             for b in range(n):
                 p ^= (xk[b] & xl[b + n]) ^ (xk[b + n] & xl[b])
             verify(p == ones * pairing(n, r, standard[l]), "witness is not an isometry")
-
-
-def _verify_witness(n, g, source, target):
-    """Raise VerificationError unless g is a left-half-fixing isometry
-    taking source onto target."""
-    verify(fixes_left_half(n, g), "witness moves the left half")
-    verify(is_isometry(n, g), "witness is not an isometry")
-    verify(transform_member(n, g, source) == target, "witness misses its target member")
 
 
 # --- orbit census and stabilizer structure -----------------------------------
@@ -450,93 +436,48 @@ class OrbitClass(namedtuple("OrbitClass", "overlap size stabilizer_order unipote
     __slots__ = ()
 
 
-def _full_left_stabilizer(n):
-    """Every element of the left-half stabilizer (feasible for n <= 3)."""
-    from itertools import product as iproduct
-
-    unipotent_masks = []
-    pairs = [(i, l) for i in range(n) for l in range(i + 1, n)]
-    for bits in range(1 << len(pairs)):
-        mat = [0] * n
-        for idx, (i, l) in enumerate(pairs):
-            if (bits >> idx) & 1:
-                mat[i] |= 1 << l
-                mat[l] |= 1 << i
-        unipotent_masks.append(mat)
-    out = []
-    for b in iproduct(range(1, 1 << n), repeat=n):
-        if f2_rank(b) != n:
-            continue
-        binv_t = f2_transpose(f2_mat_inverse(list(b), n), n)
-        for mat in unipotent_masks:
-            # unipotent first, then the GL pair: the raw left correction
-            # to the f-block is M * B^{-T}, not M itself
-            corr = f2_mat_mul(mat, binv_t)
-            g = [binv_t[i] for i in range(n)]
-            g += [(b[i] << n) ^ corr[i] for i in range(n)]
-            out.append(tuple(g))
-    verify(len(set(out)) == left_stabilizer_order(n), "left-half stabilizer has the wrong order")
-    return out
-
-
 def stabilizer_structure(n, member):
     """(order, unipotent order, Levi description) of the member's stabilizer.
 
-    For n <= 3 the stabilizer is filtered out of the full left-half
-    stabilizer and its unipotent part is the kernel of the action on the
-    graded pieces of the fixed flag (the left overlap and the singular
-    hyperplane modulo it); the Levi factorization is verified exactly.
-    For larger n the orders come from orbit counting, with the unipotent
-    order read off the same factorization.
+    The stabilizer of a member of left overlap j has order |P| / |orbit|,
+    with |P| = left_stabilizer_order(n) and the orbit size from its closed
+    form.  It fixes the flag of the left overlap inside the singular
+    hyperplane of the member, and its Levi factor GL(j,2) x GL(n-1-j,2)
+    acts on the graded pieces; the unipotent order is the quotient by the
+    Levi order, which must divide exactly and leave a power of 2.  The
+    tests list the whole left-half stabilizer for n <= 3 and count both
+    orders by definition.
     """
     member = f2_rref(member)
     if not is_odd_lagrangian(n, member):
         raise ValueError("not an odd Lagrangian")
     j = left_overlap(n, member)
     levi_order = gl2_order(j) * gl2_order(n - 1 - j)
-    levi = f"GL({j},2) x GL({n - 1 - j},2)"
-    if n <= 3:
-        stab = [g for g in _full_left_stabilizer(n) if transform_member(n, g, member) == member]
-        order = len(stab)
-        t_ech = f2_echelon([r for r in member if r < (1 << n)])
-        qs = [quad_value(n, r) for r in member]
-        pivot = member[qs.index(1)]
-        hyperplane = [r ^ (pivot if q else 0) for r, q in zip(member, qs) if r != pivot]
-        unipotent = [
-            g
-            for g in stab
-            if all(f2_vec_mat(r, g) == r for r in t_ech)
-            and all(
-                f2_reduce(f2_vec_mat(h, g) ^ h, t_ech) == 0 for h in hyperplane
-            )
-        ]
-        u_order = len(unipotent)
-    else:
-        order, rem = divmod(left_stabilizer_order(n), orbit_size(n, j))
-        verify(rem == 0, "orbit size does not divide the group order")
-        u_order, rem = divmod(order, levi_order)
-        verify(rem == 0, "Levi order does not divide the stabilizer order")
-    verify(order == u_order * levi_order, "stabilizer is not unipotent times Levi")
+    order, rem = divmod(left_stabilizer_order(n), orbit_size(n, j))
+    verify(rem == 0, "orbit size does not divide the group order")
+    u_order, rem = divmod(order, levi_order)
+    verify(rem == 0, "Levi order does not divide the stabilizer order")
     verify(u_order & (u_order - 1) == 0, "unipotent part must be a 2-group")
-    return StabilizerInfo(j, order, u_order, levi)
+    return StabilizerInfo(j, order, u_order, f"GL({j},2) x GL({n - 1 - j},2)")
 
 
 def orbit_census(n, exhaustive=False):
     """One row per orbit of the left-half stabilizer on odd Lagrangians.
 
-    The sizes come from the closed form.  The members are also enumerated
-    when exhaustive is true or n <= 3, and the two routes are checked
-    against each other: for n <= 3 by partitioning the members into
-    orbits, for n >= 4 by certifying each member with an explicit witness
-    h that fixes the left half, preserves Q and carries the standard
-    representative of the member's left overlap onto the member.  A
-    failed check raises VerificationError.
+    The sizes come from the closed form.  When exhaustive is true, or n
+    <= 3 where it is cheap, the members are also enumerated and every
+    one is certified with an explicit witness h that fixes the left half,
+    preserves Q and carries the standard representative of the member's
+    left overlap onto the member; the count of each overlap must then be
+    its closed-form orbit size.  A failed check raises VerificationError.
 
-    For n >= 4 the exhaustive census runs in two phases.  The walk first
-    stores every member as one packed word of at most 50 bits, 8 bytes in
-    an array (see _odd_lagrangian_words); then each word is unpacked and
-    certified in turn, so no list of row tuples is held.  Certifying each
-    member as the walk finds it needs no less memory and ran slower.
+    The census runs in two phases.  The walk first stores every member as
+    one packed word of at most 50 bits, 8 bytes in an array (see
+    _odd_lagrangian_words); then each word is unpacked and certified in
+    turn, so no list of row tuples is held.  The walk yields its words
+    strictly descending, and the census checks that order word by word
+    against the previous one: with the count, it refuses a repeated
+    member, which every witness check would pass, in O(1) memory.
 
     The witness of a member with overlap j is h = T^-1 F, with T the
     standard frame of j and F the member's adapted frame, so h maps row k
@@ -553,46 +494,33 @@ def orbit_census(n, exhaustive=False):
     bit slices (see _verify_frames).
     """
     if exhaustive or n <= 3:
-        members = enumerate_odd_lagrangians(n) if n <= 3 else _odd_lagrangian_words(n)
-        verify(len(members) == total_odd_count(n), "enumeration missed the closed-form count")
-        if n <= 3:
-            orbits = orbit_partition(n, members)
-            verify(len(orbits) == n, "wrong number of orbits")
-            sizes = {}
-            for orbit in orbits:
-                js = {left_overlap(n, m) for m in orbit}
-                verify(len(js) == 1, "an orbit mixes left overlaps")
-                sizes[js.pop()] = len(orbit)
-        else:
-            # certify instead of BFS: every member's adapted frame has the
-            # Gram/Q data of the standard frame of its overlap
-            width = 2 * n
-            for j in range(n):
-                verify(f2_rank(_standard_frame(n, j)) == width, "standard frame is not a basis")
-            sizes = {j: 0 for j in range(n)}
-            batches = {j: array("H") for j in range(n)}
-            for word in members:
-                budget.check()
-                member = _unpack(n, word)
-                # canonical RREF: the rows below 1 << n span the left overlap;
-                # Q vanishes on the left half, so a row with Q = 1 puts j < n
-                j = sum(r < (1 << n) for r in member)
-                verify(any(quad_value(n, r) for r in member), "walk yields a singular member")
-                frame = _adapted_frame(n, member)
-                verify(f2_rref(frame[:n]) == member, "witness misses its target member")
-                batch = batches[j]
-                batch.extend(frame)
-                if len(batch) == _BATCH * width:
-                    _verify_frames(n, j, batch)
-                    del batch[:]
-                sizes[j] += 1
-            for j, batch in batches.items():
-                if batch:
-                    _verify_frames(n, j, batch)
-        verify(
-            all(sizes.get(j) == orbit_size(n, j) for j in range(n)),
-            "orbit sizes disagree with the closed form",
-        )
+        words = _odd_lagrangian_words(n)
+        verify(len(words) == total_odd_count(n), "enumeration missed the closed-form count")
+        width = 2 * n
+        sizes = [0] * n
+        batches = [array("H") for _ in range(n)]
+        previous = 1 << (width * n)
+        for word in words:
+            budget.check()
+            verify(word < previous, "walk words are not strictly descending")
+            previous = word
+            member = _unpack(n, word)
+            # canonical RREF: the rows below 1 << n span the left overlap;
+            # Q vanishes on the left half, so a row with Q = 1 puts j < n
+            j = sum(r < (1 << n) for r in member)
+            verify(any(quad_value(n, r) for r in member), "walk yields a singular member")
+            frame = _adapted_frame(n, member)
+            verify(f2_rref(frame[:n]) == member, "witness misses its target member")
+            batch = batches[j]
+            batch.extend(frame)
+            if len(batch) == _BATCH * width:
+                _verify_frames(n, j, batch)
+                del batch[:]
+            sizes[j] += 1
+        for j, batch in enumerate(batches):
+            if batch:
+                _verify_frames(n, j, batch)
+        verify(sizes == [orbit_size(n, j) for j in range(n)], "orbit sizes disagree with the closed form")
     rows = []
     for j in range(n):
         info = stabilizer_structure(n, standard_odd_lagrangian(n, j))

@@ -12,8 +12,27 @@ from math import isqrt
 
 from vftk import budget, frames
 from vftk.abelian import _hnf_coords, _scaled_hnf
-from vftk.bits import f2_identity, f2_mat_mul, f2_orth, f2_rref
-from vftk.f2quad import is_odd_lagrangian, nonsingular_vectors, pairing, quad_value, transform_member
+from vftk.bits import (
+    f2_echelon,
+    f2_identity,
+    f2_mat_inverse,
+    f2_mat_mul,
+    f2_orth,
+    f2_rank,
+    f2_reduce,
+    f2_rref,
+    f2_transpose,
+    f2_vec_mat,
+)
+from vftk.f2quad import (
+    _swap_halves,
+    is_odd_lagrangian,
+    left_stabilizer_order,
+    nonsingular_vectors,
+    pairing,
+    quad_value,
+    transform_member,
+)
 from vftk.intmat import identity, mat_mul, snf_divisors, vec_mat
 from vftk.lattices import IntegralLattice, short_vectors
 from vftk.stabsearch import orbit
@@ -397,6 +416,79 @@ def sample_odd_lagrangians(n, count=32, seed=0):
         member = odd_lagrangian_through(n, rng.choice(vecs))
         out.append(transform_member(n, random_isometry(n, rng), member))
     return tuple(out)
+
+
+def is_isometry(n, g):
+    """Whether the rows g (images of the basis vectors) preserve Q.
+
+    Against the constant split form: Q vanishes on every image, and the
+    images pair to 1 exactly at l = i + n.  The pairing matrix is
+    alternating, so its upper triangle decides.
+    """
+    width = 2 * n
+    if len(g) != width or any(x >> width for x in g):
+        return False
+    if any(quad_value(n, x) for x in g):
+        return False
+    for i in range(width):
+        s = _swap_halves(n, g[i])  # (x, y) is the parity of swap(x) & y
+        for l in range(i + 1, width):
+            if ((s & g[l]).bit_count() & 1) != (l == i + n):
+                return False
+    return True
+
+
+def fixes_left_half(n, g):
+    return all(g[i] < (1 << n) for i in range(n))
+
+
+def full_left_stabilizer(n):
+    """Every element of the left-half stabilizer (feasible for n <= 3)."""
+    unipotent_masks = []
+    pairs = [(i, l) for i in range(n) for l in range(i + 1, n)]
+    for bits in range(1 << len(pairs)):
+        mat = [0] * n
+        for idx, (i, l) in enumerate(pairs):
+            if (bits >> idx) & 1:
+                mat[i] |= 1 << l
+                mat[l] |= 1 << i
+        unipotent_masks.append(mat)
+    out = []
+    for b in product(range(1, 1 << n), repeat=n):
+        if f2_rank(b) != n:
+            continue
+        binv_t = f2_transpose(f2_mat_inverse(list(b), n), n)
+        for mat in unipotent_masks:
+            # unipotent first, then the GL pair: the raw left correction
+            # to the f-block is M * B^{-T}, not M itself
+            corr = f2_mat_mul(mat, binv_t)
+            g = [binv_t[i] for i in range(n)]
+            g += [(b[i] << n) ^ corr[i] for i in range(n)]
+            out.append(tuple(g))
+    verify(len(set(out)) == left_stabilizer_order(n), "left-half stabilizer has the wrong order")
+    return out
+
+
+def listed_stabilizer_orders(n, member):
+    """(order, unipotent order) of the member's stabilizer, by listing.
+
+    The stabilizer is filtered out of the full left-half stabilizer, and
+    its unipotent part is the kernel of the action on the graded pieces of
+    the fixed flag (the left overlap and the singular hyperplane modulo
+    it).  The member must be in canonical RREF.
+    """
+    stab = [g for g in full_left_stabilizer(n) if transform_member(n, g, member) == member]
+    t_ech = f2_echelon([r for r in member if r < (1 << n)])
+    qs = [quad_value(n, r) for r in member]
+    pivot = member[qs.index(1)]
+    hyperplane = [r ^ (pivot if q else 0) for r, q in zip(member, qs) if r != pivot]
+    unipotent = [
+        g
+        for g in stab
+        if all(f2_vec_mat(r, g) == r for r in t_ech)
+        and all(f2_reduce(f2_vec_mat(h, g) ^ h, t_ech) == 0 for h in hyperplane)
+    ]
+    return len(stab), len(unipotent)
 
 
 def find_frames(lattice):

@@ -15,13 +15,12 @@ from math import factorial
 
 import pytest
 
+from oracles import fixes_left_half, is_isometry
 from vftk.abelian import type_string
 from vftk.bits import f2_rref, f2_vec_mat, gl2_order
 from vftk.f2codes import classify_markings, hamming_code, rm1_subcode
 from vftk.f2quad import (
     enumerate_odd_lagrangians,
-    fixes_left_half,
-    is_isometry,
     left_overlap,
     left_stabilizer_order,
     nonsingular_vectors,

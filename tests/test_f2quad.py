@@ -10,7 +10,15 @@ from itertools import product
 import pytest
 
 import vftk.f2quad as f2quad
-from oracles import f2_subspaces, odd_lagrangian_through, random_isometry, sample_odd_lagrangians
+from oracles import (
+    f2_subspaces,
+    fixes_left_half,
+    is_isometry,
+    listed_stabilizer_orders,
+    odd_lagrangian_through,
+    random_isometry,
+    sample_odd_lagrangians,
+)
 from vftk import cli
 from vftk.bits import (
     f2_identity,
@@ -22,9 +30,7 @@ from vftk.bits import (
 )
 from vftk.f2quad import (
     enumerate_odd_lagrangians,
-    fixes_left_half,
     gaussian_binomial,
-    is_isometry,
     is_odd_lagrangian,
     left_overlap,
     left_stabilizer_generators,
@@ -43,6 +49,8 @@ from vftk.f2quad import (
     transform_member,
 )
 from vftk.verify import VerificationError
+
+_WALK = f2quad._odd_lagrangian_words
 
 
 def test_quad_and_pairing_basics():
@@ -121,8 +129,21 @@ def test_walk_words_pack_the_enumeration(n):
     assert tuple(f2quad._unpack(n, word) for word in sorted(words)) == (
         enumerate_odd_lagrangians(n)
     )
-    # the census counts the words, and a count cannot see a repeated member
+    # the census checks this order, which with the count refuses a repeat
+    assert list(words) == sorted(words, reverse=True)
     assert len(set(words)) == len(words) == total_odd_count(n)
+
+
+def _census_with_walk(monkeypatch, n, mutate):
+    """orbit_census(n, exhaustive=True) with mutate applied to the walk's words."""
+
+    def broken_walk(n):
+        words = _WALK(n)
+        mutate(words)
+        return words
+
+    monkeypatch.setattr(f2quad, "_odd_lagrangian_words", broken_walk)
+    return orbit_census(n, exhaustive=True)
 
 
 def _flip_low_bit_of_least(words):
@@ -141,16 +162,8 @@ def _flip_low_bit_of_least(words):
     ids=["dropped", "repeated", "bit-flipped"],
 )
 def test_census_refuses_a_broken_walk(monkeypatch, mutate, message):
-    walk = f2quad._odd_lagrangian_words
-
-    def broken_walk(n):
-        words = walk(n)
-        mutate(words)
-        return words
-
-    monkeypatch.setattr(f2quad, "_odd_lagrangian_words", broken_walk)
     with pytest.raises(VerificationError, match=message):
-        orbit_census(4, exhaustive=True)
+        _census_with_walk(monkeypatch, 4, mutate)
 
 
 @pytest.mark.parametrize(
@@ -161,16 +174,11 @@ def test_census_refuses_a_broken_walk(monkeypatch, mutate, message):
 def test_census_refuses_a_singular_walk_member(monkeypatch, rows):
     # a walk fault is a failed check (exit 1), not bad input (exit 3):
     # e0..e3 has j = n, and f0..f3 has no row with Q = 1
-    walk = f2quad._odd_lagrangian_words
+    def replace_first(words):
+        words[0] = _pack(4, rows)
 
-    def broken_walk(n):
-        words = walk(n)
-        words[0] = _pack(n, rows)
-        return words
-
-    monkeypatch.setattr(f2quad, "_odd_lagrangian_words", broken_walk)
     with pytest.raises(VerificationError, match="singular member"):
-        orbit_census(4, exhaustive=True)
+        _census_with_walk(monkeypatch, 4, replace_first)
     report, code = cli.run(["f2quad", "--n", "4", "--exhaustive"])
     assert code == 1 and "singular member" in report["error"]
 
@@ -227,15 +235,49 @@ def test_census_checks_every_batch_slot(monkeypatch, j, slot, row, bit, message)
     assert len(calls) == checked_after
 
 
+# the words at positions 0, 1, 500 and 2024 of an earlier n = 4 walk whose
+# words were not in order; one-bit flips turn 10 of their 128 (word, bit)
+# choices into another member
+_REPEAT_SOURCES = (0x80402011, 0x80402210, 0x8C4D2214, 0x11080402)
+
+
+def test_census_refuses_a_repeated_member(monkeypatch):
+    # a flipped word that is another member keeps the count and passes
+    # every witness check; only the order of the words can refuse it
+    n = 4
+    members = set(f2quad._odd_lagrangian_words(n))
+    mutants = [
+        (source, source ^ (1 << bit))
+        for source in _REPEAT_SOURCES
+        for bit in range(32)
+        if source ^ (1 << bit) in members
+    ]
+    assert len(mutants) == 10
+    for source, mutant in mutants:
+
+        def repeat(words, source=source, mutant=mutant):
+            words[words.index(source)] = mutant
+
+        with pytest.raises(VerificationError, match="not strictly descending"):
+            _census_with_walk(monkeypatch, n, repeat)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_census_refuses_words_out_of_order(monkeypatch, n):
+    def swap(words):
+        words[2], words[3] = words[3], words[2]
+
+    with pytest.raises(VerificationError, match="not strictly descending"):
+        _census_with_walk(monkeypatch, n, swap)
+
+
 def test_certified_census_builds_no_member_tuples(monkeypatch):
     def refuse(n):
         raise RuntimeError("enumerate_odd_lagrangians was called")
 
     monkeypatch.setattr(f2quad, "enumerate_odd_lagrangians", refuse)
-    assert orbit_census(4, exhaustive=True) == orbit_census(4)
-    # the n <= 3 route still partitions the tuples, so the patch is live
-    with pytest.raises(RuntimeError, match="was called"):
-        orbit_census(3)
+    for n in range(1, 6):
+        assert orbit_census(n, exhaustive=True) == orbit_census(n)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -392,6 +434,30 @@ def test_witness_failure_raises(monkeypatch):
         same_orbit_witness(n, member, rep)
 
 
+@pytest.mark.parametrize(
+    "row,source,message",
+    [(7, 4, "not an isometry"), (4, 0, "moves the left half")],
+)
+def test_witness_refuses_frames_off_the_standard_data(monkeypatch, row, source, message):
+    # adding an earlier row to a row past n keeps each frame a basis whose
+    # first n rows span its member, so F_a g = F_b still holds and only the
+    # frame check can refuse: with the first s (row n) added, the last row
+    # pairs with w_1; with w_1 added, the first s leaves the left half
+    n = 4
+    adapted = f2quad._adapted_frame
+
+    def sheared(n, member):
+        frame = adapted(n, member)
+        frame[row] ^= frame[source]
+        return frame
+
+    monkeypatch.setattr(f2quad, "_adapted_frame", sheared)
+    for member in sample_odd_lagrangians(n, count=4, seed=3):
+        rep = standard_odd_lagrangian(n, left_overlap(n, member))
+        with pytest.raises(VerificationError, match=message):
+            same_orbit_witness(n, member, rep)
+
+
 def _frame_data(n, rows):
     """Q of every row and the pairing of every pair, computed entry by entry."""
     qs = [quad_value(n, r) for r in rows]
@@ -444,7 +510,7 @@ def test_adapted_frame_refuses_singular_members():
 
 def test_census_certification_survives_optimize():
     # under python -O every assert is stripped; the census must still
-    # refuse a member whose witness misses it
+    # refuse a member whose witness misses it, and a repeated member
     script = textwrap.dedent(
         """
         import vftk.f2quad as f2quad
@@ -462,6 +528,20 @@ def test_census_certification_survives_optimize():
             f2quad.orbit_census(4, exhaustive=True)
         except VerificationError as exc:
             print("refused:", exc)
+
+        f2quad._adapted_frame = adapted
+        walk = f2quad._odd_lagrangian_words
+
+        def repeated_walk(n):
+            words = walk(n)
+            words[1] = words[0]
+            return words
+
+        f2quad._odd_lagrangian_words = repeated_walk
+        try:
+            f2quad.orbit_census(4, exhaustive=True)
+        except VerificationError as exc:
+            print("refused:", exc)
         """
     )
     src = os.path.dirname(os.path.dirname(f2quad.__file__))
@@ -473,7 +553,10 @@ def test_census_certification_survives_optimize():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("refused: witness misses its target member")
+    assert proc.stdout.splitlines() == [
+        "refused: witness misses its target member",
+        "refused: walk words are not strictly descending",
+    ]
 
 
 def test_witness_refutation_reports_overlaps():
@@ -528,29 +611,47 @@ def test_stabilizer_structure_counts_vs_quotients():
     # exhaustive subgroup counting (n <= 3) against the orbit quotient
     for n in (2, 3):
         for j in range(n):
-            info = stabilizer_structure(n, standard_odd_lagrangian(n, j))
-            assert info.overlap == j
-            assert info.order * orbit_size(n, j) == left_stabilizer_order(n)
-            assert info.order % info.unipotent_order == 0
+            order, u_order = listed_stabilizer_orders(n, standard_odd_lagrangian(n, j))
+            assert order * orbit_size(n, j) == left_stabilizer_order(n)
+            assert order % u_order == 0
+            assert stabilizer_structure(n, standard_odd_lagrangian(n, j)).overlap == j
     info = stabilizer_structure(3, standard_odd_lagrangian(3, 0))
     assert info.levi == "GL(0,2) x GL(2,2)"
     with pytest.raises(ValueError):
         stabilizer_structure(3, (1, 2, 4))  # the left half itself is singular
 
 
-def test_stabilizer_structure_is_conjugation_invariant():
-    import random
-
+def _seeded_conjugates():
+    """(base, moved): each n = 3 representative moved by 3 seeded generators."""
     n = 3
     rng = random.Random(11)
+    gens = left_stabilizer_generators(n)
     for j in range(n):
         base = standard_odd_lagrangian(n, j)
-        info0 = stabilizer_structure(n, base)
-        gens = left_stabilizer_generators(n)
         for _ in range(3):
-            # conjugating by a left-half isometry must not change the structure
-            moved = transform_member(n, gens[rng.randrange(len(gens))], base)
-            assert stabilizer_structure(n, moved) == info0
+            yield base, transform_member(n, gens[rng.randrange(len(gens))], base)
+
+
+def test_stabilizer_structure_is_conjugation_invariant():
+    # conjugating by a left-half isometry must not change the structure
+    for base, moved in _seeded_conjugates():
+        assert listed_stabilizer_orders(3, moved) == listed_stabilizer_orders(3, base)
+        assert stabilizer_structure(3, moved) == stabilizer_structure(3, base)
+
+
+def test_closed_forms_match_the_listing():
+    # the census's closed forms against the routes that list the group
+    # (n <= 3): the stabilizer and its unipotent kernel, filtered out of
+    # the whole left-half stabilizer, and the orbits of a BFS
+    members = [(n, standard_odd_lagrangian(n, j)) for n in (1, 2, 3) for j in range(n)]
+    members += [(3, moved) for _, moved in _seeded_conjugates()]
+    for n, member in members:
+        info = stabilizer_structure(n, member)
+        assert listed_stabilizer_orders(n, member) == (info.order, info.unipotent_order)
+    for n in (1, 2, 3):
+        orbits = orbit_partition(n, enumerate_odd_lagrangians(n))
+        sizes = sorted((left_overlap(n, next(iter(orbit))), len(orbit)) for orbit in orbits)
+        assert sizes == [(row.overlap, row.size) for row in orbit_census(n, exhaustive=True)]
 
 
 def test_gaussian_binomial():
@@ -562,8 +663,6 @@ def test_gaussian_binomial():
 
 
 def test_random_isometry_and_samples():
-    import random
-
     for n in (2, 3, 5):
         rng = random.Random(n)
         for _ in range(3):
