@@ -6,9 +6,7 @@ d_i the Smith diagonal of the integer rows R,
 (Cohen, GTM 138, 2.4.3).
 
 rational_row_basis holds a Z-module of rational rows as a common
-denominator den and the integer HNF basis of the rows scaled by den;
-_hnf_coords finds integer coordinates in an HNF basis by back-substitution
-along its pivots.
+denominator den and the integer HNF basis of the rows scaled by den.
 """
 
 from collections import Counter
@@ -31,21 +29,6 @@ def _scaled_hnf(rows):
     of the rows scaled by den, so basis / den is a Z-basis of their span."""
     den = lcm(1, *(x.denominator for r in rows for x in r))
     return den, hnf_basis([tuple(x.numerator * (den // x.denominator) for x in r) for r in rows])
-
-
-def _hnf_coords(basis, row):
-    """Integer c with c @ basis == row for an HNF basis, or None if none exists."""
-    row = list(row)
-    coords = []
-    for b in basis:
-        p = next(j for j, x in enumerate(b) if x)
-        c, rem = divmod(row[p], b[p])
-        if rem:
-            return None
-        coords.append(c)
-        if c:
-            row = [x - c * y for x, y in zip(row, b)]
-    return tuple(coords) if not any(row) else None
 
 
 def rational_row_basis(rows):

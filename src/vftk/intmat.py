@@ -9,9 +9,12 @@ A transform is recorded only where a caller reads one, by one rule: the
 HNF of [a | I] is [H | U] with U a = H, U unimodular (Cohen, GTM 138,
 2.4), since each row operation on a acts on I alike.  inverse reads
 [I | a^-1] off it, and snf carries its row transform the same way.
+
+Both normal forms rest on one extended-gcd step, _gcd_step.  hnf polls
+the budget once per row, so every Smith form polls through it.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 from . import budget
 
@@ -115,41 +118,62 @@ def inverse(a):
     return tuple(row[n:] for row in h)
 
 
+def _gcd_step(a, b, ra, rb):
+    """Rows (x ra + y rb, (a/g) rb - (b/g) ra) for entries a, b != 0 of ra, rb
+    in one column, g = gcd(a, b) = x a + y b: a determinant-1 transform that
+    leaves g and 0 there.  x is in [0, |b/g|), so ra stays when a divides b."""
+    g = gcd(a, b)
+    ag, bg = a // g, b // g
+    x = pow(ag, -1, abs(bg))
+    y = (g - x * a) // b
+    return [x * p + y * q for p, q in zip(ra, rb)], [ag * q - bg * p for p, q in zip(ra, rb)]
+
+
 def hnf(rows):
     """Row-style Hermite normal form H of rows.
 
     H is in echelon form with positive pivots and entries above each pivot
-    reduced into [0, pivot); zero rows sink to the bottom.
+    reduced into [0, pivot); zero rows sink to the bottom.  Each row goes
+    in once (Kannan & Bachem, SIAM J. Comput. 8(4), 1979): it takes one
+    _gcd_step with the pivot row of each leading column it meets, or
+    becomes that column's pivot row.  Then the entries above every pivot
+    are reduced, top pivot first.  Polls the budget once per row.
     """
-    h = [list(r) for r in rows]
-    m = len(h)
-    ncols = len(h[0]) if m else 0
-    row = 0
-    for col in range(ncols):
-        if row == m:
-            break
-        # find a pivot and clear the column below it by exact Euclid
-        piv = None
-        for r in range(row, m):
-            if h[r][col] != 0:
-                piv = r
+    ncols = len(rows[0]) if rows else 0
+    piv = {}  # pivot column -> pivot row
+    for row in rows:
+        budget.check()
+        for j in range(ncols):
+            if not row[j]:
+                continue
+            if j not in piv:
+                piv[j] = row if row[j] > 0 else [-x for x in row]
                 break
-        if piv is None:
-            continue
-        h[row], h[piv] = h[piv], h[row]
-        for r in range(row + 1, m):
-            while h[r][col] != 0:
-                q = h[row][col] // h[r][col]
-                h[row] = [a - q * b for a, b in zip(h[row], h[r])]
-                h[row], h[r] = h[r], h[row]
-        if h[row][col] < 0:
-            h[row] = [-a for a in h[row]]
-        for r in range(row):
-            q = h[r][col] // h[row][col]
-            if q:
-                h[r] = [a - q * b for a, b in zip(h[r], h[row])]
-        row += 1
-    return tuple(map(tuple, h))
+            piv[j], row = _gcd_step(piv[j][j], row[j], piv[j], row)
+        cols = sorted(piv)
+        for i, c in enumerate(cols):
+            p = piv[c]
+            for above in cols[:i]:
+                q = piv[above][c] // p[c]
+                if q:
+                    piv[above] = [x - q * y for x, y in zip(piv[above], p)]
+    h = tuple(tuple(piv[c]) for c in sorted(piv))
+    return h + ((0,) * ncols,) * (len(rows) - len(h))
+
+
+def _hnf_coords(basis, row):
+    """Integer c with c @ basis == row for an HNF basis, or None if none exists."""
+    row = list(row)
+    coords = []
+    for b in basis:
+        p = next(j for j, x in enumerate(b) if x)
+        c, rem = divmod(row[p], b[p])
+        if rem:
+            return None
+        coords.append(c)
+        if c:
+            row = [x - c * y for x, y in zip(row, b)]
+    return tuple(coords) if not any(row) else None
 
 
 def hnf_basis(rows):
@@ -165,37 +189,28 @@ def snf(a):
     diagonal with d on it for some unimodular v.  Row and column HNFs
     alternate until the matrix is diagonal, so every entry stays reduced
     (Kannan & Bachem, SIAM J. Comput. 8(4), 1979); the row passes run on
-    [s | u], so u rides in the identity columns.  Then a 2x2 gcd/lcm step
-    per pair d_i, d_j with d_i not dividing d_j restores the chain.  Each
-    pass polls the budget.
+    [s | u], so u rides in the identity columns; the budget is polled once
+    per row, by hnf.  Then _gcd_step on rows i, j of u turns diag(d_i, d_j)
+    into diag(gcd, lcm) wherever d_i does not divide d_j, restoring the
+    chain (the column transform, not kept, is [[1, -y b/g], [1, x a/g]]
+    with a, b = d_i, d_j and x, y of the step).
     """
     n = len(a[0]) if a else 0
     h = hnf(_with_identity(a))
     s = [row[:n] for row in h]
     while any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
-        budget.check()
         s = transpose(hnf(transpose(s)))
         h = hnf([row + su[n:] for row, su in zip(s, h)])
         s = [row[:n] for row in h]
     # HNF pivots are positive and zero rows sink: d_0, ..., d_{r-1} > 0, then zeros
     d = [s[i][i] for i in range(min(len(s), n))]
     r = len(d) - d.count(0)
-    u = [list(row[n:]) for row in h]
+    u = [row[n:] for row in h]
     for i in range(r):
         for j in range(i + 1, r):
-            if d[j] % d[i] == 0:
-                continue
-            # diag(a, b) -> diag(g, lcm): rows by [[x, y], [-b/g, a/g]], columns
-            # (not kept) by [[1, -yb/g], [1, xa/g]], both of determinant xa/g + yb/g = 1
-            a, b = d[i], d[j]
-            g = gcd(a, b)
-            ag, bg = a // g, b // g
-            x = pow(ag, -1, bg)
-            y = (g - x * a) // b
-            ui, uj = u[i], u[j]
-            u[i] = [x * p + y * q for p, q in zip(ui, uj)]
-            u[j] = [ag * q - bg * p for p, q in zip(ui, uj)]
-            d[i], d[j] = g, ag * b
+            if d[j] % d[i]:
+                u[i], u[j] = _gcd_step(d[i], d[j], u[i], u[j])
+                d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
     return tuple(d), tuple(map(tuple, u))
 
 

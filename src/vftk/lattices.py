@@ -18,9 +18,9 @@ from math import isqrt, lcm
 from operator import mul
 
 from . import budget
-from .abelian import _hnf_coords, prime_factors
+from .abelian import prime_factors
 from .f2codes import hamming_code
-from .intmat import _bareiss, block_diagonal, det, hnf_basis, mat_mul, snf, transpose
+from .intmat import _bareiss, _hnf_coords, block_diagonal, det, hnf_basis, mat_mul, snf, transpose
 
 __all__ = [
     "IntegralLattice",

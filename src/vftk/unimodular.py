@@ -18,8 +18,8 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from . import budget
-from .abelian import _hnf_coords, prime_factors
-from .intmat import block_diagonal, hnf_basis, identity, mat_mul, transpose, vec_mat
+from .abelian import prime_factors
+from .intmat import _hnf_coords, block_diagonal, hnf_basis, identity, mat_mul, transpose, vec_mat
 from .lattices import IntegralLattice, direct_sum, discriminant_group, short_vectors
 from .stabsearch import chain
 from .verify import verify

@@ -11,7 +11,7 @@ from itertools import combinations, permutations, product
 from math import isqrt
 
 from vftk import budget, frames
-from vftk.abelian import _hnf_coords, _scaled_hnf
+from vftk.abelian import _scaled_hnf
 from vftk.bits import (
     f2_echelon,
     f2_identity,
@@ -33,7 +33,7 @@ from vftk.f2quad import (
     quad_value,
     transform_member,
 )
-from vftk.intmat import identity, mat_mul, snf_divisors, vec_mat
+from vftk.intmat import _hnf_coords, identity, mat_mul, snf_divisors, vec_mat
 from vftk.lattices import IntegralLattice, short_vectors
 from vftk.stabsearch import orbit
 from vftk.verify import verify
@@ -86,6 +86,42 @@ def inverse_gauss_jordan(a):
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return tuple(tuple(row[n:]) for row in m)
+
+
+def hnf_euclid(rows):
+    """Row-style Hermite normal form by column-wise Euclid: each column is
+    cleared below its pivot by repeated divisions between whole rows, and
+    entries are reduced only above a finished pivot.  The entries of the
+    trailing columns grow with every step, so small inputs only."""
+    h = [list(r) for r in rows]
+    m = len(h)
+    ncols = len(h[0]) if m else 0
+    row = 0
+    for col in range(ncols):
+        if row == m:
+            break
+        # find a pivot and clear the column below it by exact Euclid
+        piv = None
+        for r in range(row, m):
+            if h[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        h[row], h[piv] = h[piv], h[row]
+        for r in range(row + 1, m):
+            while h[r][col] != 0:
+                q = h[row][col] // h[r][col]
+                h[row] = [a - q * b for a, b in zip(h[row], h[r])]
+                h[row], h[r] = h[r], h[row]
+        if h[row][col] < 0:
+            h[row] = [-a for a in h[row]]
+        for r in range(row):
+            q = h[r][col] // h[row][col]
+            if q:
+                h[r] = [a - q * b for a, b in zip(h[r], h[row])]
+        row += 1
+    return tuple(map(tuple, h))
 
 
 def quotient_divisors_general(sup_rows, sub_rows):

@@ -54,7 +54,7 @@ def test_deadline_restored_after_normal_exit():
 
 
 def test_snf_divisors_is_bounded():
-    # snf_divisors reaches the Smith form's poll without passing anything
+    # snf_divisors reaches hnf's per-row poll without passing anything
     with pytest.raises(BudgetExceeded), budget.limit(0):
         snf_divisors(STALLS_PIVOT_SNF)
     assert snf_divisors(STALLS_PIVOT_SNF) == (1, 1, 1, 1, 1, 1940100)

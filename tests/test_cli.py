@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -41,6 +42,19 @@ SKEW6 = (
 )
 
 
+def rank24_gram():
+    """A seeded symmetric even Gram of rank 24, entries in [-1000, 1000]."""
+    rng = random.Random(1)
+    g = [[0] * 24 for _ in range(24)]
+    for i in range(24):
+        for j in range(i + 1):
+            v = rng.randint(-1000, 1000)
+            if i == j:
+                v -= v % 2
+            g[i][j] = g[j][i] = v
+    return g
+
+
 @pytest.fixture(scope="module")
 def gram_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("grams")
@@ -70,6 +84,7 @@ def gram_files(tmp_path_factory):
         big_prime=IntegralLattice.from_gram([[2 * (10**9 + 7)]]),
         two_big_primes=IntegralLattice.from_gram([[2 * (10**9 + 7) * (10**9 + 9)]]),
         degenerate=IntegralLattice.from_gram([[2, 2], [2, 2]]),
+        rank24=IntegralLattice.from_gram(rank24_gram()),
     )
     for name, lat in grams.items():
         path = d / f"{name}.gram"
@@ -306,9 +321,9 @@ def test_zero_budget_stops_every_subcommand(monkeypatch, gram_files, command):
     assert report["command"] == command and "error" in report
 
 
-def _assert_budget_binds(argv, seconds="0.5"):
-    """A budget of `seconds` stops argv in a fresh interpreter with exit 4
-    in < 1.5 s; it must be well below the command's own run time."""
+def _run_fresh(argv, seconds, timeout=60):
+    """(process, elapsed seconds) of argv in a fresh interpreter under a
+    budget of `seconds`."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, VFTK_BUDGET_SECONDS=seconds, PYTHONPATH=src)
     start = time.monotonic()
@@ -317,9 +332,15 @@ def _assert_budget_binds(argv, seconds="0.5"):
         env=env,
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
     )
-    elapsed = time.monotonic() - start
+    return proc, time.monotonic() - start
+
+
+def _assert_budget_binds(argv, seconds="0.5"):
+    """A budget of `seconds` stops argv in a fresh interpreter with exit 4
+    in < 1.5 s; it must be well below the command's own run time."""
+    proc, elapsed = _run_fresh(argv, seconds)
     assert proc.returncode == 4, proc.stderr
     report = json.loads(proc.stdout)
     assert report["command"] == argv[0] and "error" in report
@@ -354,6 +375,23 @@ def test_budget_binds_factoring_two_large_primes(gram_files):
     # det 2 (10^9 + 7)(10^9 + 9): trial division of the glue order runs to
     # 10^9 + 7, ~5 * 10^8 steps, until a faster factorization replaces it
     _assert_budget_binds(["unimodularize", "--gram", gram_files["two_big_primes"]])
+
+
+def test_hyperbolic_on_rank24_gram(gram_files):
+    # the Smith form of the Gram ran past 12 s under a 3 s budget while hnf
+    # cleared each column by Euclid divisions between whole rows, unpolled
+    argv = ["unimodularize", "--gram", gram_files["rank24"], "--mode", "hyperbolic"]
+    proc, elapsed = _run_fresh(argv, "3", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert checks and all(c["pass"] for c in checks)
+    assert elapsed < 2
+
+
+def test_budget_binds_on_rank24_gram(gram_files):
+    # past the Smith form, the definite mode trial-divides the 78-digit
+    # determinant, until a faster factorization replaces it
+    _assert_budget_binds(["unimodularize", "--gram", gram_files["rank24"]])
 
 
 def test_exit_code_failed_check(monkeypatch):

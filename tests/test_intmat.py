@@ -6,7 +6,7 @@ from math import gcd, prod
 
 import pytest
 
-from oracles import det_gauss, inverse_gauss_jordan
+from oracles import det_gauss, hnf_euclid, inverse_gauss_jordan
 from vftk import budget
 from vftk.budget import BudgetExceeded
 from vftk.intmat import (
@@ -172,11 +172,31 @@ def test_snf_passed_deadline_raises():
 
 
 def test_hnf_random():
+    # rectangular and rank-deficient shapes up to 8 x 8: H, and [H | U] of
+    # [a | I], equal those of the column-wise Euclid reference
     rng = random.Random(3)
-    for _ in range(150):
-        verify_hnf(random_oracle_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)))
+    for _ in range(300):
+        a = random_oracle_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
+        assert verify_hnf(a) == hnf_euclid(a)
+        with_identity = [tuple(row) + e for row, e in zip(a, identity(len(a)))]
+        assert hnf(with_identity) == hnf_euclid(with_identity)
     assert hnf(()) == ()
     assert hnf(((),) * 3) == ((),) * 3
+
+
+def test_hnf_passed_deadline_raises():
+    with pytest.raises(BudgetExceeded), budget.limit(0):
+        hnf(STALLS_PIVOT_SNF)
+
+
+def test_hnf_large_entries_finish():
+    # column-wise Euclid gave no result after 20 s: its trailing entries grow
+    # with every division; row insertion keeps them reduced by the pivots
+    rng = random.Random(30)
+    a = tuple(tuple(rng.randint(-10**6 + 1, 10**6 - 1) for _ in range(30)) for _ in range(30))
+    with budget.limit(1):
+        h = verify_hnf(a)
+    assert prod(h[i][i] for i in range(30)) == abs(det(a))
 
 
 def test_hnf_basis_spans_same_lattice():
