@@ -14,7 +14,7 @@ __all__ = [
     "f2_rref",
     "f2_reduce",
     "f2_span",
-    "f2_orth",
+    "f2_orth_step",
     "f2_mat_mul",
     "f2_vec_mat",
     "f2_mat_inverse",
@@ -70,25 +70,25 @@ def f2_span(rows):
     return out
 
 
-def f2_orth(basis, rows):
-    """Echelon basis of the vectors in span(basis) with even overlap with every row.
+def f2_orth_step(basis, row):
+    """Cut an echelon basis, in place, to the vectors of its span with even
+    overlap with row; return the vector dropped, or 0 if none was.
 
-    `basis` must be echelon (distinct leading bits, descending), and so is
-    the result.  Each row cuts the span by at most one dimension: the
-    odd-overlap vector with the lowest leading bit is folded into the
-    other odd-overlap vectors, whose leading bits it cannot touch, and
-    dropped.  A fully reduced basis (each vector 0 at the leading bits of
-    the others) stays fully reduced, since the folded vector is 0 at the
-    leading bits that remain.
+    `basis` must be an echelon list (distinct leading bits, descending),
+    and stays one.  The span loses at most one dimension: the odd-overlap
+    vector with the lowest leading bit is folded into the other
+    odd-overlap vectors, whose leading bits it cannot touch, and dropped,
+    so every other leading bit stays in place.  A fully reduced basis
+    (each vector 0 at the leading bits of the others) stays fully
+    reduced, since the folded vector is 0 at the leading bits that remain.
     """
-    basis = list(basis)
-    for r in rows:
-        odd = [i for i, b in enumerate(basis) if (b & r).bit_count() & 1]
-        if odd:
-            low = basis.pop(odd.pop())
-            for i in odd:
-                basis[i] ^= low
-    return basis
+    odd = [i for i, b in enumerate(basis) if (b & row).bit_count() & 1]
+    if not odd:
+        return 0
+    low = basis.pop(odd.pop())
+    for i in odd:
+        basis[i] ^= low
+    return low
 
 
 def f2_identity(n):

@@ -25,13 +25,14 @@ from .bits import (
     f2_identity,
     f2_mat_inverse,
     f2_mat_mul,
-    f2_orth,
+    f2_orth_step,
     f2_rank,
     f2_rref,
     f2_transpose,
     f2_vec_mat,
     gl2_order,
 )
+from .parts import max_parts, run_parts
 from .stabsearch import CHECK_EVERY, orbit
 from .verify import verify
 
@@ -72,11 +73,6 @@ def _swap_halves(n, v):
 def pairing(n, u, v):
     """Bilinear pairing Q(u+v) + Q(u) + Q(v)."""
     return (_swap_halves(n, u) & v).bit_count() & 1
-
-
-def _leading_bits(basis):
-    """Mask of the leading bits of an echelon basis."""
-    return sum(1 << (b.bit_length() - 1) for b in basis)
 
 
 def nonsingular_vectors(n):
@@ -140,8 +136,10 @@ def enumerate_odd_lagrangians(n):
     return tuple(_unpack(n, word) for word in reversed(_odd_lagrangian_words(n)))
 
 
-def _odd_lagrangian_words(n):
-    """Every odd Lagrangian as one packed word, strictly descending.
+def _odd_lagrangian_words(n, part=0, parts=1):
+    """Every odd Lagrangian as one packed word, strictly descending; with
+    parts > 1, only the members whose first row w has w.bit_count() %
+    parts == part.
 
     A word holds the member's RREF rows in n fields of 2n bits each, the
     first row in the highest field; n <= 5 keeps it within n * 2n <= 50
@@ -153,11 +151,13 @@ def _odd_lagrangian_words(n):
     leading bits, the rows' OR, their packed prefix and whether Q is
     nonzero on one of them, so a new row with pivot p is a perp basis
     vector led by an unused bit p plus any combination of the perp basis
-    vectors below it.
+    vectors below it.  The root enters only the first rows of the part, so
+    the parts partition the members and each is a subsequence of the
+    whole walk.
 
-    The perp starts as the identity and f2_orth keeps it fully reduced:
-    each vector is 0 at the leading bits of the others.  So of two
-    combinations of perp vectors, the larger is the one that uses the
+    The perp starts as the identity and f2_orth_step keeps it fully
+    reduced: each vector is 0 at the leading bits of the others.  So of
+    two combinations of perp vectors, the larger is the one that uses the
     highest vector in which they differ, and each node visits its
     candidates in descending order: by pivot, then by the combination
     below it.  A word's rows are its path from the root, so the words come
@@ -165,12 +165,12 @@ def _odd_lagrangian_words(n):
 
     A child is entered only if its perp still has enough candidate
     pivots: leading bits below p and outside the OR of its rows, one for
-    each row still missing.  This is sound because f2_orth keeps the
-    leading bit of every basis vector it does not drop, so every later
-    pivot leads a vector of the child's perp; for the same reason the
-    parent's mask is a first, cheaper test.  The pruned nodes are the ones
-    with no leaf below them; the budget is polled every CHECK_EVERY
-    recursive calls.
+    each row still missing.  f2_orth_step drops one vector of the perp and
+    keeps the leading bit of every other, so the child's mask is the
+    parent's without the dropped vector's leading bit, every later pivot
+    leads a vector of the child's perp, and the parent's mask is a first,
+    cheaper test.  The pruned nodes are the ones with no leaf below them;
+    the budget is polled every CHECK_EVERY recursive calls.
     """
     if not 1 <= n <= 5:
         raise ValueError("exhaustive enumeration is limited to 1 <= n <= 5")
@@ -187,6 +187,7 @@ def _odd_lagrangian_words(n):
             if odd:
                 words.append(packed)
             return
+        root = parts > 1 and need == n
         span = None
         for i, b in enumerate(perp):
             p = b.bit_length() - 1
@@ -202,13 +203,18 @@ def _odd_lagrangian_words(n):
                     span = [v ^ c for c in span] + span
             for c in span[-(1 << (len(perp) - 1 - i)) :]:
                 w = b ^ c
+                if root and w.bit_count() % parts != part:
+                    continue
                 free = ((1 << p) - 1) & ~(used | w)
                 if (leads & free).bit_count() < need - 1:
                     continue  # the child's leading bits are a subset of leads
-                child = f2_orth(perp, [_swap_halves(n, w)]) if need > 1 else ()
-                child_leads = _leading_bits(child)
-                if (child_leads & free).bit_count() < need - 1:
-                    continue
+                child, child_leads = (), 0
+                if need > 1:
+                    child = perp.copy()
+                    low = f2_orth_step(child, _swap_halves(n, w))
+                    child_leads = leads & ~(1 << low.bit_length() >> 1)
+                    if (child_leads & free).bit_count() < need - 1:
+                        continue
                 rec(child, child_leads, used | w, p - 1, packed << width | w, need - 1, odd or quad_value(n, w))
 
     rec(f2_identity(width)[::-1], (1 << width) - 1, 0, width - 1, 0, n, 0)
@@ -461,6 +467,12 @@ def stabilizer_structure(n, member):
     return StabilizerInfo(j, order, u_order, f"GL({j},2) x GL({n - 1 - j},2)")
 
 
+# A split census makes at most one part per _PART_MEMBERS members: at n = 4
+# (2,025 members) a forked part measured slower than one part, and n = 5
+# (71,145 members) splits.
+_PART_MEMBERS = 8192
+
+
 def orbit_census(n, exhaustive=False):
     """One row per orbit of the left-half stabilizer on odd Lagrangians.
 
@@ -471,13 +483,25 @@ def orbit_census(n, exhaustive=False):
     left overlap onto the member; the count of each overlap must then be
     its closed-form orbit size.  A failed check raises VerificationError.
 
-    The census runs in two phases.  The walk first stores every member as
-    one packed word of at most 50 bits, 8 bytes in an array (see
-    _odd_lagrangian_words); then each word is unpacked and certified in
-    turn, so no list of row tuples is held.  The walk yields its words
-    strictly descending, and the census checks that order word by word
-    against the previous one: with the count, it refuses a repeated
-    member, which every witness check would pass, in O(1) memory.
+    The certified census is split into parts by the first row w of each
+    member, part w.bit_count() % parts, as parts.run_parts places them:
+    part 0 here, the others in forked workers where forking is allowed.
+    There are as many parts as CPUs (parts.max_parts), but no more than
+    one per _PART_MEMBERS members of the closed-form count, so up to n =
+    4 (2,025 members) the census runs in one part.  Each part walks and
+    certifies its own members and returns only its n counts, which add
+    up here; their total must be total_odd_count(n) and each its
+    closed-form orbit size.
+
+    A part runs in two phases (see _certified_sizes).  Its walk first
+    stores every member of the part as one packed word of at most 50
+    bits, 8 bytes in an array (see _odd_lagrangian_words); then each word
+    is unpacked and certified in turn, so no list of row tuples is held.
+    The walk yields its words strictly descending, and the part checks
+    that order word by word against the previous one, and that each
+    word's first row belongs to the part: with the count, that refuses a
+    repeated member, which every witness check would pass, in O(1)
+    memory, whether the repeat falls in one part or in two.
 
     The witness of a member with overlap j is h = T^-1 F, with T the
     standard frame of j and F the member's adapted frame, so h maps row k
@@ -494,32 +518,11 @@ def orbit_census(n, exhaustive=False):
     bit slices (see _verify_frames).
     """
     if exhaustive or n <= 3:
-        words = _odd_lagrangian_words(n)
-        verify(len(words) == total_odd_count(n), "enumeration missed the closed-form count")
-        width = 2 * n
-        sizes = [0] * n
-        batches = [array("H") for _ in range(n)]
-        previous = 1 << (width * n)
-        for word in words:
-            budget.check()
-            verify(word < previous, "walk words are not strictly descending")
-            previous = word
-            member = _unpack(n, word)
-            # canonical RREF: the rows below 1 << n span the left overlap;
-            # Q vanishes on the left half, so a row with Q = 1 puts j < n
-            j = sum(r < (1 << n) for r in member)
-            verify(any(quad_value(n, r) for r in member), "walk yields a singular member")
-            frame = _adapted_frame(n, member)
-            verify(f2_rref(frame[:n]) == member, "witness misses its target member")
-            batch = batches[j]
-            batch.extend(frame)
-            if len(batch) == _BATCH * width:
-                _verify_frames(n, j, batch)
-                del batch[:]
-            sizes[j] += 1
-        for j, batch in enumerate(batches):
-            if batch:
-                _verify_frames(n, j, batch)
+        total = total_odd_count(n)
+        parts = max(1, min(max_parts(), total // _PART_MEMBERS))
+        counts = run_parts(lambda part: _certified_sizes(n, part, parts), parts)
+        sizes = [sum(part_sizes) for part_sizes in zip(*counts)]
+        verify(sum(sizes) == total, "enumeration missed the closed-form count")
         verify(sizes == [orbit_size(n, j) for j in range(n)], "orbit sizes disagree with the closed form")
     rows = []
     for j in range(n):
@@ -528,3 +531,38 @@ def orbit_census(n, exhaustive=False):
         verify(size * info.order == left_stabilizer_order(n), "orbit-stabilizer product is off")
         rows.append(OrbitClass(j, size, info.order, info.unipotent_order, info.levi))
     return tuple(rows)
+
+
+def _certified_sizes(n, part, parts):
+    """The member count of each left overlap in one part of the census,
+    every member certified; orbit_census states the checks."""
+    words = _odd_lagrangian_words(n, part, parts)
+    # no part holds more members than the whole census: refused before
+    # any member is certified
+    verify(len(words) <= total_odd_count(n), "enumeration missed the closed-form count")
+    width = 2 * n
+    sizes = [0] * n
+    batches = [array("H") for _ in range(n)]
+    previous = 1 << (width * n)
+    for word in words:
+        budget.check()
+        verify(word < previous, "walk words are not strictly descending")
+        previous = word
+        member = _unpack(n, word)
+        verify(member[0].bit_count() % parts == part, "walk word is outside its part")
+        # canonical RREF: the rows below 1 << n span the left overlap;
+        # Q vanishes on the left half, so a row with Q = 1 puts j < n
+        j = sum(r < (1 << n) for r in member)
+        verify(any(quad_value(n, r) for r in member), "walk yields a singular member")
+        frame = _adapted_frame(n, member)
+        verify(f2_rref(frame[:n]) == member, "witness misses its target member")
+        batch = batches[j]
+        batch.extend(frame)
+        if len(batch) == _BATCH * width:
+            _verify_frames(n, j, batch)
+            del batch[:]
+        sizes[j] += 1
+    for j, batch in enumerate(batches):
+        if batch:
+            _verify_frames(n, j, batch)
+    return sizes

@@ -10,8 +10,6 @@ subgroup, pointwise stabilizer, torus-intersection types, wreath-product
 order formulas) is bookkeeping on top of that search.
 """
 
-import marshal
-import os
 from collections import namedtuple
 from functools import cache
 from math import factorial, prod
@@ -22,6 +20,7 @@ from .abelian import quotient_divisors, type_string
 from .bits import f2_rank, gl2_order
 from .f2codes import classify_markings, hamming_code
 from .lattices import ambient_to_basis, e8_lattice, short_vectors
+from .parts import max_parts, run_parts
 from .stabsearch import stabilizer
 from .verify import verify
 
@@ -361,9 +360,6 @@ def frame_invariants(lattice, frame):
 # The E8 builds below are cached for the process once a call completes; a
 # build that runs out of budget raises, so it caches nothing.
 
-_MAX_CENSUS_PROCESSES = 8  # the census walk uses at most this many processes
-
-
 @cache
 def _e8_graph():
     """The norm-4 graph of E8, shared by the representatives and the census."""
@@ -417,22 +413,12 @@ def classify_e8_frames():
 
     The walk is split by depth-0 vertex v into the parts v % w, each
     walked with _walk_frames(graph, roots=part), where w is the number of
-    CPUs this process may use, at most _MAX_CENSUS_PROCESSES;
-    _split_census says where the parts run.  The merge is exact: counts
-    and nodes add up, and each class's first clique is the largest of the
-    parts' firsts, because the walk meets cliques in descending
+    CPUs this process may use (parts.max_parts).  The merge is exact:
+    counts and nodes add up, and each class's first clique is the largest
+    of the parts' firsts, because the walk meets cliques in descending
     lexicographic order.  So the result does not depend on w.
     """
-    return _classify_e8_frames(_census_processes())
-
-
-def _census_processes():
-    """The CPUs this process may use, at most _MAX_CENSUS_PROCESSES."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call outside Linux
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_CENSUS_PROCESSES)
+    return _classify_e8_frames(max_parts())
 
 
 def _classify_e8_frames(parts):
@@ -482,108 +468,20 @@ def _census_part(graph, roots):
 def _split_census(graph, parts):
     """_census_part of the whole walk, merged from `parts` parts.
 
-    Part i holds the depth-0 vertices v with v % parts == i.  Part 0 runs
-    in this process.  When os.fork exists and no other thread is alive,
-    every other part runs in a forked worker, which shares this process's
-    pages copy-on-write and sends its result back over a pipe; otherwise
-    the parts run here one after another.  classify_e8_frames states the
-    merge rules.
+    Part i holds the depth-0 vertices v with v % parts == i, and runs as
+    parts.run_parts places it: part 0 here, every other part in a forked
+    worker where forking is allowed.  classify_e8_frames states the merge
+    rules.
     """
     n = len(graph.adj)
     roots = [sum(1 << v for v in range(i, n, parts)) for i in range(parts)]
-    if parts > 1 and _may_fork():
-        results = _forked_parts(graph, roots)
-    else:
-        results = [_census_part(graph, part) for part in roots]
     counts, first, nodes = {}, {}, 0
-    for part_counts, part_first, part_nodes in results:
+    for part_counts, part_first, part_nodes in run_parts(lambda i: _census_part(graph, roots[i]), parts):
         for k, count in part_counts.items():
             counts[k] = counts.get(k, 0) + count
             first[k] = max(first.get(k, ()), part_first[k])
         nodes += part_nodes
     return counts, first, nodes
-
-
-def _may_fork():
-    """Whether the census may fork: os.fork exists and no other thread lives."""
-    import threading  # here, not at the top: only the census needs it
-
-    return hasattr(os, "fork") and threading.active_count() == 1
-
-
-def _forked_parts(graph, roots):
-    """_census_part of roots[0] here and of every other part in a worker.
-
-    A worker inherits the budget deadline.  Its BudgetExceeded is raised
-    here again; any other failure, an exit without a result included, is a
-    VerificationError.  However this returns, no worker outlives it.
-    """
-    import signal
-
-    workers = []  # [pid, read end of its result pipe]
-    try:
-        for part in roots[1:]:
-            read, write = os.pipe()
-            workers.append([None, read])
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(write)
-                raise
-            if not pid:
-                os.close(read)
-                _census_worker(graph, part, write)
-            os.close(write)
-            workers[-1][0] = pid
-        results = [_census_part(graph, roots[0])]
-        for worker in workers:
-            pid, read = worker
-            with open(read, "rb") as pipe:
-                worker[1] = None
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            worker[0] = None
-            try:
-                tag, value = marshal.loads(data)
-            except (EOFError, ValueError, TypeError):
-                tag, value = "error", f"no result, exit status {os.waitstatus_to_exitcode(status)}"
-            if tag == "budget":
-                raise budget.BudgetExceeded(value)
-            verify(tag == "ok", f"census worker failed: {value}")
-            results.append(value)
-        return results
-    finally:
-        for pid, read in workers:
-            if read is not None:
-                os.close(read)
-            if pid is not None:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-                os.waitpid(pid, 0)
-
-
-def _census_worker(graph, roots, write):
-    """In a forked worker: send (tag, value) for one part, then exit.
-
-    The worker never returns into its parent's stack: whatever happens,
-    it leaves through os._exit, and without a result on anything that
-    is not an Exception.
-    """
-    status = 1
-    try:
-        try:
-            outcome = ("ok", _census_part(graph, roots))
-        except budget.BudgetExceeded as exc:
-            outcome = ("budget", str(exc))
-        except Exception as exc:
-            outcome = ("error", f"{type(exc).__name__}: {exc}")
-        with open(write, "wb") as pipe:
-            pipe.write(marshal.dumps(outcome))
-        status = 0
-    finally:
-        os._exit(status)
 
 
 # --- order formulas ---------------------------------------------------------

@@ -9,6 +9,7 @@ integers — no analytic objects anywhere.
 
 from collections import namedtuple
 from itertools import product as iproduct
+from operator import mul
 
 from .bits import f2_vec_mat
 from .f2codes import rm1_subcode
@@ -47,11 +48,8 @@ class EpsilonCocycle(namedtuple("EpsilonCocycle", "lattice exponents")):
         return len(self.exponents)
 
     def epsilon(self, x, y):
-        total = 0
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.exponents[i]
-                total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
+        rows = self.exponents
+        total = sum(xi * sum(map(mul, rows[i], y)) for i, xi in enumerate(x) if xi)
         return -1 if total & 1 else 1
 
     # --- group law of the extension ---------------------------------------
@@ -111,19 +109,14 @@ class LiftedAutomorphism(namedtuple("LiftedAutomorphism", "cocycle matrix mu_bit
     __slots__ = ()
 
     def mu_exponent(self, x):
+        """mu_bits . x + sum over i of c_ii x_i (x_i - 1) / 2 + sum over
+        i < j of c_ij x_i x_j, mod 2, with C = cmatrix."""
         c = self.cmatrix
-        total = sum(m * xi for m, xi in zip(self.mu_bits, x))
-        n = len(x)
-        for i in range(n):
-            xi = x[i]
-            if not xi:
-                continue
-            if c[i][i]:
-                total += (xi * (xi - 1) // 2) * c[i][i]
-            row = c[i]
-            for j in range(i + 1, n):
-                if x[j]:
-                    total += row[j] * xi * x[j]
+        total = sum(map(mul, self.mu_bits, x))
+        for i, xi in enumerate(x):
+            if xi:
+                row = c[i]
+                total += (xi * (xi - 1) // 2) * row[i] + xi * sum(map(mul, row[i + 1 :], x[i + 1 :]))
         return total % 2
 
     def mu(self, x):

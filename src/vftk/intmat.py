@@ -15,6 +15,7 @@ the budget once per row, so every Smith form polls through it.
 """
 
 from math import gcd, lcm
+from operator import mul
 
 from . import budget
 
@@ -53,12 +54,11 @@ def transpose(a):
 
 def mat_mul(a, b):
     bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def vec_mat(v, m):
-    cols = list(zip(*m))
-    return tuple(sum(x * y for x, y in zip(v, col)) for col in cols)
+    return tuple(sum(map(mul, v, col)) for col in zip(*m))
 
 
 def det(a):

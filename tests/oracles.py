@@ -17,7 +17,7 @@ from vftk.bits import (
     f2_identity,
     f2_mat_inverse,
     f2_mat_mul,
-    f2_orth,
+    f2_orth_step,
     f2_rank,
     f2_reduce,
     f2_rref,
@@ -385,6 +385,46 @@ def f2_transpose_bitwise(rows, width):
             c |= ((r >> j) & 1) << i
         out.append(c)
     return out
+
+
+def epsilon_by_loops(exponents, x, y):
+    """EpsilonCocycle.epsilon by the definition: (-1)^(x E y^T), summed
+    entry by entry over the nonzero coordinates."""
+    total = 0
+    for i, xi in enumerate(x):
+        if xi:
+            row = exponents[i]
+            total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
+    return -1 if total & 1 else 1
+
+
+def mu_exponent_by_loops(cmatrix, mu_bits, x):
+    """LiftedAutomorphism.mu_exponent by the definition, entry by entry:
+    mu_bits . x + sum_i c_ii x_i (x_i - 1) / 2 + sum_(i < j) c_ij x_i x_j
+    mod 2."""
+    c = cmatrix
+    total = sum(m * xi for m, xi in zip(mu_bits, x))
+    n = len(x)
+    for i in range(n):
+        xi = x[i]
+        if not xi:
+            continue
+        if c[i][i]:
+            total += (xi * (xi - 1) // 2) * c[i][i]
+        row = c[i]
+        for j in range(i + 1, n):
+            if x[j]:
+                total += row[j] * xi * x[j]
+    return total % 2
+
+
+def f2_orth(basis, rows):
+    """Echelon basis of the vectors in span(basis) with even overlap with
+    every row: one f2_orth_step per row, on a copy of basis."""
+    basis = list(basis)
+    for r in rows:
+        f2_orth_step(basis, r)
+    return basis
 
 
 def f2_subspaces(width, dim):

@@ -4,13 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from oracles import f2_subspaces, f2_transpose_bitwise
+from oracles import f2_orth, f2_subspaces, f2_transpose_bitwise
 from vftk.bits import (
     f2_echelon,
     f2_mat_inverse,
     f2_mat_mul,
     f2_identity,
-    f2_orth,
+    f2_orth_step,
     f2_rank,
     f2_reduce,
     f2_rref,
@@ -57,6 +57,23 @@ def test_orth_against_brute_force():
         }
         assert set(f2_span(orth)) == brute
         assert len(brute) == 1 << len(orth)
+
+
+def test_orth_step_drops_one_leading_bit():
+    # the walk of f2quad reads the new mask of leading bits off the
+    # dropped vector alone, and relies on full reduction surviving
+    rng = random.Random(14)
+    for _ in range(200):
+        width = rng.randint(1, 8)
+        basis = list(f2_rref(rng.randrange(1 << width) for _ in range(rng.randint(0, width))))
+        row = rng.randrange(1 << width)
+        before = sum(1 << (b.bit_length() - 1) for b in basis)
+        cut = basis.copy()
+        low = f2_orth_step(cut, row)
+        assert sum(1 << (b.bit_length() - 1) for b in cut) == before & ~(1 << low.bit_length() >> 1)
+        assert (low == 0) == all((b & row).bit_count() % 2 == 0 for b in basis)
+        assert len(cut) == len(basis) - (low != 0)
+        assert tuple(cut) == f2_rref(cut)  # still fully reduced
 
 
 def test_mat_inverse():

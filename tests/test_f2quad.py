@@ -5,11 +5,13 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from itertools import product
 
 import pytest
 
 import vftk.f2quad as f2quad
+from vftk import budget, parts
 from oracles import (
     f2_subspaces,
     fixes_left_half,
@@ -20,6 +22,7 @@ from oracles import (
     sample_odd_lagrangians,
 )
 from vftk import cli
+from vftk.budget import BudgetExceeded
 from vftk.bits import (
     f2_identity,
     f2_mat_mul,
@@ -135,10 +138,11 @@ def test_walk_words_pack_the_enumeration(n):
 
 
 def _census_with_walk(monkeypatch, n, mutate):
-    """orbit_census(n, exhaustive=True) with mutate applied to the walk's words."""
+    """orbit_census(n, exhaustive=True) with mutate applied to the walk's
+    words, in each part of the census."""
 
-    def broken_walk(n):
-        words = _WALK(n)
+    def broken_walk(n, part=0, parts=1):
+        words = _WALK(n, part, parts)
         mutate(words)
         return words
 
@@ -269,6 +273,166 @@ def test_census_refuses_words_out_of_order(monkeypatch, n):
 
     with pytest.raises(VerificationError, match="not strictly descending"):
         _census_with_walk(monkeypatch, n, swap)
+
+
+def _split(monkeypatch, count, forked=True):
+    """Make orbit_census split every certified census into count parts."""
+    monkeypatch.setattr(f2quad, "_PART_MEMBERS", 1)
+    monkeypatch.setattr(f2quad, "max_parts", lambda: count)
+    if not forked:
+        monkeypatch.setattr(parts, "_may_fork", lambda: False)
+
+
+def _walk_with(monkeypatch, mutate, in_part):
+    """Apply mutate to the words of one part of the walk only."""
+
+    def walk(n, part=0, parts=1):
+        words = _WALK(n, part, parts)
+        if part == in_part:
+            mutate(words)
+        return words
+
+    monkeypatch.setattr(f2quad, "_odd_lagrangian_words", walk)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the census forks only where os.fork exists")
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_split_census_matches_the_unsplit_census(monkeypatch, count, forked):
+    n = 4
+    whole = orbit_census(n, exhaustive=True)
+    _split(monkeypatch, count, forked)
+    certify = f2quad._certified_sizes
+    here = []
+
+    def certified_sizes(n, part, parts):
+        here.append((part, parts))
+        return certify(n, part, parts)
+
+    monkeypatch.setattr(f2quad, "_certified_sizes", certified_sizes)
+    assert orbit_census(n, exhaustive=True) == whole == orbit_census(n)
+    # where forking is allowed, only part 0 runs in this process
+    ran_here = 1 if forked and count > 1 and parts._may_fork() else count
+    assert here == [(part, count) for part in range(ran_here)]
+    _assert_no_child_left()
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_only_a_large_census_is_split(monkeypatch):
+    # a forked part pays for itself only at n = 5; up to n = 4 (2,025
+    # members) the census runs in one part
+    monkeypatch.setattr(f2quad, "max_parts", lambda: 8)
+    asked = []
+
+    def run_parts(work, count):
+        asked.append(count)
+        raise _Stop
+
+    monkeypatch.setattr(f2quad, "run_parts", run_parts)
+    for n in (3, 4, 5):
+        with pytest.raises(_Stop):
+            orbit_census(n, exhaustive=True)
+    assert asked == [1, 1, 8]
+
+
+def test_census_refuses_a_word_in_the_wrong_part(monkeypatch):
+    # part 0 gets a member of part 1 in place of one of its own of the
+    # same overlap: every count, order and witness check passes, and only
+    # the part check refuses the member that two parts would count
+    n = 5
+    _split(monkeypatch, 2)
+    moved = _WALK(n, 1, 2)[100]
+    j = left_overlap(n, f2quad._unpack(n, moved))
+
+    def move(words):
+        dropped = next(w for w in words if left_overlap(n, f2quad._unpack(n, w)) == j)
+        words.remove(dropped)
+        words.insert(sum(w > moved for w in words), moved)
+
+    _walk_with(monkeypatch, move, in_part=0)
+    with pytest.raises(VerificationError, match="outside its part"):
+        orbit_census(n, exhaustive=True)
+    _assert_no_child_left()
+
+
+def _repeat_second(words):
+    words[1] = words[0]
+
+
+def _swap_third_and_fourth(words):
+    words[2], words[3] = words[3], words[2]
+
+
+@pytest.mark.parametrize("mutate", [_repeat_second, _swap_third_and_fourth], ids=["repeated", "swapped"])
+@pytest.mark.parametrize("in_part", [0, 1])
+def test_census_refuses_bad_order_inside_a_part(monkeypatch, mutate, in_part):
+    # part 1 runs in a forked worker where forking is allowed, part 0 here
+    _split(monkeypatch, 2)
+    _walk_with(monkeypatch, mutate, in_part)
+    with pytest.raises(VerificationError, match="not strictly descending"):
+        orbit_census(4, exhaustive=True)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_no_worker_outlives_a_census_budget_stop(monkeypatch):
+    assert parts._may_fork()
+    _split(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded), budget.limit(0.2):
+        orbit_census(5, exhaustive=True)
+    assert time.monotonic() - start < 0.7
+    _assert_no_child_left()
+
+
+def _fail_in_workers(monkeypatch, fail):
+    """Make the certification of a part call fail() in a forked worker."""
+    parent = os.getpid()
+    certify = f2quad._certified_sizes
+
+    def certified_sizes(n, part, parts):
+        if os.getpid() != parent:
+            fail()
+        return certify(n, part, parts)
+
+    monkeypatch.setattr(f2quad, "_certified_sizes", certified_sizes)
+
+
+def _raise_runtime_error():
+    raise RuntimeError("fails on purpose")
+
+
+def _raise_budget_exceeded():
+    raise BudgetExceeded("worker budget")
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "fail,error,message",
+    [
+        (_raise_runtime_error, VerificationError, "RuntimeError: fails on purpose"),
+        (lambda: os._exit(3), VerificationError, "no result, exit status 3"),
+        (_raise_budget_exceeded, BudgetExceeded, "worker budget"),
+    ],
+    ids=["failing", "no-result", "budget"],
+)
+def test_a_worker_failure_stops_the_census(monkeypatch, fail, error, message):
+    assert parts._may_fork()
+    _split(monkeypatch, 3)
+    _fail_in_workers(monkeypatch, fail)
+    with pytest.raises(error, match=message):
+        orbit_census(4, exhaustive=True)
+    _assert_no_child_left()
 
 
 def test_certified_census_builds_no_member_tuples(monkeypatch):
@@ -532,8 +696,8 @@ def test_census_certification_survives_optimize():
         f2quad._adapted_frame = adapted
         walk = f2quad._odd_lagrangian_words
 
-        def repeated_walk(n):
-            words = walk(n)
+        def repeated_walk(n, part=0, parts=1):
+            words = walk(n, part, parts)
             words[1] = words[0]
             return words
 

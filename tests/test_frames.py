@@ -22,8 +22,7 @@ from oracles import (
     walk_frames_reference,
     z4_closure,
 )
-from vftk import frames
-from vftk import budget
+from vftk import budget, frames, parts
 from vftk.bits import gl2_order
 from vftk.budget import BudgetExceeded
 from vftk.f2codes import Marking, classify_markings, hamming_code
@@ -548,11 +547,11 @@ def test_walk_parts_partition_the_e8_walk_prefix(e8_walk_prefix, w):
 def test_split_census_forked_or_not_merges_exactly(monkeypatch, lattice):
     graph = frames._norm4_graph(lattice)
     whole = frames._census_part(graph, None)
-    for parts in (2, 3):
-        assert frames._split_census(graph, parts) == whole
-    monkeypatch.setattr(frames, "_may_fork", lambda: False)
-    for parts in (1, 2, 3):
-        assert frames._split_census(graph, parts) == whole
+    for count in (2, 3):
+        assert frames._split_census(graph, count) == whole
+    monkeypatch.setattr(parts, "_may_fork", lambda: False)
+    for count in (1, 2, 3):
+        assert frames._split_census(graph, count) == whole
 
 
 def test_no_fork_while_another_thread_lives():
@@ -560,20 +559,23 @@ def test_no_fork_while_another_thread_lives():
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert not frames._may_fork()
+        assert not parts._may_fork()
+        # so the split census runs its parts here, one after another
+        pids = parts.run_parts(lambda i: os.getpid(), 3)
+        assert pids == [os.getpid()] * 3
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    assert frames._may_fork() == hasattr(os, "fork")
+    assert parts._may_fork() == hasattr(os, "fork")
 
 
 def test_census_split_matches_in_process(e8_census):
     # the census does not depend on how the walk is split: the shared
-    # census, split over _census_processes() parts, against one walk here
+    # census, split over parts.max_parts() parts, against one walk here
     whole = frames._classify_e8_frames(1)
     splits = [e8_census[0]]
-    if frames._census_processes() == 1:  # then the shared census is not split
+    if parts.max_parts() == 1:  # then the shared census is not split
         splits.append(frames._classify_e8_frames(2))
     for split in splits:
         assert split == whole
@@ -596,7 +598,7 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split censu
 @needs_fork
 def test_no_worker_outlives_a_budget_stop():
     _e8_graph()
-    assert frames._may_fork()
+    assert parts._may_fork()
     start = time.monotonic()
     with pytest.raises(BudgetExceeded), budget.limit(0.3):
         frames._classify_e8_frames(3)

@@ -5,10 +5,12 @@ from itertools import product as iproduct
 
 import pytest
 
-from oracles import frame_symbol_action, monomial_to_isometry
+from oracles import epsilon_by_loops, frame_symbol_action, monomial_to_isometry, mu_exponent_by_loops
 from vftk.frames import e8_frame_representatives, frame_stabilizer
 from vftk.hatgroup import (
+    EpsilonCocycle,
     HatElement,
+    LiftedAutomorphism,
     all_lifts,
     frame_index_characters,
     involution_class,
@@ -35,6 +37,26 @@ def random_even_lattice(rng, n):
 
 def random_vec(rng, n):
     return tuple(rng.randrange(-3, 4) for _ in range(n))
+
+
+def test_epsilon_and_mu_exponent_match_the_definition_loops():
+    rng = random.Random(34)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        if rng.random() < 0.5:
+            exponents = standard_cocycle(random_even_lattice(rng, n)).exponents
+        else:
+            exponents = tuple(tuple(rng.randrange(2) for _ in range(n)) for _ in range(n))
+        cmatrix = tuple(tuple(rng.randrange(2) for _ in range(n)) for _ in range(n))
+        mu_bits = tuple(rng.randrange(2) for _ in range(n))
+        cocycle = EpsilonCocycle(None, exponents)
+        lift = LiftedAutomorphism(cocycle, None, mu_bits, cmatrix)
+        for _ in range(10):
+            # entries in [-3, 3], about a third of them zero
+            x = tuple(rng.choice((0, 0, 0, -3, -2, -1, 1, 2, 3)) for _ in range(n))
+            y = tuple(rng.choice((0, 0, 0, -3, -2, -1, 1, 2, 3)) for _ in range(n))
+            assert cocycle.epsilon(x, y) == epsilon_by_loops(exponents, x, y)
+            assert lift.mu_exponent(x) == mu_exponent_by_loops(cmatrix, mu_bits, x)
 
 
 def test_cocycle_needs_even_lattice():

@@ -4,7 +4,7 @@ No assert statement (python -O strips them; checks use verify), no
 floating point outside the wall-clock budget, no import outside the
 standard library, no dataclasses, and fractions only in the modules whose
 values are rational; importing the CLI loads no process
-pool or pickle; the package's modules import each other at the top level
+pool, pickle, threading or signal; the package's modules import each other at the top level
 only and without cycles; and no public name is there for the tests alone.
 """
 
@@ -153,9 +153,10 @@ def test_cli_import_skips_dataclasses_and_inspect():
 
 
 def test_cli_import_skips_process_pools_and_pickle():
-    """The split census forks with os.fork and reads results with marshal,
-    so no command pays at start-up for a process pool or pickle."""
-    assert _loaded_by_cli_import(["multiprocessing", "pickle", "concurrent"]) == "[]"
+    """The split censuses fork with os.fork and read results with marshal,
+    so no command pays at start-up for a process pool or pickle; and
+    parts.run_parts imports threading and signal only when it runs."""
+    assert _loaded_by_cli_import(["multiprocessing", "pickle", "concurrent", "threading", "signal"]) == "[]"
 
 
 def _names_used(node):
