@@ -1,18 +1,12 @@
-"""Smoke test: every demo script and every README example runs against the package."""
+"""Every demo script prints its golden output, and every README example runs against the package."""
 
 import doctest
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import vftk
+from golden import DEMOS, ROOT, golden_text, render, run_demo
 
-ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # the fenced python blocks of README.md, each a doctest of >>> examples
 README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
 
@@ -20,12 +14,9 @@ README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_t
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
     # demo_e8_frames runs without --census, which would add the full frame walk
-    src = os.path.dirname(os.path.dirname(vftk.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_demo(demo)
     assert proc.returncode == 0, proc.stderr
+    assert render(proc.returncode, proc.stdout) == golden_text(demo.stem)
 
 
 @pytest.mark.parametrize("block", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))])
