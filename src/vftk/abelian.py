@@ -65,7 +65,9 @@ def type_string(divisors):
 def prime_factors(n):
     """Yield (p, e) with p^e exactly dividing n, p ascending, by trial
     division.  Lazy: a caller that stops at the least factor divides no
-    further.  Polls the budget once per 4096 odd trial factors."""
+    further.  Polls the budget once per budget.CHECK_EVERY odd trial
+    factors."""
+    period = 2 * budget.CHECK_EVERY  # p steps by 2
     p = 2
     while n > 1:
         if p * p > n:
@@ -77,5 +79,5 @@ def prime_factors(n):
                 e += 1
             yield p, e
         p += 1 if p == 2 else 2
-        if p % 8192 == 1:
+        if p % period == 1:
             budget.check()

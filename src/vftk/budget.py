@@ -1,12 +1,13 @@
 """Wall-clock budgets for the long-running searches.
 
-The one rule: every search polls ``check()`` every few thousand nodes,
-and check raises BudgetExceeded once the current deadline has passed, so
-callers can tell "ran out of time" from a genuine negative result.  The
-deadline is a monotonic-clock timestamp held in a context variable, not
-passed as an argument: ``with limit(seconds):`` bounds everything called
-inside the block, and code outside every limit runs unbounded.  A nested
-limit never extends an outer one.
+The one rule: every search polls ``check()`` once per costly step, or
+once every CHECK_EVERY cheap ones (CHECK_EVERY is the package's one poll
+period), and check raises BudgetExceeded once the current deadline has
+passed, so callers can tell "ran out of time" from a genuine negative
+result.  The deadline is a monotonic-clock timestamp held in a context
+variable, not passed as an argument: ``with limit(seconds):`` bounds
+everything called inside the block, and code outside every limit runs
+unbounded.  A nested limit never extends an outer one.
 """
 
 import math
@@ -18,6 +19,8 @@ from contextvars import ContextVar
 __all__ = ["BudgetExceeded", "limit", "check", "seconds_from_env"]
 
 ENV_VAR = "VFTK_BUDGET_SECONDS"
+
+CHECK_EVERY = 4096  # cheap steps between polls; a power of two, so a walk may mask with CHECK_EVERY - 1
 
 _deadline = ContextVar("vftk_budget_deadline", default=None)
 

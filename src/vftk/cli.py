@@ -27,7 +27,6 @@ from .f2codes import classify_markings, hamming_code, rm1_subcode
 from .f2quad import (
     left_stabilizer_order,
     nonsingular_count,
-    nonsingular_vectors,
     orbit_census,
     total_odd_count,
 )
@@ -399,6 +398,15 @@ def _cmd_f2quad(args):
     n = args.n
     if n < 1:
         raise ValueError("n must be positive")
+    # the most digits Python prints (0, or no such call before 3.10.7: no
+    # limit); the order is at least 2^(n(n-1)), so a huge n is refused
+    # before the order is computed
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and (n * (n - 1) >= (10**digits).bit_length() or left_stabilizer_order(n) >= 10**digits):
+        raise ValueError(
+            f"n = {n} is too large: the group order would have more than {digits} digits, "
+            "the interpreter's limit for printing an integer"
+        )
     census = orbit_census(n, args.exhaustive)
     orbits = [
         {
@@ -412,7 +420,7 @@ def _cmd_f2quad(args):
     results = {
         "n": n,
         "orbits": orbits,
-        "nonsingular_count": str(len(nonsingular_vectors(n)) if n <= 8 else nonsingular_count(n)),
+        "nonsingular_count": str(nonsingular_count(n)),
         "group_order": str(left_stabilizer_order(n)),
     }
     checks = [

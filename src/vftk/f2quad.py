@@ -29,11 +29,9 @@ from .bits import (
     f2_rank,
     f2_rref,
     f2_transpose,
-    f2_vec_mat,
     gl2_order,
 )
 from .parts import max_parts, run_parts
-from .stabsearch import CHECK_EVERY, orbit
 from .verify import verify
 
 __all__ = [
@@ -42,15 +40,12 @@ __all__ = [
     "StabilizerInfo",
     "quad_value",
     "pairing",
-    "nonsingular_vectors",
     "nonsingular_count",
     "is_odd_lagrangian",
     "left_overlap",
     "standard_odd_lagrangian",
     "enumerate_odd_lagrangians",
     "left_stabilizer_order",
-    "left_stabilizer_generators",
-    "transform_member",
     "orbit_partition",
     "same_orbit_witness",
     "stabilizer_structure",
@@ -75,12 +70,8 @@ def pairing(n, u, v):
     return (_swap_halves(n, u) & v).bit_count() & 1
 
 
-def nonsingular_vectors(n):
-    return [v for v in range(1, 1 << (2 * n)) if quad_value(n, v)]
-
-
 def nonsingular_count(n):
-    """len(nonsingular_vectors(n)), counted one hyperbolic plane at a time.
+    """The number of vectors v with Q(v) = 1, counted one hyperbolic plane at a time.
 
     A plane has 1 vector with Q = 1 and 3 with Q = 0, and Q adds over the
     planes, so each plane maps (odd, even) to (3 odd + even, 3 even + odd).
@@ -170,18 +161,19 @@ def _odd_lagrangian_words(n, part=0, parts=1):
     parent's without the dropped vector's leading bit, every later pivot
     leads a vector of the child's perp, and the parent's mask is a first,
     cheaper test.  The pruned nodes are the ones with no leaf below them;
-    the budget is polled every CHECK_EVERY recursive calls.
+    the budget is polled every budget.CHECK_EVERY recursive calls.
     """
     if not 1 <= n <= 5:
         raise ValueError("exhaustive enumeration is limited to 1 <= n <= 5")
     width = 2 * n
     words = array("Q")
     calls = 0
+    every = budget.CHECK_EVERY
 
     def rec(perp, leads, used, max_pivot, packed, need, odd):
         nonlocal calls
         calls += 1
-        if calls % CHECK_EVERY == 0:
+        if calls % every == 0:
             budget.check()
         if need == 0:
             if odd:
@@ -227,47 +219,6 @@ def _odd_lagrangian_words(n, part=0, parts=1):
 def left_stabilizer_order(n):
     """2^{n(n-1)/2} * |GL(n,2)|: unipotent radical times a GL Levi factor."""
     return 2 ** (n * (n - 1) // 2) * gl2_order(n)
-
-
-def left_stabilizer_generators(n):
-    """Generators (rows = images of basis vectors) of the left-half stabilizer.
-
-    GL pairs act as B on the right half and B^{-T} on the left; the
-    unipotent part adds symmetric zero-diagonal left corrections to the
-    right-half images.
-    """
-    gens = []
-    for i in range(n):
-        for l in range(n):
-            if i == l:
-                continue
-            g = list(f2_identity(2 * n))
-            g[n + i] ^= 1 << (n + l)  # f_i -> f_i + f_l
-            g[l] ^= 1 << i  # e_l -> e_l + e_i
-            gens.append(tuple(g))
-    for i in range(n):
-        for l in range(i + 1, n):
-            g = list(f2_identity(2 * n))
-            g[n + i] ^= 1 << l  # f_i -> f_i + e_l
-            g[n + l] ^= 1 << i  # f_l -> f_l + e_i
-            gens.append(tuple(g))
-    return gens
-
-
-def transform_member(n, g, member):
-    return f2_rref([f2_vec_mat(r, g) for r in member])
-
-
-def orbit_partition(n, members):
-    """Orbits of the left-half stabilizer on the given members."""
-    gens = left_stabilizer_generators(n)
-    todo = set(members)
-    orbits = []
-    while todo:
-        orb = orbit({todo.pop()}, lambda m: (transform_member(n, g, m) for g in gens))
-        todo -= orb
-        orbits.append(frozenset(orb))
-    return orbits
 
 
 # --- canonical witnesses -----------------------------------------------------
@@ -365,6 +316,25 @@ def same_orbit_witness(n, a, b):
     )
     _verify_frames(n, ja, fa + fb)
     return OrbitWitness(g, (ja, jb))
+
+
+def orbit_partition(n, members):
+    """The given members by orbit of the left-half stabilizer: one
+    frozenset per left overlap j, j ascending, each member certified by
+    same_orbit_witness from standard_odd_lagrangian(n, j), which raises
+    VerificationError if a check fails.  On every member these are the
+    whole orbits; on a subset, each orbit's share of it.  Members are odd
+    Lagrangians in canonical RREF; anything else raises ValueError.
+    """
+    orbits = {}
+    for member in members:
+        member = tuple(member)
+        if f2_rref(member) != member or not is_odd_lagrangian(n, member):
+            raise ValueError("members must be odd Lagrangians in canonical RREF")
+        j = left_overlap(n, member)
+        same_orbit_witness(n, standard_odd_lagrangian(n, j), member)
+        orbits.setdefault(j, set()).add(member)
+    return [frozenset(orbits[j]) for j in sorted(orbits)]
 
 
 _BATCH = 4096  # frames per bit-slice check in the exhaustive census
@@ -526,6 +496,7 @@ def orbit_census(n, exhaustive=False):
         verify(sizes == [orbit_size(n, j) for j in range(n)], "orbit sizes disagree with the closed form")
     rows = []
     for j in range(n):
+        budget.check()
         info = stabilizer_structure(n, standard_odd_lagrangian(n, j))
         size = orbit_size(n, j)
         verify(size * info.order == left_stabilizer_order(n), "orbit-stabilizer product is off")

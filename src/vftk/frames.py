@@ -60,6 +60,8 @@ class LatticeFrame:
             raise ValueError("frame coordinates must be integers")
         if len(vectors) != lattice.rank:
             raise ValueError("a frame needs one sign-pair per unit of rank")
+        if any(len(v) != lattice.rank for v in vectors):
+            raise ValueError(f"frame vectors need {lattice.rank} coordinates each")
         for i, x in enumerate(vectors):
             if lattice.norm(x) != 4:
                 raise ValueError(f"frame vector {i} has norm {lattice.norm(x)} != 4")
@@ -225,6 +227,7 @@ def _walk_frames(graph, stats=None, roots=None):
     chosen = [0] * size
     rest[0] = (1 << len(adj)) - 1
     nodes = 0
+    poll = budget.CHECK_EVERY - 1  # a local: the E8 walk tests it at 3.3M nodes
     depth = 0
     while depth >= 0:
         cands = rest[depth]
@@ -239,7 +242,7 @@ def _walk_frames(graph, stats=None, roots=None):
             if fit < need or not (depth or roots >> v & 1):
                 continue
             nodes += 1
-            if not nodes & 4095:
+            if not nodes & poll:
                 budget.check()
             if fit > need:  # never at need 0: nothing in a definite L is orthogonal to a frame
                 break

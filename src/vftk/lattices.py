@@ -230,11 +230,12 @@ def short_vectors(lattice, norm):
     out = []
     coords = [0] * lattice.rank
     nodes = 0
+    every = budget.CHECK_EVERY
 
     def rec(k, left):
         nonlocal nodes
         nodes += 1
-        if nodes % 4096 == 0:
+        if nodes % every == 0:
             budget.check()
         if k < 0:
             if left == 0 and any(coords):

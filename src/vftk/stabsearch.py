@@ -75,8 +75,6 @@ __all__ = [
     "orbit",
 ]
 
-CHECK_EVERY = 4096  # nodes between budget polls
-
 
 class StabilizerResult(namedtuple("StabilizerResult", "order sign_order orbit_sizes generators")):
     """Order and generators of a monomial stabilizer.
@@ -211,7 +209,7 @@ class _Search:
         """tpos are the target positions of source positions 0..depth-1,
         spos their columns: p for sign +1, n + p for sign -1."""
         self.nodes += 1
-        if self.nodes % CHECK_EVERY == 0:
+        if self.nodes % budget.CHECK_EVERY == 0:
             budget.check()
         n = self.n
         if depth == n:

@@ -350,8 +350,8 @@ def prime_power_twist(l, s):
 def dirichlet_prime(l, lower):
     """Smallest prime >= lower that is -1 mod 2*det(l), for l as in prime_power_twist.
 
-    Steps through the residue class only; each candidate and every 4096
-    trial factors poll the budget.
+    Steps through the residue class only; each candidate and every
+    budget.CHECK_EVERY odd trial factors poll the budget.
     """
     m = 2 * _input_det(l)
     s = max(2, lower)

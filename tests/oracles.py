@@ -1,8 +1,9 @@
 """Slow, independent routes the tests check the library against: the
 definitions computed over Fraction or by exhaustive search, for small inputs
-only.  Also the test-side constructions the library does not need: random
-odd Lagrangians, frame isometries from monomials, reoriented frames, and
-the text of fixture files."""
+only, and the left-half stabilizer's orbits by a BFS over its generators.
+Also the test-side constructions the library does not need: random odd
+Lagrangians, frame isometries from monomials, reoriented frames, and the
+text of fixture files."""
 
 import random
 from fractions import Fraction
@@ -28,10 +29,8 @@ from vftk.f2quad import (
     _swap_halves,
     is_odd_lagrangian,
     left_stabilizer_order,
-    nonsingular_vectors,
     pairing,
     quad_value,
-    transform_member,
 )
 from vftk.intmat import _hnf_coords, identity, mat_mul, snf_divisors, vec_mat
 from vftk.lattices import IntegralLattice, short_vectors
@@ -455,6 +454,55 @@ def f2_subspaces(width, dim):
                 rows[i] |= 1 << col
                 m &= m - 1
             yield tuple(rows)
+
+
+def nonsingular_vectors(n):
+    """Every vector with Q = 1, by listing the whole space."""
+    return [v for v in range(1, 1 << (2 * n)) if quad_value(n, v)]
+
+
+def transform_member(n, g, member):
+    """The image of a member under the rows g (images of the basis
+    vectors), in canonical RREF."""
+    return f2_rref([f2_vec_mat(r, g) for r in member])
+
+
+def left_stabilizer_generators(n):
+    """Generators (rows = images of basis vectors) of the left-half stabilizer.
+
+    GL pairs act as B on the right half and B^{-T} on the left; the
+    unipotent part adds symmetric zero-diagonal left corrections to the
+    right-half images.
+    """
+    gens = []
+    for i in range(n):
+        for l in range(n):
+            if i == l:
+                continue
+            g = list(f2_identity(2 * n))
+            g[n + i] ^= 1 << (n + l)  # f_i -> f_i + f_l
+            g[l] ^= 1 << i  # e_l -> e_l + e_i
+            gens.append(tuple(g))
+    for i in range(n):
+        for l in range(i + 1, n):
+            g = list(f2_identity(2 * n))
+            g[n + i] ^= 1 << l  # f_i -> f_i + e_l
+            g[n + l] ^= 1 << i  # f_l -> f_l + e_i
+            gens.append(tuple(g))
+    return gens
+
+
+def orbit_partition_bfs(n, members):
+    """Orbits of the left-half stabilizer through the given members, by a
+    BFS over left_stabilizer_generators: whole orbits, each a frozenset."""
+    gens = left_stabilizer_generators(n)
+    todo = set(members)
+    orbits = []
+    while todo:
+        orb = orbit({todo.pop()}, lambda m: (transform_member(n, g, m) for g in gens))
+        todo -= orb
+        orbits.append(frozenset(orb))
+    return orbits
 
 
 def odd_lagrangian_through(n, v):

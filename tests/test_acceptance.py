@@ -15,7 +15,7 @@ from math import factorial
 
 import pytest
 
-from oracles import fixes_left_half, is_isometry
+from oracles import fixes_left_half, is_isometry, nonsingular_vectors, orbit_partition_bfs
 from vftk.abelian import type_string
 from vftk.bits import f2_rref, f2_vec_mat, gl2_order
 from vftk.f2codes import classify_markings, hamming_code, rm1_subcode
@@ -23,9 +23,7 @@ from vftk.f2quad import (
     enumerate_odd_lagrangians,
     left_overlap,
     left_stabilizer_order,
-    nonsingular_vectors,
     orbit_census,
-    orbit_partition,
     orbit_size,
     same_orbit_witness,
     standard_odd_lagrangian,
@@ -220,12 +218,13 @@ def test_criterion_09_sum_of_squares():
 
 
 def test_criterion_10_f2quad_orbits(n5_exhaustive_census):
-    # n <= 3: exhaustive orbits coincide with the overlap-indicator classes,
-    # and every member is carried to its class representative by an explicit
-    # witness verified through the matrix action
+    # n <= 3: the orbits of a BFS over the stabilizer's generators coincide
+    # with the overlap-indicator classes, and every member is carried to its
+    # class representative by an explicit witness verified through the
+    # matrix action
     for n in (1, 2, 3):
         members = enumerate_odd_lagrangians(n)
-        orbits = orbit_partition(n, members)
+        orbits = orbit_partition_bfs(n, members)
         by_overlap = {}
         for orbit in orbits:
             js = {left_overlap(n, m) for m in orbit}

@@ -158,6 +158,18 @@ def test_f2quad_reports():
     assert report5["results"]["nonsingular_count"] == "496"
 
 
+def test_f2quad_refuses_an_n_whose_group_order_cannot_be_printed():
+    # |P| at n = 97 has 4,234 digits; at n = 98 it would have 4,321, past
+    # the interpreter's limit (4,300 by default), and 10^9 is refused
+    # before the order is computed
+    limit = sys.get_int_max_str_digits()
+    assert cli.run(["f2quad", "--n", "97"])[1] == 0
+    for n in (98, 10**9):
+        report, code = cli.run(["f2quad", "--n", str(n)])
+        assert code == 3
+        assert f"n = {n} is too large" in report["error"] and f"more than {limit} digits" in report["error"]
+
+
 def test_frame_invariants_report(gram_files):
     report = _passing(
         ["frame-invariants", "--gram", gram_files["e8"], "--frame", gram_files["frame"]]

@@ -16,10 +16,14 @@ from oracles import (
     f2_subspaces,
     fixes_left_half,
     is_isometry,
+    left_stabilizer_generators,
     listed_stabilizer_orders,
+    nonsingular_vectors,
     odd_lagrangian_through,
+    orbit_partition_bfs,
     random_isometry,
     sample_odd_lagrangians,
+    transform_member,
 )
 from vftk import cli
 from vftk.budget import BudgetExceeded
@@ -36,10 +40,8 @@ from vftk.f2quad import (
     gaussian_binomial,
     is_odd_lagrangian,
     left_overlap,
-    left_stabilizer_generators,
     left_stabilizer_order,
     nonsingular_count,
-    nonsingular_vectors,
     orbit_census,
     orbit_partition,
     orbit_size,
@@ -49,7 +51,6 @@ from vftk.f2quad import (
     stabilizer_structure,
     standard_odd_lagrangian,
     total_odd_count,
-    transform_member,
 )
 from vftk.verify import VerificationError
 
@@ -81,7 +82,7 @@ def test_nonsingular_counts(n):
 
 
 def test_nonsingular_count_recursion():
-    # the plane-by-plane count that the n > 8 reports check against the
+    # the plane-by-plane count that every f2quad report checks against the
     # closed form: equal to enumeration where that is cheap, and to the
     # closed form far beyond it
     for n in range(7):
@@ -533,7 +534,7 @@ def test_left_stabilizer_order_against_brute_force():
 @pytest.mark.parametrize("n,sizes", [(2, (6, 3)), (3, (56, 42, 7))])
 def test_orbit_partition_matches_overlap_classes(n, sizes):
     members = enumerate_odd_lagrangians(n)
-    orbits = orbit_partition(n, members)
+    orbits = orbit_partition_bfs(n, members)
     assert len(orbits) == n
     by_overlap = {}
     for orbit in orbits:
@@ -544,6 +545,45 @@ def test_orbit_partition_matches_overlap_classes(n, sizes):
         expected = frozenset(m for m in members if left_overlap(n, m) == j)
         assert by_overlap[j] == expected
         assert len(by_overlap[j]) == sizes[j] == orbit_size(n, j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certified_orbit_partition_matches_the_bfs(n, monkeypatch):
+    members = enumerate_odd_lagrangians(n)
+    frames_checked = []
+    verify_frames = f2quad._verify_frames
+    monkeypatch.setattr(f2quad, "_verify_frames", lambda *a: frames_checked.append(verify_frames(*a)))
+    orbits = orbit_partition(n, members)
+    assert set(orbits) == set(orbit_partition_bfs(n, members))
+    assert [left_overlap(n, next(iter(orbit))) for orbit in orbits] == list(range(n))
+    assert len(frames_checked) == len(members)  # one certificate per member
+
+
+def test_orbit_partition_returns_only_the_given_members():
+    n = 3
+    members = enumerate_odd_lagrangians(n)
+    subset = members[::7] + members[:1]  # a repeat is one member
+    orbits = orbit_partition(n, subset)
+    assert set().union(*orbits) == set(subset)
+    whole = orbit_partition_bfs(n, members)
+    assert all(any(orbit <= full for full in whole) for orbit in orbits)
+    assert sum(map(len, orbits)) == len(set(subset)) < len(members)
+    assert orbit_partition(n, []) == []
+
+
+@pytest.mark.parametrize(
+    "member",
+    [
+        (4, 2, 1),  # the left half: totally isotropic, but singular
+        (8, 4, 1),  # f0 pairs with e0: not totally isotropic
+        (9, 4),  # e0 + f0 and e2: too small
+        (4, 2, 9),  # an odd Lagrangian, but not in canonical RREF
+    ],
+)
+def test_orbit_partition_refuses_what_is_not_a_member(member):
+    good = standard_odd_lagrangian(3, 2)
+    with pytest.raises(ValueError):
+        orbit_partition(3, [good, member])
 
 
 def _check_witness(n, a, b, witness):
@@ -813,9 +853,20 @@ def test_closed_forms_match_the_listing():
         info = stabilizer_structure(n, member)
         assert listed_stabilizer_orders(n, member) == (info.order, info.unipotent_order)
     for n in (1, 2, 3):
-        orbits = orbit_partition(n, enumerate_odd_lagrangians(n))
+        orbits = orbit_partition_bfs(n, enumerate_odd_lagrangians(n))
         sizes = sorted((left_overlap(n, next(iter(orbit))), len(orbit)) for orbit in orbits)
         assert sizes == [(row.overlap, row.size) for row in orbit_census(n, exhaustive=True)]
+
+
+def test_closed_form_rows_poll_the_budget(monkeypatch):
+    # without --exhaustive, n = 6 walks nothing: each overlap row polls once
+    polls = []
+    monkeypatch.setattr(budget, "check", lambda: polls.append(None))
+    orbit_census(6)
+    assert len(polls) == 6
+    monkeypatch.undo()
+    with budget.limit(0), pytest.raises(BudgetExceeded):
+        orbit_census(6)
 
 
 def test_gaussian_binomial():

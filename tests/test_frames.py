@@ -88,6 +88,10 @@ def test_frame_validation():
     for first in ((Fraction(3, 2), 0), (1.0, 0), (1.7, 0)):
         with pytest.raises(ValueError, match="integers"):
             LatticeFrame(lat, [first, (0, 1)])
+    # a vector of the wrong length is refused, not read as (1, 0) nor indexed past its end
+    for first in ((1,), (1, 0, 5)):
+        with pytest.raises(ValueError, match="2 coordinates"):
+            LatticeFrame(lat, [first, (0, 1)])
 
 
 def test_z4_code_closure():

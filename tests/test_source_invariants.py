@@ -5,7 +5,8 @@ floating point outside the wall-clock budget, no import outside the
 standard library, no dataclasses, and fractions only in the modules whose
 values are rational; importing the CLI loads no process
 pool, pickle, threading or signal; the package's modules import each other at the top level
-only and without cycles; and no public name is there for the tests alone.
+only and without cycles; every poll period is budget.CHECK_EVERY; and no public name is
+there for the tests alone.
 """
 
 import ast
@@ -123,13 +124,40 @@ def test_module_graph_is_acyclic():
 
 
 def test_f2quad_stays_below_the_lattice_layers():
-    """The GF(2) census needs no lattice or frame code."""
+    """The GF(2) census needs no lattice, frame or stabilizer-search code."""
     graph, reached, todo = _module_graph(), set(), ["f2quad"]
     while todo:
         for dep in graph[todo.pop()] - reached:
             reached.add(dep)
             todo.append(dep)
-    assert reached & {"frames", "lattices"} == set()
+    assert reached & {"frames", "lattices", "stabsearch"} == set()
+
+
+def _is_budget_check(node):
+    return (
+        isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute)
+        and node.value.func.attr == "check"
+        and isinstance(node.value.func.value, ast.Name)
+        and node.value.func.value.id == "budget"
+    )
+
+
+def test_every_poll_period_is_check_every():
+    """A poll every so many steps reads its period from budget.CHECK_EVERY:
+    the test of an if that guards budget.check() holds no number but 0
+    and 1, so no site spells a period of its own."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.If) and _is_budget_check(node.body[0]):
+                found += [
+                    f"{_where(path, node)} {c.value}"
+                    for c in ast.walk(node.test)
+                    if isinstance(c, ast.Constant) and c.value not in (0, 1, None)
+                ]
+    assert found == []
 
 
 def _loaded_by_cli_import(names):
