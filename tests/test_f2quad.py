@@ -550,13 +550,19 @@ def test_orbit_partition_matches_overlap_classes(n, sizes):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_certified_orbit_partition_matches_the_bfs(n, monkeypatch):
     members = enumerate_odd_lagrangians(n)
-    frames_checked = []
+    checked = []
     verify_frames = f2quad._verify_frames
-    monkeypatch.setattr(f2quad, "_verify_frames", lambda *a: frames_checked.append(verify_frames(*a)))
+
+    def counted(n, j, frames):
+        checked.append(j)
+        verify_frames(n, j, frames)
+
+    monkeypatch.setattr(f2quad, "_verify_frames", counted)
     orbits = orbit_partition(n, members)
     assert set(orbits) == set(orbit_partition_bfs(n, members))
     assert [left_overlap(n, next(iter(orbit))) for orbit in orbits] == list(range(n))
-    assert len(frames_checked) == len(members)  # one certificate per member
+    # one certificate per member, each against its own overlap's standard frame
+    assert sorted(checked) == sorted(left_overlap(n, m) for m in members)
 
 
 def test_orbit_partition_returns_only_the_given_members():
