@@ -32,7 +32,7 @@ print(f"eps(x, y) * eps(y, x) = {c.epsilon(x, y) * c.epsilon(y, x)}   (realizes 
 # lifting the identity: 2^8 sign characters, all fixing the underlying
 # vectors, all homomorphisms of the extension
 ident = tuple(basis)
-lifts = all_lifts(c, ident)
+lifts = list(all_lifts(c, ident))
 print(f"\nlifts of the identity isometry: {len(lifts)}")
 assert all(lift.is_kernel_element() for lift in lifts)
 assert all(lift.apply(HatElement(1, x)).vec == x for lift in lifts for x in basis)

@@ -154,6 +154,14 @@ def _odd_lagrangian_words(n, part=0, parts=1):
     below it.  A word's rows are its path from the root, so the words come
     out strictly descending, which the census checks.
 
+    The census trusts nothing else of the walk.  It routes each word by
+    its shape, the leading bits of its rows, and checks on bit slices that
+    the rows are a canonical RREF of rank n with those leading bits, that
+    Q is nonzero on one of them, and that each pairs to 0 with the first n
+    rows of the member's adapted frame.  Those rows span a Lagrangian S =
+    S^perp once the frame has the standard frame's pairings, so the
+    member lies in S and, of rank n, is S (see orbit_census).
+
     A child is entered only if its perp still has enough candidate
     pivots: leading bits below p and outside the OR of its rows, one for
     each row still missing.  f2_orth_step drops one vector of the perp and
@@ -224,55 +232,112 @@ def left_stabilizer_order(n):
 # --- canonical witnesses -----------------------------------------------------
 
 
-def _adapted_frame(n, member):
-    """Basis of the whole space adapted to the member.
+def _slice_quad(n, row):
+    """Q of a row given as 2n bit slices, for every frame of a batch at once."""
+    q = 0
+    for b in range(n):
+        q ^= row[b] & row[b + n]
+    return q
 
-    Returns rows [w_1..w_m, t_1..t_j, s_1..s_m, p_1..p_j] where the t's
-    span the left overlap, the w's complete the member with Q(w_1) = 1 and
-    Q(w_i) = 0 otherwise, the s's lie in the left half dual to the w's,
-    and the p's complete the t's to hyperbolic pairs.  The Gram/Q data of
-    this list depends only on (n, overlap), which is what makes the
-    witness isometry exist.  The member must be in canonical RREF.
+
+def _slice_pairing(n, x, y):
+    """The pairing of two rows given as 2n bit slices, for every frame at once."""
+    p = 0
+    for b in range(n):
+        p ^= (x[b] & y[b + n]) ^ (x[b + n] & y[b])
+    return p
+
+
+def _adapted_slices(n, pivots, rows, ones):
+    """Bases of the whole space adapted to a batch of members of one shape,
+    as bit slices.
+
+    rows holds the members' canonical RREF rows, row i as 2n slices: bit t
+    of rows[i][b] is bit b of row i of member t, and ones has one bit per
+    member.  Every member has the leading bits pivots, descending, and a
+    row with Q = 1 (callers check both).  Returns the frames' 2n rows in
+    the same form.
+
+    The frame of a member is [w_1..w_m, t_1..t_j, s_1..s_m, p_1..p_j]:
+    the t's span the left overlap, the w's complete the member with Q(w_1)
+    = 1 and Q(w_i) = 0 otherwise, the s's lie in the left half dual to the
+    w's, and the p's complete the t's to hyperbolic pairs.  The Gram/Q data
+    of this list depends only on (n, overlap), which is what makes the
+    witness isometry exist.
 
     The member is fully reduced, so the frame is read off its rows (a
     left s pairs with x as the parity of s & (x >> n)).  A u row, with
     right pivot p_k + n, has bit p_l + n equal to delta_kl, so e_{p_k}
-    is its left dual.  For w_1 = u_a with Q(u_a) = 1 and w_i = u_i +
-    Q(u_i) w_1, the dual of w_1 is the sum of e_{p_i} over the u_i with
-    Q = 1, and the dual of each other w_i is still e_{p_i}.  A t row,
-    with left pivot c_l, is the only row with bit c_l set, so f_{c_l}
-    pairs delta with the t's and 0 with the w's.  Adding w_k wherever
-    f_{c_l} pairs 1 with s_k, then t_l if Q = 1, gives p_l.  Neither step
-    moves a pairing with the isotropic member or with the left-half s's,
-    so two p's pair as each f does with the other's additions: 0.
+    is its left dual.  For w_1 = u_a, the first u row with Q(u_a) = 1,
+    and w_i = u_i + Q(u_i) w_1, the dual of w_1 is the sum of e_{p_i} over
+    the u_i with Q = 1, and the dual of each other w_i is still e_{p_i}.
+    A t row, with left pivot c_l, is the only row with bit c_l set, so
+    f_{c_l} pairs delta with the t's and 0 with the w's.  Adding w_k
+    wherever f_{c_l} pairs 1 with s_k, then t_l if Q = 1, gives p_l.
+    Neither step moves a pairing with the isotropic member or with the
+    left-half s's, so two p's pair as each f does with the other's
+    additions: 0.
+
+    Within one shape the split into u rows (pivot >= n) and t rows, every
+    pivot and so every dual are fixed; only a, the choice of w_1, depends
+    on the member, and it becomes masks over the batch.  sel_a = q_a &
+    ~(q_0 | ... | q_{a-1}) marks the members whose w_1 is u_a, and w_1 is
+    the OR over a of sel_a & u_a.  The k-th other u row is u_k where a > k
+    and u_{k+1} otherwise.  A p row adds each w under the bit of its s at
+    c_l, then t_l under the mask of Q(p).
     """
-    t_rows = [r for r in member if r < (1 << n)]
-    u_rows = [r for r in member if r >> n]
-    qs = [quad_value(n, r) for r in u_rows]
-    if 1 not in qs:
-        raise ValueError("member is singular (not an odd Lagrangian)")
-    w1 = u_rows[qs.index(1)]
-    duals = [1 << (u.bit_length() - 1 - n) for u in u_rows]
-    ws = [w1] + [u ^ (w1 if q else 0) for u, q in zip(u_rows, qs) if u != w1]
-    ss = [sum(d for d, q in zip(duals, qs) if q)]
-    ss += [d for u, d in zip(u_rows, duals) if u != w1]
+    width = 2 * n
+    m = sum(p >= n for p in pivots)
+    us, ts = rows[:m], rows[m:]
+    qs = [_slice_quad(n, u) for u in us]
+    duals = [p - n for p in pivots[:m]]
+    sels, seen = [], 0
+    w1, s1 = [0] * width, [0] * width
+    for u, q, d in zip(us, qs, duals):
+        sel = q & ~seen
+        sels.append(sel)
+        seen |= q
+        for b in range(width):
+            w1[b] |= sel & u[b]
+        s1[d] = q
+    ws, ss = [w1], [s1]
+    later = seen ^ sels[0]  # the members with a > 0
+    for k in range(m - 1):
+        early = ones ^ later  # a <= k: the k-th other row is u_{k+1}
+        q = later & qs[k] | early & qs[k + 1]
+        ws.append([(later & x | early & y) ^ (q & w) for x, y, w in zip(us[k], us[k + 1], w1)])
+        s = [0] * width
+        s[duals[k]], s[duals[k + 1]] = later, early
+        ss.append(s)
+        later ^= sels[k + 1]
     ps = []
-    for t in t_rows:
-        f = 1 << (n + t.bit_length() - 1)
-        p = f
+    for t, c in zip(ts, pivots[m:]):
+        p = [0] * width
+        p[n + c] = ones
         for w, s in zip(ws, ss):
-            if ((f >> n) & s).bit_count() & 1:
-                p ^= w
-        if quad_value(n, p):
-            p ^= t
-        ps.append(p)
-    return ws + t_rows + ss + ps
+            on = s[c]
+            if on:
+                p = [x ^ (on & y) for x, y in zip(p, w)]
+        q = _slice_quad(n, p)
+        ps.append([x ^ (q & y) for x, y in zip(p, t)])
+    return ws + [t[:] for t in ts] + ss + ps
+
+
+def _adapted_frame(n, member):
+    """The adapted frame of one member in canonical RREF, as 2n rows:
+    _adapted_slices on a batch of one."""
+    if not any(quad_value(n, r) for r in member):
+        raise ValueError("member is singular (not an odd Lagrangian)")
+    width = 2 * n
+    rows = [[r >> b & 1 for b in range(width)] for r in member]
+    frame = _adapted_slices(n, [r.bit_length() - 1 for r in member], rows, 1)
+    return [sum(bit << b for b, bit in enumerate(row)) for row in frame]
 
 
 def _standard_frame(n, j):
     """The standard frame for left overlap j.
 
-    It is laid out as in _adapted_frame, with the Gram/Q data that every
+    It is laid out as in _adapted_slices, with the Gram/Q data that every
     adapted frame of overlap j has; its first n rows span
     standard_odd_lagrangian(n, j).
     """
@@ -299,22 +364,24 @@ def same_orbit_witness(n, a, b):
     row i of F_a to row i of F_b is g = F_a^-1 F_b; the t's and s's of
     each frame span the left half, so it keeps the left half.  The
     returned matrix is verified as the census verifies its members: F_a g
-    = F_b, the first n rows of each frame span its member, and
-    _verify_frames checks both frames; a failed check raises
-    VerificationError.  Unequal overlaps are returned as the refutation.
+    = F_b, and the two frames, as a batch of two, pass _verify_frames and
+    _verify_spans, so the first n rows of each frame span its member; a
+    failed check raises VerificationError.  Unequal overlaps are returned
+    as the refutation.
     """
     a = f2_rref(a)
     b = f2_rref(b)
     ja, jb = left_overlap(n, a), left_overlap(n, b)
     if ja != jb:
         return OrbitWitness(None, (ja, jb))
+    width = 2 * n
     fa, fb = _adapted_frame(n, a), _adapted_frame(n, b)
-    g = tuple(f2_mat_mul(f2_mat_inverse(fa, 2 * n), fb))
-    verify(
-        f2_mat_mul(fa, g) == fb and f2_rref(fa[:n]) == a and f2_rref(fb[:n]) == b,
-        "witness misses its target member",
-    )
-    _verify_frames(n, ja, fa + fb)
+    g = tuple(f2_mat_mul(f2_mat_inverse(fa, width), fb))
+    verify(f2_mat_mul(fa, g) == fb, "witness misses its target member")
+    verify(max(fa + fb) < (1 << width), "witness is not an isometry")
+    frames = [f2_transpose(pair, width) for pair in zip(fa, fb)]
+    _verify_frames(n, ja, frames, 3)
+    _verify_spans(n, [f2_transpose(pair, width) for pair in zip(a, b)], frames)
     return OrbitWitness(g, (ja, jb))
 
 
@@ -337,43 +404,54 @@ def orbit_partition(n, members):
     return [frozenset(orbits[j]) for j in sorted(orbits)]
 
 
-_BATCH = 4096  # frames per bit-slice check in the exhaustive census
+_BATCH = 4096  # members per sliced certificate in the exhaustive census
 
 
-def _verify_frames(n, j, frames):
+def _verify_frames(n, j, frames, ones):
     """Raise VerificationError unless every adapted frame in the batch
     keeps the left-half rows of the standard frame T of overlap j in the
     left half, has rows of 2n bits, and has T's Q values and pairings.
-    T must be a basis, which is checked too: then T's pairing matrix is
-    nondegenerate, and so each frame is a basis as well.
+    T must be a basis whose first n rows are pairwise orthogonal, which is
+    checked too: then T's pairing matrix is nondegenerate, so each frame
+    is a basis as well, and its first n rows span a Lagrangian.
 
-    frames holds 2n rows per frame, frame after frame.  Transposing the
-    rows at one position k gives 2n bit slices x[k][b], with bit t of
-    x[k][b] equal to bit b of row k of frame t, so one AND or XOR of
-    slices does one step for every frame at once: Q of row k is the XOR
-    over b < n of x[k][b] & x[k][b + n], and must be all ones where Q(T_k)
-    is 1 and all zeros where it is 0; pairings are alike.
+    frames holds 2n rows of 2n bit slices each, as _adapted_slices returns
+    them: bit t of frames[k][b] is bit b of row k of frame t, and ones has
+    one bit per frame.  So one AND or XOR of slices does one step for
+    every frame at once: Q of row k is the XOR over b < n of
+    frames[k][b] & frames[k][b + n], and must be all ones where Q(T_k) is
+    1 and all zeros where it is 0; pairings are alike.
     """
     width = 2 * n
-    ones = (1 << (len(frames) // width)) - 1
     standard = _standard_frame(n, j)
     verify(f2_rank(standard) == width, "standard frame is not a basis")
-    verify(max(frames) < (1 << width), "witness is not an isometry")
-    x = [f2_transpose(frames[k::width], width) for k in range(width)]
-    left = [x[k] for k, r in enumerate(standard) if r < (1 << n)]
-    verify(not any(xk[b] for xk in left for b in range(n, width)), "witness moves the left half")
+    verify(
+        not any(pairing(n, standard[k], standard[l]) for l in range(n) for k in range(l)),
+        "standard frame does not start with an isotropic basis",
+    )
+    verify(len(frames) == width and all(len(x) == width for x in frames), "witness is not an isometry")
+    left = [frames[k] for k, r in enumerate(standard) if r < (1 << n)]
+    verify(not any(x[b] for x in left for b in range(n, width)), "witness moves the left half")
     for k, r in enumerate(standard):
-        xk = x[k]
-        q = 0
-        for b in range(n):
-            q ^= xk[b] & xk[b + n]
-        verify(q == ones * quad_value(n, r), "witness is not an isometry")
+        x = frames[k]
+        verify(_slice_quad(n, x) == ones * quad_value(n, r), "witness is not an isometry")
         for l in range(k + 1, width):
-            xl = x[l]
-            p = 0
-            for b in range(n):
-                p ^= (xk[b] & xl[b + n]) ^ (xk[b + n] & xl[b])
+            p = _slice_pairing(n, x, frames[l])
             verify(p == ones * pairing(n, r, standard[l]), "witness is not an isometry")
+
+
+def _verify_spans(n, rows, frames):
+    """Raise VerificationError unless every member row pairs to 0 with
+    each of the first n rows of its frame.
+
+    rows holds the members' rows as bit slices, as _adapted_slices takes
+    them, and frames the frames that passed _verify_frames.  The first n
+    rows of each frame span a Lagrangian S = S^perp, so a member of rank n
+    orthogonal to S lies in S and is S.
+    """
+    for row in rows:
+        for frame_row in frames[:n]:
+            verify(not _slice_pairing(n, row, frame_row), "witness misses its target member")
 
 
 # --- orbit census and stabilizer structure -----------------------------------
@@ -463,29 +541,34 @@ def orbit_census(n, exhaustive=False):
     up here; their total must be total_odd_count(n) and each its
     closed-form orbit size.
 
-    A part runs in two phases (see _certified_sizes).  Its walk first
-    stores every member of the part as one packed word of at most 50
-    bits, 8 bytes in an array (see _odd_lagrangian_words); then each word
-    is unpacked and certified in turn, so no list of row tuples is held.
-    The walk yields its words strictly descending, and the part checks
-    that order word by word against the previous one, and that each
-    word's first row belongs to the part: with the count, that refuses a
-    repeated member, which every witness check would pass, in O(1)
-    memory, whether the repeat falls in one part or in two.
+    A part (see _certified_sizes) reads the words of its walk once, in
+    walk order (see _odd_lagrangian_words).  It checks that they come
+    strictly descending, word by word against the previous one, and that
+    each word's first row belongs to the part: with the count, that
+    refuses a repeated member, which every witness check would pass, in
+    O(1) memory, whether the repeat falls in one part or in two.  It then
+    routes each word by its shape, the set of its rows' leading bits
+    (131 shapes at n = 5), and certifies each shape in batches of at most
+    _BATCH members, as bit slices (see _certified_batch): one transpose of
+    the batch's words, then a fixed number of big-int ANDs and XORs per
+    batch, whatever its size.
 
     The witness of a member with overlap j is h = T^-1 F, with T the
-    standard frame of j and F the member's adapted frame, so h maps row k
-    of T to row k of F.  The census checks F instead of h, three ways:
-    the rows that T keeps in the left half (its t's and s's, which span
-    that half) are below 1 << n in F, so h fixes the left half; Q(F_k) =
-    Q(T_k) for every k and pairing(F_k, F_l) = pairing(T_k, T_l) for
-    every k < l, and since T is a basis (checked) and the form is
-    nondegenerate, T's pairing matrix is nondegenerate, so F is a basis
-    and h preserves Q; and f2_rref(F[:n]) is the member, which is where h
-    takes standard_odd_lagrangian(n, j) = f2_rref(T[:n]).  The span check
-    runs per member.  The frames are kept per j in an array of 2n-bit
-    rows, and the other two checks run on _BATCH of them at a time, as
-    bit slices (see _verify_frames).
+    standard frame of j and F the member's adapted frame (see
+    _adapted_slices), so h maps row k of T to row k of F.  The census
+    checks F instead of h, three ways.  The rows that T keeps in the
+    left half (its t's and s's, which span that half) are below 1 << n
+    in F, so h fixes the left half.  Q(F_k) = Q(T_k) for every k and
+    pairing(F_k, F_l) = pairing(T_k, T_l) for every k < l; T is a basis
+    (checked) and the form is nondegenerate, so T's pairing matrix is
+    nondegenerate, F is a basis and h preserves Q.  And span F[:n] is the
+    member, which is where h takes standard_odd_lagrangian(n, j) =
+    f2_rref(T[:n]): T_1..T_n are pairwise orthogonal (checked), so F_1..F_n
+    are too, and they span a Lagrangian S = S^perp; every member row
+    pairs to 0 with each of F_1..F_n, so the member lies in S, and as the
+    member's rows are a canonical RREF of rank n (checked on the slices:
+    each row's pivot slice is all ones, and its slices above the pivot and
+    at the other pivots are all zero), the member is S.
     """
     if exhaustive or n <= 3:
         total = total_odd_count(n)
@@ -512,28 +595,59 @@ def _certified_sizes(n, part, parts):
     # any member is certified
     verify(len(words) <= total_odd_count(n), "enumeration missed the closed-form count")
     width = 2 * n
+    top = width * (n - 1)
+    shifts = range(top, -1, -width)
+    field = (1 << width) - 1
+    poll = budget.CHECK_EVERY - 1
     sizes = [0] * n
-    batches = [array("H") for _ in range(n)]
+    batches = {}  # shape -> words of the batch being filled
     previous = 1 << (width * n)
-    for word in words:
-        budget.check()
+    for t, word in enumerate(words):
+        if not t & poll:
+            budget.check()
         verify(word < previous, "walk words are not strictly descending")
         previous = word
-        member = _unpack(n, word)
-        verify(member[0].bit_count() % parts == part, "walk word is outside its part")
-        # canonical RREF: the rows below 1 << n span the left overlap;
-        # Q vanishes on the left half, so a row with Q = 1 puts j < n
-        j = sum(r < (1 << n) for r in member)
-        verify(any(quad_value(n, r) for r in member), "walk yields a singular member")
-        frame = _adapted_frame(n, member)
-        verify(f2_rref(frame[:n]) == member, "witness misses its target member")
-        batch = batches[j]
-        batch.extend(frame)
-        if len(batch) == _BATCH * width:
-            _verify_frames(n, j, batch)
+        verify((word >> top).bit_count() % parts == part, "walk word is outside its part")
+        shape = 0  # bit p + 1 for each leading bit p, bit 0 for a zero row
+        for s in shifts:
+            shape |= 1 << (word >> s & field).bit_length()
+        batch = batches.get(shape)
+        if batch is None:
+            batch = batches[shape] = array("Q")
+        batch.append(word)
+        if len(batch) == _BATCH:
+            sizes[_certified_batch(n, shape, batch)] += _BATCH
             del batch[:]
-        sizes[j] += 1
-    for j, batch in enumerate(batches):
+    for shape, batch in batches.items():
         if batch:
-            _verify_frames(n, j, batch)
+            sizes[_certified_batch(n, shape, batch)] += len(batch)
     return sizes
+
+
+def _certified_batch(n, shape, words):
+    """Certify a batch of walk words routed to one shape and return their
+    left overlap; orbit_census states the checks."""
+    budget.check()
+    width = 2 * n
+    ones = (1 << len(words)) - 1
+    pivots = [p for p in range(width - 1, -1, -1) if shape >> (p + 1) & 1]
+    slices = f2_transpose(words, width * n)
+    rows = [slices[s : s + width] for s in range(width * (n - 1), -1, -width)]
+    verify(
+        len(pivots) == n
+        and all(
+            row[p] == ones and not any(row[p + 1 :]) and not any(row[c] for c in pivots[i + 1 :])
+            for i, (row, p) in enumerate(zip(rows, pivots))
+        ),
+        "walk word is not in canonical RREF",
+    )
+    # the rows below 1 << n span the left overlap, where Q vanishes
+    m = sum(p >= n for p in pivots)
+    odd = 0
+    for row in rows[:m]:
+        odd |= _slice_quad(n, row)
+    verify(odd == ones, "walk yields a singular member")
+    frames = _adapted_slices(n, pivots, rows, ones)
+    _verify_frames(n, n - m, frames, ones)
+    _verify_spans(n, rows, frames)
+    return n - m

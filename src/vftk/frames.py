@@ -420,6 +420,13 @@ def classify_e8_frames():
     counts and nodes add up, and each class's first clique is the largest
     of the parts' firsts, because the walk meets cliques in descending
     lexicographic order.  So the result does not depend on w.
+
+    Each part checks, clique by clique, that its cliques come strictly
+    descending and that each one's depth-0 vertex lies in the part, and
+    raises VerificationError otherwise.  So no part meets a frame twice,
+    and no two parts meet the same frame; with the class sizes checked
+    against |W(E8)| / |W_X|, a repeated frame has no room to stand in for
+    a missing one.
     """
     return _classify_e8_frames(max_parts())
 
@@ -455,11 +462,17 @@ def _classify_e8_frames(parts):
 
 
 def _census_part(graph, roots):
-    """(count by k, first clique by k, nodes) of the walk under roots."""
+    """(count by k, first clique by k, nodes) of the walk under roots,
+    checked as classify_e8_frames states."""
     counts = {}
     first = {}
     stats = {}
+    inside = (1 << len(graph.adj)) - 1 if roots is None else roots
+    previous = (len(graph.adj),)  # above every clique
     for clique, k in _walk_frames(graph, stats, roots):
+        verify(clique < previous, "walk cliques are not strictly descending")
+        verify(not clique or inside >> clique[0] & 1, "walk clique is outside its part")
+        previous = clique
         if k in counts:
             counts[k] += 1
         else:

@@ -158,9 +158,10 @@ def lift_automorphism(cocycle, w, mu_bits=None):
 
 
 def all_lifts(cocycle, w):
-    """All 2^n lifts of the isometry w."""
+    """All 2^n lifts of the isometry w, yielded one at a time in the order
+    of their mu bits; w is checked before the first one."""
     base = lift_automorphism(cocycle, w)
-    return [base._replace(mu_bits=bits) for bits in iproduct((0, 1), repeat=cocycle.rank)]
+    return (base._replace(mu_bits=bits) for bits in iproduct((0, 1), repeat=cocycle.rank))
 
 
 # --- involutions of the nested length-16 codes -------------------------------

@@ -288,7 +288,7 @@ def test_criterion_11_hat_relations(e8_invariants):
         # 2^n lifts of the identity form the kernel: sign characters that
         # fix every vector and are homomorphisms
         ident = tuple(basis)
-        lifts = all_lifts(c, ident)
+        lifts = list(all_lifts(c, ident))
         assert len(lifts) == 2**n and len(set(lifts)) == 2**n
         for lift in lifts:
             assert lift.is_kernel_element()

@@ -372,8 +372,10 @@ def test_budget_binds_on_stabilizer_orders():
 
 
 def test_budget_binds_on_f2quad_exhaustive():
-    # the odd-Lagrangian enumeration and its certification poll the budget
-    _assert_budget_binds(["f2quad", "--n", "5", "--exhaustive"])
+    # the odd-Lagrangian enumeration and its certification poll the budget;
+    # the command's work takes ~0.5 s on a 2-core x86_64 host, where a
+    # 0.5 s budget need not bind
+    _assert_budget_binds(["f2quad", "--n", "5", "--exhaustive"], seconds="0.1")
 
 
 def test_budget_binds_in_twist_prime_search(gram_files):
@@ -406,6 +408,12 @@ def test_budget_binds_on_rank24_gram(gram_files):
     _assert_budget_binds(["unimodularize", "--gram", gram_files["rank24"]])
 
 
+def test_budget_binds_on_rank24_lifts(gram_files):
+    # hat-verify polls once per lift, and the 2^24 lifts of each isometry
+    # come one at a time: listed up front, they ran 48.8 s under a 5 s budget
+    _assert_budget_binds(["hat-verify", "--gram", gram_files["rank24"]])
+
+
 def test_exit_code_failed_check(monkeypatch):
     # drive the exit-1 branch by feeding the driver a wrong classification
     class FakeRep:
@@ -420,7 +428,10 @@ def test_exit_code_failed_check(monkeypatch):
 
 def test_exit_code_failed_self_check(monkeypatch):
     # a census whose member witnesses fail is an error report with exit 1
-    monkeypatch.setattr(f2quad, "_adapted_frame", lambda n, member: f2quad.f2_identity(2 * n))
+    def identity_frames(n, pivots, rows, ones):
+        return [[ones * (k == b) for b in range(2 * n)] for k in range(2 * n)]
+
+    monkeypatch.setattr(f2quad, "_adapted_slices", identity_frames)
     report, code = cli.run(["f2quad", "--n", "4", "--exhaustive"])
     assert code == 1
     assert report["command"] == "f2quad" and "witness" in report["error"]

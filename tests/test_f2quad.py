@@ -178,12 +178,15 @@ def test_census_refuses_a_broken_walk(monkeypatch, mutate, message):
 )
 def test_census_refuses_a_singular_walk_member(monkeypatch, rows):
     # a walk fault is a failed check (exit 1), not bad input (exit 3):
-    # e0..e3 has j = n, and f0..f3 has no row with Q = 1
-    def replace_first(words):
-        words[0] = _pack(4, rows)
+    # e0..e3 has j = n, and f0..f3 has no row with Q = 1; each takes the
+    # place of the member at its sorted position, so the order holds
+    singular = _pack(4, rows)
+
+    def replace_in_order(words):
+        words[min(sum(w > singular for w in words), len(words) - 1)] = singular
 
     with pytest.raises(VerificationError, match="singular member"):
-        _census_with_walk(monkeypatch, 4, replace_first)
+        _census_with_walk(monkeypatch, 4, replace_in_order)
     report, code = cli.run(["f2quad", "--n", "4", "--exhaustive"])
     assert code == 1 and "singular member" in report["error"]
 
@@ -194,13 +197,23 @@ def _walk_positions(n, j):
     return [t for t, w in enumerate(words) if left_overlap(n, f2quad._unpack(n, w)) == j]
 
 
+def _batch_words(n, rows, ones):
+    """The walk words of a batch, read back off its member row slices."""
+    width = 2 * n
+    return [
+        sum((x >> t & 1) << (width * (n - 1 - i) + b) for i, row in enumerate(rows) for b, x in enumerate(row))
+        for t in range(ones.bit_length())
+    ]
+
+
 @pytest.mark.parametrize(
     "j,slot,row,bit,message",
     [
-        # n = 4 has 960, 840, 210 and 15 members of overlap 0..3, so with
-        # 7 frames a batch: first and last slot of a full batch, first of
-        # the next, a middle slot, a final batch of one frame, the last
-        # slot of a final full batch
+        # the slot-th member of overlap j in walk order; n = 4 has 960,
+        # 840, 210 and 15 members of overlap 0..3 in 41 shapes, and overlap
+        # 0 is one shape.  With 7 frames a batch: first and last slot of a
+        # full batch, first of the next, a middle slot, a final batch of one
+        # frame, a shape of one member, the last slot of a final batch of 6
         (0, 0, 7, 0, "not an isometry"),
         (0, 6, 7, 0, "not an isometry"),
         (0, 7, 7, 0, "not an isometry"),
@@ -208,7 +221,7 @@ def _walk_positions(n, j):
         (0, 959, 7, 0, "not an isometry"),
         (3, 14, 7, 0, "not an isometry"),
         (2, 209, 7, 0, "not an isometry"),
-        # a bit beyond the 2n coordinates, which the bit slices do not read
+        # a bit beyond the 2n coordinates: one slice more than the 2n
         (0, 6, 7, 8, "not an isometry"),
         # the first s row (row n) gets a right-half bit
         (1, 3, 4, 4, "moves the left half"),
@@ -217,27 +230,68 @@ def _walk_positions(n, j):
 )
 def test_census_checks_every_batch_slot(monkeypatch, j, slot, row, bit, message):
     n = 4
-    positions = _walk_positions(n, j)
-    target = positions[slot]
-    last = slot // 7 * 7 + 6  # the slot whose frame fills the batch
-    checked_after = positions[last] + 1 if last < len(positions) else total_odd_count(n)
-    adapted = f2quad._adapted_frame
-    calls = []
+    target = f2quad._odd_lagrangian_words(n)[_walk_positions(n, j)[slot]]
+    adapted = f2quad._adapted_slices
+    batches = []
 
-    def flipped(n, member):
-        frame = adapted(n, member)
-        if len(calls) == target:
-            frame[row] ^= 1 << bit
-        calls.append(member)
-        return frame
+    def flipped(n, pivots, rows, ones):
+        frames = adapted(n, pivots, rows, ones)
+        words = _batch_words(n, rows, ones)
+        if target in words:
+            x = frames[row]
+            x += [0] * (bit + 1 - len(x))
+            x[bit] ^= 1 << words.index(target)
+        batches.append(words)
+        return frames
 
     monkeypatch.setattr(f2quad, "_BATCH", 7)
     assert orbit_census(n, exhaustive=True) == orbit_census(n)
-    monkeypatch.setattr(f2quad, "_adapted_frame", flipped)
+    monkeypatch.setattr(f2quad, "_adapted_slices", flipped)
     with pytest.raises(VerificationError, match=message):
         orbit_census(n, exhaustive=True)
-    # refused by the check of the batch that holds the flipped frame
-    assert len(calls) == checked_after
+    # refused by the check of the shape batch that holds the flipped frame
+    assert [target in words for words in batches] == [False] * (len(batches) - 1) + [True]
+    assert all(len(words) <= 7 for words in batches)
+
+
+def test_census_refuses_a_member_in_a_non_canonical_basis(monkeypatch):
+    # the member at walk position 100 comes again with its first row plus
+    # its second, in place of the member at the new word's sorted
+    # position: the order, the part, the count of the overlap, the shape
+    # and the span all hold, and the canonical RREF check of the slices
+    # refuses it before any frame is built
+    n = 4
+    words = list(_WALK(n))
+    rows = f2quad._unpack(n, words[100])
+    again = _pack(n, (rows[0] ^ rows[1],) + rows[1:])
+    assert f2_rref(f2quad._unpack(n, again)) == rows
+    assert [r.bit_length() for r in f2quad._unpack(n, again)] == [r.bit_length() for r in rows]
+    position = sum(w > again for w in words)
+    assert words[position] != words[100]
+    assert left_overlap(n, f2quad._unpack(n, words[position])) == left_overlap(n, rows)
+
+    def repeat(words):
+        words[position] = again
+
+    with pytest.raises(VerificationError, match="not in canonical RREF"):
+        _census_with_walk(monkeypatch, n, repeat)
+
+
+def test_census_refuses_frames_of_other_members(monkeypatch):
+    # each frame of a batch moves to the next slot, so every frame of a
+    # batch of two or more is the adapted frame of another member of the
+    # same shape: it passes the frame check, and only the span check
+    # refuses it
+    adapted = f2quad._adapted_slices
+
+    def rotated(n, pivots, rows, ones):
+        size = ones.bit_length()
+        frames = adapted(n, pivots, rows, ones)
+        return [[(x << 1 | x >> (size - 1)) & ones for x in row] for row in frames]
+
+    monkeypatch.setattr(f2quad, "_adapted_slices", rotated)
+    with pytest.raises(VerificationError, match="misses its target member"):
+        orbit_census(4, exhaustive=True)
 
 
 # the words at positions 0, 1, 500 and 2024 of an earlier n = 4 walk whose
@@ -553,9 +607,9 @@ def test_certified_orbit_partition_matches_the_bfs(n, monkeypatch):
     checked = []
     verify_frames = f2quad._verify_frames
 
-    def counted(n, j, frames):
+    def counted(n, j, frames, ones):
         checked.append(j)
-        verify_frames(n, j, frames)
+        verify_frames(n, j, frames, ones)
 
     monkeypatch.setattr(f2quad, "_verify_frames", counted)
     orbits = orbit_partition(n, members)
@@ -727,19 +781,22 @@ def test_census_certification_survives_optimize():
         from vftk.verify import VerificationError
 
         assert False, "asserts are live"  # stripped under -O
-        adapted = f2quad._adapted_frame
+        adapted = f2quad._adapted_slices
 
-        def wrong_frame(n, member):
-            j = f2quad.left_overlap(n, member)
-            return adapted(n, f2quad.standard_odd_lagrangian(n, j))
+        def wrong_frame(n, pivots, rows, ones):
+            # the standard member's frame in every slot of the batch
+            j = sum(p < n for p in pivots)
+            rep = f2quad.standard_odd_lagrangian(n, j)
+            rep_rows = [[ones * (r >> b & 1) for b in range(2 * n)] for r in rep]
+            return adapted(n, [r.bit_length() - 1 for r in rep], rep_rows, ones)
 
-        f2quad._adapted_frame = wrong_frame
+        f2quad._adapted_slices = wrong_frame
         try:
             f2quad.orbit_census(4, exhaustive=True)
         except VerificationError as exc:
             print("refused:", exc)
 
-        f2quad._adapted_frame = adapted
+        f2quad._adapted_slices = adapted
         walk = f2quad._odd_lagrangian_words
 
         def repeated_walk(n, part=0, parts=1):

@@ -558,6 +558,58 @@ def test_split_census_forked_or_not_merges_exactly(monkeypatch, lattice):
         assert frames._split_census(graph, count) == whole
 
 
+_WALK_FRAMES = frames._walk_frames
+
+
+def _census_with_walk(monkeypatch, mutate, in_part, forked):
+    """frames._split_census of D7 in two parts, forked or not, with
+    mutate(cliques, graph, roots) applied to the walk of part in_part."""
+    graph = frames._norm4_graph(D7)
+
+    def broken_walk(graph, stats=None, roots=None):
+        cliques = list(_WALK_FRAMES(graph, stats, roots))
+        if roots >> in_part & 1:  # vertex in_part opens part in_part
+            mutate(cliques, graph, roots)
+        return iter(cliques)
+
+    monkeypatch.setattr(frames, "_walk_frames", broken_walk)
+    if not forked:
+        monkeypatch.setattr(parts, "_may_fork", lambda: False)
+    return frames._split_census(graph, 2)
+
+
+def _repeat_a_frame(cliques, graph, roots):
+    # the previous frame again in place of the next one of the same k:
+    # every class count stays, and only the order refuses it
+    i = next(i for i in range(1, len(cliques)) if cliques[i][1] == cliques[i - 1][1])
+    cliques[i] = cliques[i - 1]
+
+
+def _take_a_frame_of_the_other_part(cliques, graph, roots):
+    # a frame of the other part in place of the part's next frame of the
+    # same k: counts and order stay, and only the part check refuses it
+    whole = list(_WALK_FRAMES(graph))
+    i = next(
+        i
+        for i in range(len(whole) - 1)
+        if not roots >> whole[i][0][0] & 1 and roots >> whole[i + 1][0][0] & 1 and whole[i][1] == whole[i + 1][1]
+    )
+    cliques[cliques.index(whole[i + 1])] = whole[i]
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+@pytest.mark.parametrize("in_part", [0, 1])
+@pytest.mark.parametrize(
+    "mutate,message",
+    [(_repeat_a_frame, "not strictly descending"), (_take_a_frame_of_the_other_part, "outside its part")],
+    ids=["repeated", "other-part"],
+)
+def test_census_refuses_a_broken_walk(monkeypatch, mutate, message, in_part, forked):
+    with pytest.raises(VerificationError, match=message):
+        _census_with_walk(monkeypatch, mutate, in_part, forked)
+    _assert_no_child_left()
+
+
 def test_no_fork_while_another_thread_lives():
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)

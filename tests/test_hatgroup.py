@@ -121,7 +121,7 @@ def test_hat_square_of_norm_four_vector_is_positive():
 def test_lift_is_homomorphism_all_sign_choices():
     c = standard_cocycle(A2)
     rng = random.Random(13)
-    lifts = all_lifts(c, A2_ROT)
+    lifts = list(all_lifts(c, A2_ROT))
     assert len(lifts) == 4
     for lift in lifts:
         for _ in range(20):
@@ -203,7 +203,7 @@ def test_lifted_frame_stabilizer_k1():
     assert len(sign_only) == 2**7 == frame_stabilizer(e8, frame).sign_order
     lifted = 0
     for w in sign_only:
-        lifts = all_lifts(cocycle, w)
+        lifts = list(all_lifts(cocycle, w))
         assert len({lift.mu_bits for lift in lifts}) == 2**8
         got_sigma, _flips = frame_symbol_action(frame, lifts[0])
         assert got_sigma == ident

@@ -186,7 +186,7 @@ def test_overlattice_defaults():
 def test_all_lifts_of_the_e8_identity():
     cocycle = standard_cocycle(e8_lattice())
     base = lift_automorphism(cocycle, identity(8))
-    lifts = all_lifts(cocycle, identity(8))
+    lifts = list(all_lifts(cocycle, identity(8)))
     assert len(lifts) == 256 and len({lift.mu_bits for lift in lifts}) == 256
     for lift in lifts:
         assert type(lift) is LiftedAutomorphism
